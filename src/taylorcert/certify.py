@@ -178,7 +178,8 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
     warnings: list[str] = list(p.notes)
     parity_notes: list[str] = []
 
-    coefficients = odexpr.taylor_coefficients(p.f, p.x0, p.y0, p.degree)
+    chain = odexpr.derivative_chain(p.f, p.degree)
+    coefficients = chain.coefficients(p.x0, p.y0, p.degree)
 
     radius = cauchy.radius_for_problem(
         p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width
@@ -201,7 +202,6 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
     if not yrange.valid:
         raise CertificationError("comparison", yrange.diagnostics)
 
-    chain = odexpr.derivative_chain(p.f, p.degree)
     xrange = RatInterval(p.x0, p.x1)
     bounds = bound_derivatives(chain, xrange, yrange.range, p.rounding)
     if not p.rounding.is_exact:

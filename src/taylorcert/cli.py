@@ -377,11 +377,12 @@ def _write_json(args: argparse.Namespace, doc: dict) -> None:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    from .odexpr import derivative_values, taylor_coefficients
+    from .odexpr import derivative_chain
 
     p = _load_problem(args.problem, args)
-    coeffs = taylor_coefficients(p.f, p.x0, p.y0, p.degree)
-    derivs = derivative_values(p.f, p.x0, p.y0, p.degree)
+    chain = derivative_chain(p.f, max(p.degree - 1, 0))
+    derivs = chain.values(p.x0, p.y0, p.degree)
+    coeffs = chain.coefficients(p.x0, p.y0, p.degree)
     print(f"Taylor coefficients of y' = {p.f}, y({p.x0}) = {p.y0}, degree {p.degree}")
     for k, c in enumerate(coeffs):
         print(f"  c{k:<2} = {_fmt(c)}")

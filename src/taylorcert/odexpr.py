@@ -6,13 +6,19 @@ along solutions of y' = f(x, y): x differentiates to 1 and each derivative
 symbol y^(j) differentiates to the next symbol y^(j+1), never getting
 substituted by f.  Iterating it from f yields expressions for every higher
 solution derivative, which in turn give exact Taylor coefficients.
+
+A certificate builds its DerivativeChain once, one single-pass flow
+derivative per step; the exact values and Taylor coefficients at x0 come from
+DerivativeChain.values and DerivativeChain.coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from itertools import zip_longest
+from math import factorial
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ratcore import RatInterval, RationalLike, as_rational
 
@@ -43,10 +49,25 @@ def symbol_name(order: int) -> str:
 
 
 def _trim(key: Sequence[int]) -> MonomialKey:
-    key = tuple(key)
-    while key and key[-1] == 0:
-        key = key[:-1]
-    return key
+    n = len(key)
+    while n and key[n - 1] == 0:
+        n -= 1
+    return tuple(key[:n])
+
+
+def _collect(terms: Iterable[tuple[Sequence[int], Fraction]]) -> "FlowExpr":
+    """Sum (key, coeff) pairs into a FlowExpr, trimming keys and dropping zeros.
+
+    Trusted: keys must be nonnegative and coefficients Fractions.  Internal
+    arithmetic builds its results here without re-validating them.
+    """
+    table: dict[MonomialKey, Fraction] = {}
+    for key, coeff in terms:
+        key = _trim(key)
+        table[key] = table.get(key, 0) + coeff
+    expr = object.__new__(FlowExpr)
+    expr._monomials = {key: c for key, c in table.items() if c}
+    return expr
 
 
 class FlowExpr:
@@ -55,20 +76,13 @@ class FlowExpr:
     __slots__ = ("_monomials",)
 
     def __init__(self, monomials: Mapping[MonomialKey, RationalLike] | None = None):
-        table: dict[MonomialKey, Fraction] = {}
-        for key, coeff in (monomials or {}).items():
+        monomials = monomials or {}
+        for key in monomials:
             if any(e < 0 for e in key):
                 raise ExprError(f"negative exponent in monomial key {key}")
-            c = as_rational(coeff)
-            if c == 0:
-                continue
-            trimmed = _trim(key)
-            acc = table.get(trimmed, Fraction(0)) + c
-            if acc == 0:
-                table.pop(trimmed, None)
-            else:
-                table[trimmed] = acc
-        self._monomials = table
+        self._monomials = _collect(
+            (key, as_rational(coeff)) for key, coeff in monomials.items()
+        )._monomials
 
     # -- constructors ----------------------------------------------------
 
@@ -86,21 +100,21 @@ class FlowExpr:
 
     @classmethod
     def y(cls, order: int = 0) -> "FlowExpr":
-        key = [0] * (order + 2)
-        key[order + 1] = 1
-        return cls({tuple(key): Fraction(1)})
+        return cls.monomial(1, derivs={order: 1})
 
     @classmethod
     def monomial(
         cls, coeff: RationalLike, x_exp: int = 0, derivs: Mapping[int, int] | None = None
     ) -> "FlowExpr":
         """Build c * x^x_exp * prod_j y^(j) ** derivs[j]."""
-        top = max(derivs) if derivs else -1
-        key = [0] * (top + 2)
+        derivs = derivs or {}
+        if any(order < 0 for order in derivs):
+            raise ExprError(f"negative derivative order in {dict(derivs)}")
+        key = [0] * (max(derivs, default=-1) + 2)
         key[0] = x_exp
-        for order, exp in (derivs or {}).items():
+        for order, exp in derivs.items():
             key[order + 1] = exp
-        return cls({tuple(key): as_rational(coeff)})
+        return cls({tuple(key): coeff})
 
     # -- structure -------------------------------------------------------
 
@@ -131,75 +145,54 @@ class FlowExpr:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "FlowExpr") -> "FlowExpr":
-        table = dict(self._monomials)
-        for key, coeff in other._monomials.items():
-            acc = table.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                table.pop(key, None)
-            else:
-                table[key] = acc
-        return FlowExpr(table)
+        return _collect([*self._monomials.items(), *other._monomials.items()])
 
     def __sub__(self, other: "FlowExpr") -> "FlowExpr":
         return self + (-other)
 
     def __neg__(self) -> "FlowExpr":
-        return FlowExpr({key: -c for key, c in self._monomials.items()})
+        return _collect((key, -c) for key, c in self._monomials.items())
 
     def scale(self, factor: RationalLike) -> "FlowExpr":
         c = as_rational(factor)
-        if c == 0:
-            return FlowExpr.zero()
-        return FlowExpr({key: c * coeff for key, coeff in self._monomials.items()})
+        return _collect((key, c * coeff) for key, coeff in self._monomials.items())
 
     def __mul__(self, other: "FlowExpr") -> "FlowExpr":
-        table: dict[MonomialKey, Fraction] = {}
-        for k1, c1 in self._monomials.items():
-            for k2, c2 in other._monomials.items():
-                n = max(len(k1), len(k2))
-                key = _trim(
-                    tuple(
-                        (k1[i] if i < len(k1) else 0) + (k2[i] if i < len(k2) else 0)
-                        for i in range(n)
-                    )
-                )
-                acc = table.get(key, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    table.pop(key, None)
-                else:
-                    table[key] = acc
-        return FlowExpr(table)
+        return _collect(
+            (tuple(a + b for a, b in zip_longest(k1, k2, fillvalue=0)), c1 * c2)
+            for k1, c1 in self._monomials.items()
+            for k2, c2 in other._monomials.items()
+        )
 
     # -- calculus --------------------------------------------------------
 
     def partial(self, slot: int) -> "FlowExpr":
         """Partial derivative with respect to slot 0 (x) or slot j+1 (y^(j))."""
-        table: dict[MonomialKey, Fraction] = {}
-        for key, coeff in self._monomials.items():
-            exp = key[slot] if slot < len(key) else 0
-            if exp == 0:
-                continue
-            new_key = list(key)
-            new_key[slot] = exp - 1
-            trimmed = _trim(new_key)
-            acc = table.get(trimmed, Fraction(0)) + coeff * exp
-            if acc == 0:
-                table.pop(trimmed, None)
-            else:
-                table[trimmed] = acc
-        return FlowExpr(table)
+        return _collect(
+            (key[:slot] + (key[slot] - 1,) + key[slot + 1 :], coeff * key[slot])
+            for key, coeff in self._monomials.items()
+            if slot < len(key) and key[slot]
+        )
 
     def partial_x(self) -> "FlowExpr":
         return self.partial(0)
 
     def flow_derivative(self) -> "FlowExpr":
-        """Total derivative along solutions: d/dx + sum_j y^(j+1) d/dy^(j)."""
-        result = self.partial_x()
-        for j in range(self.order + 1):
-            factor = self.partial(j + 1)
-            if not factor.is_zero():
-                result = result + factor * FlowExpr.y(j + 1)
-        return result
+        """Total derivative along solutions: d/dx + sum_j y^(j+1) d/dy^(j).
+
+        One pass: each nonzero slot emits one term, e times the monomial with
+        that slot lowered by one and, for y^(j), slot y^(j+1) raised by one.
+        """
+        terms = []
+        for key, coeff in self._monomials.items():
+            for slot, exp in enumerate(key):
+                if exp:
+                    new_key = [*key, 0]
+                    new_key[slot] -= 1
+                    if slot:
+                        new_key[slot + 1] += 1
+                    terms.append((new_key, coeff * exp if exp != 1 else coeff))
+        return _collect(terms)
 
     # -- evaluation ------------------------------------------------------
 
@@ -243,16 +236,10 @@ class FlowExpr:
     def subs_x(self, value: RationalLike) -> "FlowExpr":
         """Substitute x := value exactly, leaving derivative symbols symbolic."""
         v = as_rational(value)
-        table: dict[MonomialKey, Fraction] = {}
-        for key, coeff in self._monomials.items():
-            e_x = key[0] if key else 0
-            new_key = _trim((0,) + tuple(key[1:]))
-            acc = table.get(new_key, Fraction(0)) + coeff * v**e_x
-            if acc == 0:
-                table.pop(new_key, None)
-            else:
-                table[new_key] = acc
-        return FlowExpr(table)
+        return _collect(
+            ((0,) + key[1:], coeff * v ** (key[0] if key else 0))
+            for key, coeff in self._monomials.items()
+        )
 
     # -- display ---------------------------------------------------------
 
@@ -302,6 +289,26 @@ class DerivativeChain:
         """Expression for y^(k), 1 <= k <= len(self)."""
         return self.exprs[k - 1]
 
+    def values(self, x0: RationalLike, y0: RationalLike, n: int) -> list[Fraction]:
+        """Exact values [y'(x0), ..., y^(n)(x0)] for 0 <= n <= len(self).
+
+        D_k is evaluated at x0 and the values already found for the symbols
+        below y^(k), starting from y(x0) = y0.
+        """
+        if not 0 <= n <= len(self):
+            raise ValueError(f"need 0 <= n <= {len(self)}, got {n}")
+        env = {"x": as_rational(x0), "y": as_rational(y0)}
+        for k in range(1, n + 1):
+            env[symbol_name(k)] = self.expr_for_order(k).eval_exact(env)
+        return list(env.values())[2:]
+
+    def coefficients(
+        self, x0: RationalLike, y0: RationalLike, n: int
+    ) -> list[Fraction]:
+        """Exact Taylor coefficients [c_0 ... c_n] at x0, c_k = y^(k)(x0) / k!."""
+        values = enumerate(self.values(x0, y0, n), start=1)
+        return [as_rational(y0)] + [v / factorial(k) for k, v in values]
+
 
 def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
     """Chain [D_1 ... D_{n+1}] for y' = f(x, y) with f in x and y only."""
@@ -317,13 +324,6 @@ def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
     return DerivativeChain(tuple(exprs))
 
 
-def _chain_env(x0: Fraction, values: Sequence[Fraction]) -> dict[str, Fraction]:
-    env = {"x": x0}
-    for order, value in enumerate(values):
-        env[symbol_name(order)] = value
-    return env
-
-
 def derivative_values(
     f: FlowExpr, x0: RationalLike, y0: RationalLike, n: int
 ) -> list[Fraction]:
@@ -331,11 +331,8 @@ def derivative_values(
     x0, y0 = as_rational(x0), as_rational(y0)
     if n == 0:
         return []
-    chain = derivative_chain(f, n - 1)
-    values: list[Fraction] = [y0]
-    for k in range(1, n + 1):
-        values.append(chain.expr_for_order(k).eval_exact(_chain_env(x0, values)))
-    return values[1:]
+    return derivative_chain(f, n - 1).values(x0, y0, n)
+
 
 def taylor_coefficients(
     f: FlowExpr, x0: RationalLike, y0: RationalLike, n: int
@@ -345,13 +342,10 @@ def taylor_coefficients(
     c_0 is the initial value and c_k = y^(k)(x0) / k! with the derivative
     values obtained by evaluating the chain at previously computed ones.
     """
-    y0 = as_rational(y0)
-    coeffs = [y0]
-    factorial = 1
-    for k, value in enumerate(derivative_values(f, x0, y0, n), start=1):
-        factorial *= k
-        coeffs.append(value / factorial)
-    return coeffs
+    x0, y0 = as_rational(x0), as_rational(y0)
+    if n == 0:
+        return [y0]
+    return derivative_chain(f, n - 1).coefficients(x0, y0, n)
 
 
 # -- restricted text form ------------------------------------------------

@@ -1,0 +1,65 @@
+"""Golden reports: SHA-256 digests of deterministic JSON output.
+
+The digests pin the JSON certificate reports and the `coeffs` output byte
+for byte, so a change to the pipeline that moves any exact value, rounding or
+key order fails here.  They were recorded with the earlier implementation,
+which derived the chain twice per certificate and the flow derivative term by
+term, so they check the current one against an independent computation.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from taylorcert.certify import certify_partial_sum
+from taylorcert.cli import build_report, parse_problem, report_to_json, run
+from taylorcert.ratcore import DecimalRounding
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+# (problem file, degree, rounding) -> SHA-256 of the JSON report.
+REPORT_DIGESTS = {
+    ("riccati.prob", 9, "exact"):
+        "49ed6168f1d2b5dc7537c6deb5aecdf002dc025b3f2e5bf84375762e64cbc3df",
+    ("riccati.prob", 20, "exact"):
+        "388c54013193595ec272e85859272acdcef1e883ee3c89b7c7c8858f52b9ec98",
+    ("riccati.prob", 40, "exact"):
+        "788599dc4ed1f4539c2b02a67d5c33ba5f6c564b722708f17678f4cb9fd6b61b",
+    ("quadratic.prob", 9, "exact"):
+        "90f0f0d9c3cc27c1dd56ddd93e9a2f3e551bb0841dde1215460eca458dd6ed40",
+    ("quadratic.prob", 20, "exact"):
+        "e9e6a630a295a3f3c26a1fb3326a3ee0485d82d650c0810518aad0bcd9cca02f",
+    ("riccati.prob", 60, "outward:30"):
+        "208e5eb41eafd6c453377bfa91c137f6391fc91cd1c96551f74b22273156b8e3",
+    ("quadratic.prob", 28, "outward:30"):
+        "bb0d92801544ebb06ff28fed3b68483cb61144daa2a147e3dc09f5b4ae706fb7",
+}
+
+COEFFS_JSON_DIGEST = "5bcc031548d13c08b044df9969424f3b9dfbe7413cc58549179610b19211794b"
+COEFFS_STDOUT_DIGEST = "d487cf4e5cc4b710f0a1086d19de0f775bfc909b2b5c31eb324bc65c467fa9e5"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_digest(name: str, degree: int, rounding: str) -> str:
+    spec = parse_problem((PROBLEMS / name).read_text())
+    spec = replace(spec, degree=degree, rounding=DecimalRounding.parse(rounding))
+    return _digest(report_to_json(build_report(certify_partial_sum(spec))))
+
+
+@pytest.mark.parametrize("name, degree, rounding", sorted(REPORT_DIGESTS))
+def test_report_matches_golden_digest(name, degree, rounding):
+    assert report_digest(name, degree, rounding) == REPORT_DIGESTS[name, degree, rounding]
+
+
+def test_coeffs_json_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "coeffs.json"
+    assert run(["coeffs", str(PROBLEMS / "riccati.prob"), "--json", str(out)]) == 0
+    assert _digest(out.read_text()) == COEFFS_JSON_DIGEST
+    assert _digest(capsys.readouterr().out) == COEFFS_STDOUT_DIGEST

@@ -102,6 +102,54 @@ def test_flow_derivative_leibniz(e1, e2):
     assert lhs == rhs
 
 
+def reference_flow_derivative(expr: FlowExpr) -> FlowExpr:
+    """The defining formula d/dx + sum_j y^(j+1) * d/dy^(j), term by term."""
+    result = expr.partial_x()
+    for j in range(expr.order + 1):
+        result = result + expr.partial(j + 1) * FlowExpr.y(j + 1)
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_exprs())
+def test_flow_derivative_matches_reference_definition(expr):
+    # Linearity and Leibniz hold for any derivation; this pins the symbol
+    # shift y^(j) -> y^(j+1) itself.
+    assert expr.flow_derivative() == reference_flow_derivative(expr)
+
+
+def assert_normalized(expr: FlowExpr) -> None:
+    table = expr.monomials
+    assert expr == FlowExpr(table)
+    assert all(c != 0 for c in table.values())
+    assert all(key[-1] != 0 for key in table if key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flow_exprs(),
+    flow_exprs(),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.integers(0, 3),
+)
+def test_arithmetic_results_are_normalized(e1, e2, a, slot):
+    results = [
+        e1 + e2, e1 - e2, e1 - e1, -e1, e1.scale(a), e1.scale(0), e1 * e2,
+        e1.partial(slot), e1.subs_x(a), e1.subs_x(0), e1.flow_derivative(),
+    ]
+    for result in results:
+        assert_normalized(result)
+
+
+def test_negative_derivative_order_rejected():
+    with pytest.raises(ExprError):
+        FlowExpr.y(-1)
+    with pytest.raises(ExprError):
+        FlowExpr.y(-2)
+    with pytest.raises(ExprError):
+        FlowExpr.monomial(3, x_exp=2, derivs={-1: 5})
+
+
 # -- derivative chain ----------------------------------------------------------
 
 
@@ -122,6 +170,16 @@ def test_chain_of_length_one():
     f = riccati_flow()
     chain = derivative_chain(f, 0)
     assert chain == DerivativeChain((f,))
+
+
+def test_chain_values_and_coefficients_stay_within_chain():
+    chain = derivative_chain(riccati_flow(), 9)
+    assert chain.values(0, -1, 10) == RICCATI_DERIVS
+    assert chain.coefficients(0, -1, 9) == RICCATI_COEFFS[:10]
+    assert chain.values(0, -1, 0) == []
+    for n in (-1, 11):
+        with pytest.raises(ValueError):
+            chain.values(0, -1, n)
 
 
 def test_chain_rejects_derivative_symbols():
