@@ -486,7 +486,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         at = as_rational(args.at)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--at: {exc}") from exc
-    tol = as_rational(args.tol)
+    try:
+        tol = as_rational(args.tol)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"--tol: {exc}") from exc
+    if tol <= 0:
+        raise InputError(f"--tol: tolerance must be positive, got {tol}")
     ref = oracle.reference_solution(p.f, p.x0, p.y0, at, tol)
     print(f"integrator:  y({at}) = {ref}")
     if oracle.is_quarter_riccati(p.f, p.x0, p.y0) and at != 0:

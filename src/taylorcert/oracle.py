@@ -70,6 +70,13 @@ def _compile_flow(f: FlowExpr):
     return call
 
 
+def _check_tol(tol: RationalLike) -> None:
+    # A step-doubling difference is never below a tolerance <= 0, so the loop
+    # would run every doubling (millions of RK4 steps) before giving up.
+    if as_rational(tol) <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
 def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
     h = (x1 - x0) / steps
     x, y = x0, y0
@@ -108,6 +115,7 @@ def reference_solution(
     """Integrator value of y(x), halving the step until stable within tol."""
     if f.order > 0:
         raise ValueError("flow must involve x and y only")
+    _check_tol(tol)
     x0, x = as_rational(x0), as_rational(x)
     if x < x0:
         raise ValueError("evaluation point precedes x0")
@@ -144,6 +152,7 @@ def reference_grid(
     Far cheaper than independent reference_solution calls when many points of
     the same problem are needed.
     """
+    _check_tol(tol)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid points must be strictly increasing")
     if xs and as_rational(xs[0]) < as_rational(x0):

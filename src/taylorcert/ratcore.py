@@ -5,6 +5,18 @@ Every operation here is exact: endpoints are `fractions.Fraction` values and no
 floating point enters any rigorous computation.  Elementary enclosures are
 truncated series in exact rational arithmetic with explicit tail bounds, so the
 returned interval is a mathematical guarantee, not a numerical estimate.
+
+The public `RatInterval(lo, hi)`, `RatInterval.of` and `RatInterval.point`
+take outside input: they convert endpoints to `Fraction` and reject
+`lo > hi`.  Internal results whose endpoints are `Fraction`s in order by
+construction (`+`, `-`, negation, `scale`, `shift`, `*`, `int_pow`) go
+through the trusted helper `_ordered`, which skips both checks.  Products and
+powers pick their endpoints by the signs of the factors' endpoints, read off
+the numerators (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
+2009, sec. 2.3): a product forms the two endpoint products it needs unless
+both factors straddle zero, and only then forms four and compares them.  The
+result is the tightest enclosure, the same interval as the min and max over
+all four corner products.
 """
 
 from __future__ import annotations
@@ -133,22 +145,34 @@ class RatInterval:
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
+        return _ordered(-self.hi, -self.lo)
 
     def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
+        return _ordered(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
+        return _ordered(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "RatInterval") -> "RatInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RatInterval(min(products), max(products))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a.numerator >= 0:  # self >= 0
+            if c.numerator >= 0:
+                return _ordered(a * c, b * d)
+            if d.numerator <= 0:
+                return _ordered(b * c, a * d)
+            return _ordered(b * c, b * d)
+        if b.numerator <= 0:  # self <= 0
+            if c.numerator >= 0:
+                return _ordered(a * d, b * c)
+            if d.numerator <= 0:
+                return _ordered(b * d, a * c)
+            return _ordered(a * d, a * c)
+        # self straddles zero
+        if c.numerator >= 0:
+            return _ordered(a * d, b * d)
+        if d.numerator <= 0:
+            return _ordered(b * c, a * c)
+        return _ordered(min(a * d, b * c), max(a * c, b * d))
 
     def __truediv__(self, other: "RatInterval") -> "RatInterval":
         if other.lo <= 0 <= other.hi:
@@ -165,13 +189,13 @@ class RatInterval:
 
     def scale(self, factor: RationalLike) -> "RatInterval":
         c = as_rational(factor)
-        if c >= 0:
-            return RatInterval(c * self.lo, c * self.hi)
-        return RatInterval(c * self.hi, c * self.lo)
+        if c.numerator >= 0:
+            return _ordered(c * self.lo, c * self.hi)
+        return _ordered(c * self.hi, c * self.lo)
 
     def shift(self, offset: RationalLike) -> "RatInterval":
         c = as_rational(offset)
-        return RatInterval(self.lo + c, self.hi + c)
+        return _ordered(self.lo + c, self.hi + c)
 
     def int_pow(self, exponent: int) -> "RatInterval":
         """Tightest enclosure of {t**exponent : t in self}, exponent >= 0.
@@ -181,19 +205,29 @@ class RatInterval:
         if exponent < 0:
             raise ValueError("int_pow exponent must be nonnegative")
         if exponent == 0:
-            return RatInterval.point(1)
-        lo_p = self.lo**exponent
-        hi_p = self.hi**exponent
-        if exponent % 2 == 1:
-            return RatInterval(lo_p, hi_p)
-        if self.lo >= 0:
-            return RatInterval(lo_p, hi_p)
-        if self.hi <= 0:
-            return RatInterval(hi_p, lo_p)
-        return RatInterval(Fraction(0), max(lo_p, hi_p))
+            return _ordered(Fraction(1), Fraction(1))
+        if exponent == 1:
+            return self
+        lo, hi = self.lo, self.hi
+        if exponent % 2 == 1 or lo.numerator >= 0:
+            return _ordered(lo**exponent, hi**exponent)
+        if hi.numerator <= 0:
+            return _ordered(hi**exponent, lo**exponent)
+        return _ordered(Fraction(0), max(-lo, hi) ** exponent)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def _ordered(lo: Fraction, hi: Fraction) -> RatInterval:
+    """RatInterval from two Fractions already known to satisfy lo <= hi.
+
+    Skips `__post_init__`: for internal results only, never for outside input.
+    """
+    interval = object.__new__(RatInterval)
+    object.__setattr__(interval, "lo", lo)
+    object.__setattr__(interval, "hi", hi)
+    return interval
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,17 @@ def test_oracle_command(problem_file, capsys):
     assert "-0.94977712496" in out
 
 
+@pytest.mark.parametrize("tol", ["0", "-1/1000", "abc"])
+def test_oracle_rejects_bad_tolerance(problem_file, capsys, monkeypatch, tol):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrator ran despite a bad --tol")
+
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", no_integration)
+    assert run(["oracle", str(problem_file), "--at", "1/5", f"--tol={tol}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --tol:")
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text('f = "sin(x)"\nx0="0"\ny0="1"\ndegree=2\nx1="1"\n')

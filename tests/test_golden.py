@@ -2,9 +2,11 @@
 
 The digests pin the JSON certificate reports and the `coeffs` output byte
 for byte, so a change to the pipeline that moves any exact value, rounding or
-key order fails here.  They were recorded with the earlier implementation,
+key order fails here.  Most were recorded with the earlier implementation,
 which derived the chain twice per certificate and the flow derivative term by
-term, so they check the current one against an independent computation.
+term; the two degree-60/28 exact digests were recorded with the interval
+product that took the min and max of all four corner products.  Each checks
+the current code against an independent computation.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ REPORT_DIGESTS = {
         "bb0d92801544ebb06ff28fed3b68483cb61144daa2a147e3dc09f5b4ae706fb7",
 }
 
+# SHA-256 of the riccati degree-60 exact JSON report.
+RICCATI_60_EXACT_DIGEST = "3f05876bc9e1c76cd888d3d8858aed81e6cbe845cf8e15c7263c87069f7c247f"
+
+# The quadratic degree-28 exact report cannot be rendered in decimal (an
+# endpoint passes the 4,300-digit int->str limit), so its derivative bounds
+# are pinned as hex numerators and denominators, one "lo hi" line per order.
+QUADRATIC_28_EXACT_BOUNDS_DIGEST = (
+    "5e8b4632c88eddbb0218cebee83579d82d423e95083f609c2903d85c07e401ae"
+)
+
 COEFFS_JSON_DIGEST = "5bcc031548d13c08b044df9969424f3b9dfbe7413cc58549179610b19211794b"
 COEFFS_STDOUT_DIGEST = "d487cf4e5cc4b710f0a1086d19de0f775bfc909b2b5c31eb324bc65c467fa9e5"
 
@@ -47,15 +59,36 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report_digest(name: str, degree: int, rounding: str) -> str:
+def certificate(name: str, degree: int, rounding: str):
     spec = parse_problem((PROBLEMS / name).read_text())
     spec = replace(spec, degree=degree, rounding=DecimalRounding.parse(rounding))
-    return _digest(report_to_json(build_report(certify_partial_sum(spec))))
+    return certify_partial_sum(spec)
+
+
+def report_digest(name: str, degree: int, rounding: str) -> str:
+    return _digest(report_to_json(build_report(certificate(name, degree, rounding))))
+
+
+def _hex_rational(q) -> str:
+    return f"{hex(q.numerator)}/{hex(q.denominator)}"
 
 
 @pytest.mark.parametrize("name, degree, rounding", sorted(REPORT_DIGESTS))
 def test_report_matches_golden_digest(name, degree, rounding):
     assert report_digest(name, degree, rounding) == REPORT_DIGESTS[name, degree, rounding]
+
+
+def test_riccati_60_exact_report_matches_golden_digest():
+    assert report_digest("riccati.prob", 60, "exact") == RICCATI_60_EXACT_DIGEST
+
+
+def test_quadratic_28_exact_bounds_match_golden_digest():
+    cert = certificate("quadratic.prob", 28, "exact")
+    text = "".join(
+        f"{_hex_rational(b.lo)} {_hex_rational(b.hi)}\n" for b in cert.derivative_bounds
+    )
+    assert len(cert.derivative_bounds) == 29
+    assert _digest(text) == QUADRATIC_28_EXACT_BOUNDS_DIGEST
 
 
 def test_coeffs_json_matches_golden_digest(tmp_path, capsys):

@@ -62,6 +62,20 @@ def test_reference_step_budget():
         )
 
 
+def _no_integration(*args, **kwargs):
+    raise AssertionError("integrator ran despite a non-positive tolerance")
+
+
+@pytest.mark.parametrize("tol", [0, F(-1, 10**15), "-1"])
+def test_nonpositive_tolerance_rejected_before_integration(monkeypatch, tol):
+    # With tol <= 0 the doubling loop could never stop early; it must not start.
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", _no_integration)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        reference_solution(riccati_flow(), 0, -1, F(1, 5), tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        reference_grid(riccati_flow(), 0, -1, [F(1, 10), F(1, 5)], tol)
+
+
 def test_observed_convergence_order_is_fourth():
     """Classical one-step scheme: error ratios under step halving give
     observed order within [3.8, 4.2]."""

@@ -157,6 +157,113 @@ def test_isotonicity(a, b, da, db, exponent):
     assert wider_a.int_pow(exponent).contains_interval(a.int_pow(exponent))
 
 
+# -- sign-case kernel against four-corner references -------------------------
+
+
+def corner_product(a: RatInterval, b: RatInterval) -> tuple[Fraction, Fraction]:
+    """Reference product: min and max over all four endpoint products."""
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return min(products), max(products)
+
+
+def endpoint_power(a: RatInterval, exponent: int) -> tuple[Fraction, Fraction]:
+    """Reference power from the endpoint powers; 0 below even straddles."""
+    if exponent == 0:
+        return F(1), F(1)
+    p, q = a.lo**exponent, a.hi**exponent
+    if exponent % 2 == 0 and a.lo < 0 < a.hi:
+        return F(0), max(p, q)
+    return min(p, q), max(p, q)
+
+
+def sign_class(a: RatInterval) -> str:
+    return "nonneg" if a.lo >= 0 else "nonpos" if a.hi <= 0 else "straddle"
+
+
+SHAPES = ("pos", "zero_lo", "neg", "zero_hi", "straddle", "zero", "point")
+magnitudes = st.fractions(min_value=F(1, 64), max_value=8, max_denominator=64)
+
+
+@st.composite
+def shaped_intervals(draw):
+    """Intervals of every sign class, with zero endpoints and points."""
+    shape = draw(st.sampled_from(SHAPES))
+    u, v = sorted((draw(magnitudes), draw(magnitudes)))
+    lo, hi = {
+        "pos": (u, v),
+        "zero_lo": (F(0), v),
+        "neg": (-v, -u),
+        "zero_hi": (-v, F(0)),
+        "straddle": (-u, v) if draw(st.booleans()) else (-v, u),
+        "zero": (F(0), F(0)),
+        "point": (-u, -u) if draw(st.booleans()) else (u, u),
+    }[shape]
+    return RatInterval(lo, hi)
+
+
+# One interval of each shape; their pairs cover all nine sign-class products.
+SHAPE_EXAMPLES = [
+    interval(*ends)
+    for ends in (
+        ("1/3", 2), (0, "5/2"), (-3, "-1/4"), ("-7/2", 0),
+        ("-1/2", 3), (-3, "1/2"), (0, 0), ("3/4", "3/4"), ("-5/3", "-5/3"),
+    )
+]
+
+
+def test_shape_examples_cover_all_nine_sign_classes():
+    pairs = {(sign_class(a), sign_class(b)) for a in SHAPE_EXAMPLES for b in SHAPE_EXAMPLES}
+    assert len(pairs) == 9
+
+
+@pytest.mark.parametrize("a", SHAPE_EXAMPLES, ids=str)
+@pytest.mark.parametrize("b", SHAPE_EXAMPLES, ids=str)
+def test_mul_matches_corner_reference_on_every_shape(a, b):
+    product = a * b
+    assert (product.lo, product.hi) == corner_product(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_intervals(), shaped_intervals())
+def test_mul_matches_corner_reference(a, b):
+    product = a * b
+    assert (product.lo, product.hi) == corner_product(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_intervals(), st.integers(0, 7))
+def test_int_pow_matches_endpoint_power_reference(a, exponent):
+    power = a.int_pow(exponent)
+    assert (power.lo, power.hi) == endpoint_power(a, exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_intervals(), shaped_intervals(), st.integers(0, 7), rationals)
+def test_internal_results_are_well_formed(a, b, exponent, scalar):
+    # Internal results skip the public constructor's checks, so they must be
+    # ordered Fraction intervals by construction, equal to a validated copy.
+    results = (
+        a + b, a - b, -a, a.scale(scalar), a.shift(scalar), a * b, a.int_pow(exponent)
+    )
+    for result in results:
+        assert type(result.lo) is Fraction and type(result.hi) is Fraction
+        assert result.lo <= result.hi
+        checked = RatInterval(result.lo, result.hi)
+        assert result == checked and hash(result) == hash(checked)
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        RatInterval(2, 1)
+    with pytest.raises(ValueError):
+        RatInterval.of("1/2", "1/3")
+    with pytest.raises(TypeError):
+        RatInterval(0.5, 1)
+    with pytest.raises(TypeError):
+        RatInterval.point(0.25)
+    assert type(RatInterval(1, 2).lo) is Fraction
+
+
 # -- decimal rounding ---------------------------------------------------------
 
 
