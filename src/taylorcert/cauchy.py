@@ -14,6 +14,7 @@ from fractions import Fraction
 from .odexpr import FlowExpr
 from .ratcore import (
     DEFAULT_ENCLOSURE_WIDTH,
+    DecimalRounding,
     RatInterval,
     RationalLike,
     as_rational,
@@ -69,12 +70,10 @@ def magnitude_bound(
 
 def _floor_to_clean_decimal(q: Fraction, places: int = 2) -> Fraction:
     """Truncate downward to `places` decimals, extending only if that hits 0."""
-    while places <= 40:
-        scale = 10**places
-        floored = Fraction(q.numerator * scale // q.denominator, scale)
+    for places in range(places, 41):
+        floored = DecimalRounding.outward(places).round_down(q)
         if floored > 0 or q <= 0:
             return floored
-        places += 1
     return Fraction(0)
 
 

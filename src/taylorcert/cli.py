@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -328,18 +329,12 @@ def _sanity_section(cert: Certificate) -> dict:
     ref = oracle.reference_solution(p.f, p.x0, p.y0, p.x1, Fraction(1, 10**16))
     approx = poly_eval(cert.coefficients, p.x1)
     with mp.workdps(oracle.ORACLE_DPS):
-        approx_f = mp.mpf(approx.numerator) / approx.denominator
-        error = abs(ref.value - approx_f)
+        lo, hi = oracle.to_mpf(cert.yrange.range.lo), oracle.to_mpf(cert.yrange.range.hi)
         return {
             "integrator_value": mp.nstr(ref.value, 20),
             "integrator_error_estimate": mp.nstr(ref.error_estimate, 3),
-            "partial_sum_error": mp.nstr(error, 6),
-            "inside_certified_range": bool(
-                mp.mpf(cert.yrange.range.lo.numerator) / cert.yrange.range.lo.denominator
-                <= ref.value
-                <= mp.mpf(cert.yrange.range.hi.numerator)
-                / cert.yrange.range.hi.denominator
-            ),
+            "partial_sum_error": mp.nstr(abs(ref.value - oracle.to_mpf(approx)), 6),
+            "inside_certified_range": bool(lo <= ref.value <= hi),
         }
 
 
@@ -488,10 +483,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise InputError(f"--at: {exc}") from exc
     try:
         tol = as_rational(args.tol)
+        oracle.check_tol(tol)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--tol: {exc}") from exc
-    if tol <= 0:
-        raise InputError(f"--tol: tolerance must be positive, got {tol}")
     ref = oracle.reference_solution(p.f, p.x0, p.y0, at, tol)
     print(f"integrator:  y({at}) = {ref}")
     if oracle.is_quarter_riccati(p.f, p.x0, p.y0) and at != 0:
@@ -504,6 +498,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1/10" as a value, not an option; subparsers are _Parsers too.
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message: str):  # map argparse failures to exit code 1
         raise InputError(message)
 
@@ -551,16 +550,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # InputError included
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 2
-    except (comparison.ApplicabilityError, oracle.ConvergenceError) as exc:
+    except (
+        CertificationError, comparison.ApplicabilityError, oracle.ConvergenceError
+    ) as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 2
 

@@ -100,14 +100,9 @@ def extract_comparison(
         elif key == (0, 2):
             beta = coeff
         else:
-            exponents = "*".join(
-                ("x" if slot == 0 else symbol_name(slot - 1))
-                + (f"^{exp}" if exp > 1 else "")
-                for slot, exp in enumerate(key)
-                if exp
-            )
             raise ComparisonFormError(
-                f"unsupported monomial {coeff}*{exponents} after freezing x = {x1}"
+                f"unsupported monomial {coeff}*{FlowExpr({key: 1})} "
+                f"after freezing x = {x1}"
             )
     if alpha <= 0:
         raise ComparisonFormError(f"constant term alpha = {alpha} is not positive")

@@ -4,7 +4,7 @@ Nothing here carries a guarantee; these values live outside the certified
 path and are used in tests and in the report's sanity section.  Two methods:
 a classical 4th-order one-step integrator with step halving, and, for the
 specific flow x^2 + y^2/4 started at (0, -1), the closed-form solution as a
-quotient of quarter-order Bessel series.
+quotient of quarter-order Bessel series normalized by `mp.gamma` values.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from .ratcore import RationalLike, as_rational
 
 #: Working precision (significant decimal digits) for all oracle arithmetic.
 ORACLE_DPS = 40
-
-# Gamma-function constants, hardcoded because computing the gamma function is
-# out of scope here.  40+ digit decimal expansions from standard references
-# (DLMF 5.4; OEIS A068466 and A068465):
-#   Gamma(1/4) = 3.62560990822190831193068515586767200299516768...
-#   Gamma(3/4) = 1.22541670246517764512909830336289052685123925...
-_GAMMA_QUARTER = "3.62560990822190831193068515586767200299516768"
-_GAMMA_THREE_QUARTERS = "1.22541670246517764512909830336289052685123925"
 
 
 class ConvergenceError(RuntimeError):
@@ -48,7 +40,8 @@ class ReferenceValue:
         )
 
 
-def _to_mpf(q: RationalLike) -> mp.mpf:
+def to_mpf(q: RationalLike) -> mp.mpf:
+    """The rational q as an mpf at the current working precision."""
     q = as_rational(q)
     return mp.mpf(q.numerator) / q.denominator
 
@@ -59,7 +52,7 @@ def _compile_flow(f: FlowExpr):
     for key, coeff in f.monomials.items():
         e_x = key[0] if len(key) >= 1 else 0
         e_y = key[1] if len(key) >= 2 else 0
-        terms.append((_to_mpf(coeff), e_x, e_y))
+        terms.append((to_mpf(coeff), e_x, e_y))
 
     def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
         total = mp.mpf(0)
@@ -70,11 +63,39 @@ def _compile_flow(f: FlowExpr):
     return call
 
 
-def _check_tol(tol: RationalLike) -> None:
-    # A step-doubling difference is never below a tolerance <= 0, so the loop
-    # would run every doubling (millions of RK4 steps) before giving up.
-    if as_rational(tol) <= 0:
+def check_tol(tol: RationalLike) -> None:
+    """Reject a tolerance the step doubling can never meet: no difference of two
+    sweeps is below one <= 0, nor resolved below half the working digits, so
+    the loop would run every doubling (millions of RK4 steps) before giving up.
+    """
+    tol = as_rational(tol)
+    if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if tol < Fraction(1, 10 ** (ORACLE_DPS // 2)):
+        raise ValueError(
+            f"tolerance {mp.nstr(to_mpf(tol), 3)} is below 1e-{ORACLE_DPS // 2}, "
+            f"the finest the {ORACLE_DPS}-digit oracle resolves"
+        )
+
+
+def _until_stable(sweep, steps: int, max_doublings: int, tol: RationalLike):
+    """Double the step count from `steps` until two successive sweeps agree.
+
+    `sweep(steps)` returns a list of values; returns the last sweep and its
+    largest difference from the one before, once that is below tol.
+    """
+    tol_f = to_mpf(tol)
+    prev = sweep(steps)
+    for _ in range(max_doublings):
+        steps *= 2
+        current = sweep(steps)
+        diff = max(abs(c - p) for c, p in zip(current, prev))
+        if diff < tol_f:
+            return current, diff
+        prev = current
+    raise ConvergenceError(
+        f"integrator did not stabilize within {tol} after {steps} steps"
+    )
 
 
 def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
@@ -101,7 +122,7 @@ def integrate_fixed(
     if f.order > 0:
         raise ValueError("flow must involve x and y only")
     with mp.workdps(ORACLE_DPS):
-        return _rk4_fixed(_compile_flow(f), _to_mpf(x0), _to_mpf(y0), _to_mpf(x), steps)
+        return _rk4_fixed(_compile_flow(f), to_mpf(x0), to_mpf(y0), to_mpf(x), steps)
 
 
 def reference_solution(
@@ -115,28 +136,20 @@ def reference_solution(
     """Integrator value of y(x), halving the step until stable within tol."""
     if f.order > 0:
         raise ValueError("flow must involve x and y only")
-    _check_tol(tol)
+    check_tol(tol)
     x0, x = as_rational(x0), as_rational(x)
     if x < x0:
         raise ValueError("evaluation point precedes x0")
     if x == x0:
-        return ReferenceValue(_to_mpf(y0), mp.mpf(0), "integrator")
+        return ReferenceValue(to_mpf(y0), mp.mpf(0), "integrator")
     with mp.workdps(ORACLE_DPS):
         flow = _compile_flow(f)
-        a, b = _to_mpf(x0), _to_mpf(x)
-        tol_f = _to_mpf(tol)
-        steps = 16
-        prev = _rk4_fixed(flow, a, _to_mpf(y0), b, steps)
-        for _ in range(max_doublings):
-            steps *= 2
-            current = _rk4_fixed(flow, a, _to_mpf(y0), b, steps)
-            diff = abs(current - prev)
-            if diff < tol_f:
-                return ReferenceValue(current, diff, "integrator")
-            prev = current
-    raise ConvergenceError(
-        f"integrator did not stabilize within {tol} after {steps} steps"
-    )
+        a, b, start = to_mpf(x0), to_mpf(x), to_mpf(y0)
+        (value,), diff = _until_stable(
+            lambda steps: [_rk4_fixed(flow, a, start, b, steps)],
+            16, max_doublings, tol,
+        )
+        return ReferenceValue(value, diff, "integrator")
 
 
 def reference_grid(
@@ -152,18 +165,17 @@ def reference_grid(
     Far cheaper than independent reference_solution calls when many points of
     the same problem are needed.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid points must be strictly increasing")
     if xs and as_rational(xs[0]) < as_rational(x0):
         raise ValueError("grid starts before x0")
     with mp.workdps(ORACLE_DPS):
         flow = _compile_flow(f)
-        nodes = [_to_mpf(x0)] + [_to_mpf(p) for p in xs]
-        tol_f = _to_mpf(tol)
+        nodes = [to_mpf(x0)] + [to_mpf(p) for p in xs]
 
         def sweep(steps_per_segment: int) -> list[mp.mpf]:
-            y = _to_mpf(y0)
+            y = to_mpf(y0)
             out = []
             for a, b in zip(nodes, nodes[1:]):
                 if b > a:
@@ -171,15 +183,7 @@ def reference_grid(
                 out.append(y)
             return out
 
-        steps = 4
-        prev = sweep(steps)
-        for _ in range(max_doublings):
-            steps *= 2
-            current = sweep(steps)
-            if max(abs(c - p) for c, p in zip(current, prev)) < tol_f:
-                return current
-            prev = current
-    raise ConvergenceError(f"grid integration did not stabilize within {tol}")
+        return _until_stable(sweep, 4, max_doublings, tol)[0]
 
 
 def is_quarter_riccati(f: FlowExpr, x0: RationalLike, y0: RationalLike) -> bool:
@@ -219,10 +223,10 @@ def riccati_exact(
         y(x) = 2x * [8 G34 J(3/4)  - sqrt(2) G14 J(-3/4)]
                   / [sqrt(2) G14 J(1/4) + 8 G34 J(-1/4)]
 
-    with every J evaluated at x^2/4 and G14, G34 the hardcoded gamma
-    constants.  x = 0 is the removable singularity of the quotient (the limit
-    is the initial value) and is rejected; negative x is rejected too, since
-    the representation above holds for the principal branch x > 0 only and
+    with every J evaluated at x^2/4, G14 = Gamma(1/4) and G34 = Gamma(3/4).
+    x = 0 is the removable singularity of the quotient (the limit is the
+    initial value) and is rejected; negative x is rejected too, since the
+    representation above holds for the principal branch x > 0 only and
     certification never looks left of x0.
     """
     x = as_rational(x)
@@ -233,12 +237,12 @@ def riccati_exact(
     if terms < 4:
         raise ValueError("need at least 4 series terms")
     with mp.workdps(ORACLE_DPS):
-        g14 = mp.mpf(_GAMMA_QUARTER)
-        g34 = mp.mpf(_GAMMA_THREE_QUARTERS)
-        sqrt2 = mp.sqrt(2)
-        xf = _to_mpf(x)
-        z = xf * xf / 4
         quarter = mp.mpf(1) / 4
+        g14 = mp.gamma(quarter)
+        g34 = mp.gamma(3 * quarter)
+        sqrt2 = mp.sqrt(2)
+        xf = to_mpf(x)
+        z = xf * xf / 4
         j_p34, r1 = _bessel_series(3 * quarter, z, 3 * quarter * g34, terms)
         j_m34, r2 = _bessel_series(-3 * quarter, z, g14, terms)
         j_p14, r3 = _bessel_series(quarter, z, quarter * g14, terms)

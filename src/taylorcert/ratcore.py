@@ -3,27 +3,29 @@ enclosures of the elementary functions the certification pipeline needs.
 
 Every operation here is exact: endpoints are `fractions.Fraction` values and no
 floating point enters any rigorous computation.  Elementary enclosures are
-truncated series in exact rational arithmetic with explicit tail bounds, so the
-returned interval is a mathematical guarantee, not a numerical estimate.
+truncated series in exact rational arithmetic with explicit tail bounds, or,
+for square roots, one integer square root, so the returned interval is a
+mathematical guarantee, not a numerical estimate.
 
 The public `RatInterval(lo, hi)`, `RatInterval.of` and `RatInterval.point`
 take outside input: they convert endpoints to `Fraction` and reject
 `lo > hi`.  Internal results whose endpoints are `Fraction`s in order by
-construction (`+`, `-`, negation, `scale`, `shift`, `*`, `int_pow`) go
-through the trusted helper `_ordered`, which skips both checks.  Products and
-powers pick their endpoints by the signs of the factors' endpoints, read off
-the numerators (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
-2009, sec. 2.3): a product forms the two endpoint products it needs unless
-both factors straddle zero, and only then forms four and compares them.  The
-result is the tightest enclosure, the same interval as the min and max over
-all four corner products.
+construction (`+`, `-`, negation, `scale`, `shift`, `*`, `int_pow`, the
+sine, cosine and square-root enclosures) go through the trusted helper
+`_ordered`, which skips both checks.  Products and powers pick their
+endpoints by the signs of the factors' endpoints, read off the numerators
+(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009, sec.
+2.3): a product forms the two endpoint products it needs unless both factors
+straddle zero, and only then forms four and compares them.  The result is the
+tightest enclosure, the same interval as the min and max over all four corner
+products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 from typing import Union
 
 # The universal exact scalar of the library.
@@ -70,19 +72,12 @@ def decimal_str(q: Fraction, digits: int = 17) -> str:
     fractional digits, so a reader can tell displayed values from exact ones.
     """
     sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-    whole, rem = divmod(n, d)
+    whole, rem = divmod(abs(q.numerator), q.denominator)
     if rem == 0:
         return f"{sign}{whole}"
-    frac_digits = []
-    for _ in range(digits):
-        rem *= 10
-        dig, rem = divmod(rem, d)
-        frac_digits.append(str(dig))
-        if rem == 0:
-            break
-    tail = "..." if rem else ""
-    return f"{sign}{whole}.{''.join(frac_digits)}{tail}"
+    scaled, rest = divmod(rem * 10**digits, q.denominator)
+    frac = str(10**digits + scaled)[1:]  # zero-padded; empty when digits == 0
+    return f"{sign}{whole}." + (f"{frac}..." if rest else frac.rstrip("0"))
 
 
 @dataclass(frozen=True)
@@ -275,10 +270,7 @@ class DecimalRounding:
         return Fraction(q.numerator * scale // q.denominator, scale)
 
     def round_up(self, q: Fraction) -> Fraction:
-        if self.is_exact:
-            return q
-        scale = 10**self.places
-        return Fraction(-((-q.numerator) * scale // q.denominator), scale)
+        return -self.round_down(-q)
 
     def apply(self, interval: RatInterval) -> RatInterval:
         if self.is_exact:
@@ -341,49 +333,29 @@ def enclose_exp_neg(
                 return RatInterval(1 / upper_exp, 1 / partial)
 
 
-def _sin_enclosure(t: Fraction, width: Fraction) -> RatInterval:
-    """Enclosure of sin(t) for 0 <= t < 3/2 via the alternating series.
+def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
+    """Enclosure of sin(t) (power 1) or cos(t) (power 0) for 0 <= t < 3/2.
 
+    Sums the alternating series of terms (-1)^k t^(2k+power) / (2k+power)!.
     The truncation error is bounded by the first omitted term (Lagrange bound
-    with |sin^(m)| <= 1).
+    with |sin^(m)|, |cos^(m)| <= 1).
     """
     partial = Fraction(0)
-    term = t  # t^(2k+1) / (2k+1)!
-    k = 0
+    term = t**power
     while True:
         partial += term
-        nxt = -term * t * t / ((2 * k + 2) * (2 * k + 3))
-        if abs(nxt) <= width / 2:
-            err = abs(nxt)
-            return RatInterval(partial - err, partial + err)
-        term = nxt
-        k += 1
-
-
-def _cos_enclosure(t: Fraction, width: Fraction) -> RatInterval:
-    """Enclosure of cos(t) for 0 <= t < 3/2, same tail bound as the sine."""
-    partial = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    while True:
-        partial += term
-        nxt = -term * t * t / ((2 * k + 1) * (2 * k + 2))
-        if abs(nxt) <= width / 2:
-            err = abs(nxt)
-            return RatInterval(partial - err, partial + err)
-        term = nxt
-        k += 1
+        term = -term * t * t / ((power + 1) * (power + 2))
+        power += 2
+        err = abs(term)
+        if err <= width / 2:
+            return _ordered(partial - err, partial + err)
 
 
 def _tan_point_enclosure(t: Fraction, width: Fraction) -> RatInterval:
-    sin_enc = _sin_enclosure(t, width)
-    cos_enc = _cos_enclosure(t, width)
+    cos_enc = _trig_series(t, 0, width)
     if cos_enc.lo <= 0:
         raise EnclosureError(f"cosine enclosure at {t} not bounded away from 0")
-    # cos > 0 throughout, so the quotient corners are immediate.
-    lo = sin_enc.lo / cos_enc.hi if sin_enc.lo >= 0 else sin_enc.lo / cos_enc.lo
-    hi = sin_enc.hi / cos_enc.lo
-    return RatInterval(lo, hi)
+    return _trig_series(t, 1, width) / cos_enc
 
 
 def enclose_tan(
@@ -429,7 +401,10 @@ def enclose_sqrt(
     """Certified enclosure [lo, hi] of sqrt(q): lo**2 <= q <= hi**2.
 
     Perfect squares of the numerator and denominator short-circuit to an exact
-    point; otherwise plain bisection from [0, max(1, q)].
+    point.  Otherwise the result is where bisection of [0, top], top =
+    max(1, q), stops once the width is at most `width`: after k halvings, with
+    2^k >= top / width for the least such k, on the grid cell [m, m + 1] * h,
+    h = top / 2^k, whose lower end m is the largest integer with (m h)^2 <= q.
     """
     q = as_rational(q)
     width = _check_width(width)
@@ -443,12 +418,8 @@ def enclose_sqrt(
     if num_root * num_root == q.numerator and den_root * den_root == q.denominator:
         return RatInterval.point(Fraction(num_root, den_root))
 
-    lo = Fraction(0)
-    hi = max(Fraction(1), q)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid * mid <= q:
-            lo = mid
-        else:
-            hi = mid
-    return RatInterval(lo, hi)
+    top = max(Fraction(1), q)
+    halvings = (ceil(top / width) - 1).bit_length()
+    step = top / 2**halvings
+    m = isqrt(floor(q / (step * step)))
+    return _ordered(m * step, (m + 1) * step)

@@ -177,7 +177,7 @@ def test_oracle_command(problem_file, capsys):
     assert "-0.94977712496" in out
 
 
-@pytest.mark.parametrize("tol", ["0", "-1/1000", "abc"])
+@pytest.mark.parametrize("tol", ["0", "-1/1000", "abc", "1e-60"])
 def test_oracle_rejects_bad_tolerance(problem_file, capsys, monkeypatch, tol):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrator ran despite a bad --tol")
@@ -186,6 +186,16 @@ def test_oracle_rejects_bad_tolerance(problem_file, capsys, monkeypatch, tol):
     assert run(["oracle", str(problem_file), "--at", "1/5", f"--tol={tol}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: --tol:")
+
+
+def test_negative_option_values_reach_validation(problem_file, capsys):
+    # A space-separated negative value is a value, not an unknown option.
+    assert run(["oracle", str(problem_file), "--at", "1/5", "--tol", "-1/1000"]) == 1
+    assert capsys.readouterr().err == (
+        "input error: --tol: tolerance must be positive, got -1/1000\n"
+    )
+    assert run(["oracle", str(problem_file), "--at", "-1/10"]) == 1
+    assert capsys.readouterr().err == "input error: evaluation point precedes x0\n"
 
 
 def test_input_error_exit_code(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Golden reports: SHA-256 digests of deterministic JSON output.
 
-The digests pin the JSON certificate reports and the `coeffs` output byte
-for byte, so a change to the pipeline that moves any exact value, rounding or
-key order fails here.  Most were recorded with the earlier implementation,
-which derived the chain twice per certificate and the flow derivative term by
-term; the two degree-60/28 exact digests were recorded with the interval
-product that took the min and max of all four corner products.  Each checks
-the current code against an independent computation.
+The digests pin the JSON certificate reports, the `coeffs` output and the
+oracle's output (`oracle` and the sanity section of `certify`) byte for byte,
+so a change to the pipeline that moves any exact value, rounding, reference
+value or key order fails here.  Most were recorded with the earlier
+implementation, which derived the chain twice per certificate and the flow
+derivative term by term; the two degree-60/28 exact digests were recorded
+with the interval product that took the min and max of all four corner
+products, and the oracle digests with hard-coded gamma constants and two
+separate step-doubling loops.  Each checks the current code against an
+independent computation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,6 +57,18 @@ QUADRATIC_28_EXACT_BOUNDS_DIGEST = (
 
 COEFFS_JSON_DIGEST = "5bcc031548d13c08b044df9969424f3b9dfbe7413cc58549179610b19211794b"
 COEFFS_STDOUT_DIGEST = "d487cf4e5cc4b710f0a1086d19de0f775bfc909b2b5c31eb324bc65c467fa9e5"
+
+# Stdout of the two subcommands that run the non-rigorous oracle, for
+# problems/riccati.prob: `oracle --at 1/5` (integrator, closed form and their
+# difference) and `certify` with its sanity section.
+ORACLE_STDOUT_DIGESTS = {
+    ("oracle", "--at", "1/5"):
+        "1cedafe50ecee9a2e14d23a5dbef7dad79ee75309d8536b8e52863f14fa8ecd1",
+    ("certify",):
+        "398013deca4783bfa04b81e25b0b2539e6ccba5b52691b7bb69903837a39b90e",
+}
+# The JSON report of that `certify` run, sanity section included.
+SANITY_JSON_DIGEST = "902f75adc6d22f28873b6ae22d0ca0b6798adbfd0da4436680d9c3b0ee6b21f3"
 
 
 def _digest(text: str) -> str:
@@ -96,3 +112,17 @@ def test_coeffs_json_matches_golden_digest(tmp_path, capsys):
     assert run(["coeffs", str(PROBLEMS / "riccati.prob"), "--json", str(out)]) == 0
     assert _digest(out.read_text()) == COEFFS_JSON_DIGEST
     assert _digest(capsys.readouterr().out) == COEFFS_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_STDOUT_DIGESTS))
+def test_oracle_stdout_matches_golden_digest(argv, capsys):
+    command, *options = argv
+    assert run([command, str(PROBLEMS / "riccati.prob"), *options]) == 0
+    assert _digest(capsys.readouterr().out) == ORACLE_STDOUT_DIGESTS[argv]
+
+
+def test_sanity_json_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["certify", str(PROBLEMS / "riccati.prob"), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["sanity"]["inside_certified_range"] is True
+    assert _digest(out.read_text()) == SANITY_JSON_DIGEST

@@ -58,12 +58,22 @@ def test_reference_rejects_backward_evaluation():
 def test_reference_step_budget():
     with pytest.raises(ConvergenceError):
         reference_solution(
-            riccati_flow(), 0, -1, F(1, 5), F(1, 10**30), max_doublings=2
+            riccati_flow(), 0, -1, F(1, 5), F(1, 10**20), max_doublings=2
         )
 
 
+@pytest.mark.parametrize("tol", [F(1, 10**30), F(1, 10**60), F(99, 10**22)])
+def test_unreachable_tolerance_rejected_before_integration(monkeypatch, tol):
+    # Below half the working digits the doubling loop could never stop early.
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", _no_integration)
+    with pytest.raises(ValueError, match="the finest the 40-digit oracle resolves"):
+        reference_solution(riccati_flow(), 0, -1, F(1, 5), tol)
+    with pytest.raises(ValueError, match="the finest the 40-digit oracle resolves"):
+        reference_grid(riccati_flow(), 0, -1, [F(1, 10), F(1, 5)], tol)
+
+
 def _no_integration(*args, **kwargs):
-    raise AssertionError("integrator ran despite a non-positive tolerance")
+    raise AssertionError("integrator ran despite a rejected tolerance")
 
 
 @pytest.mark.parametrize("tol", [0, F(-1, 10**15), "-1"])

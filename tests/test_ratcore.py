@@ -1,11 +1,12 @@
 """Interval arithmetic and certified elementary enclosures."""
 
 from fractions import Fraction
+from math import isqrt
 import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taylorcert.ratcore import (
@@ -69,6 +70,37 @@ def test_decimal_str():
     assert decimal_str(F(1, 4)) == "0.25"
     assert decimal_str(F(-1, 3), 5) == "-0.33333..."
     assert decimal_str(F(7)) == "7"
+
+
+def _long_division_decimal(q: Fraction, digits: int) -> str:
+    """One digit per division step: the reference for decimal_str."""
+    sign = "-" if q < 0 else ""
+    whole, rem = divmod(abs(q.numerator), q.denominator)
+    if rem == 0:
+        return f"{sign}{whole}"
+    out = []
+    for _ in range(digits):
+        digit, rem = divmod(rem * 10, q.denominator)
+        out.append(str(digit))
+        if rem == 0:
+            break
+    return f"{sign}{whole}.{''.join(out)}" + ("..." if rem else "")
+
+
+decimal_values = st.one_of(
+    st.fractions(max_denominator=10**9),
+    # Terminating expansions, shorter and longer than the digits shown.
+    st.builds(
+        lambda n, a, b: F(n, 2**a * 5**b),
+        st.integers(-(10**12), 10**12), st.integers(0, 40), st.integers(0, 40),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimal_values, st.integers(0, 40))
+def test_decimal_str_equals_long_division(q, digits):
+    assert decimal_str(q, digits) == _long_division_decimal(q, digits)
 
 
 # -- interval operations -----------------------------------------------------
@@ -416,6 +448,31 @@ def test_enclose_sqrt_domain():
         enclose_sqrt(F(-1))
     with pytest.raises(EnclosureError):
         enclose_sqrt(F(2), F(-1))
+
+
+def _bisected_sqrt(q: Fraction, width: Fraction) -> RatInterval:
+    """Bisection of [0, max(1, q)]: the reference for enclose_sqrt."""
+    lo, hi = F(0), max(F(1), q)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid * mid <= q:
+            lo = mid
+        else:
+            hi = mid
+    return RatInterval(lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6),
+    st.integers(0, 40),
+    st.integers(1, 2**20),
+)
+def test_enclose_sqrt_equals_bisection(q, exponent, numerator):
+    num, den = q.numerator, q.denominator
+    assume(isqrt(num) ** 2 != num or isqrt(den) ** 2 != den)  # not an exact point
+    width = F(numerator, 10**exponent)
+    assert enclose_sqrt(q, width) == _bisected_sqrt(q, width)
 
 
 def test_pi_enclosure_brackets_pi():
