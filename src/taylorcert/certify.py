@@ -108,17 +108,12 @@ def bound_derivatives(
 
     The bound for y^(k) evaluates D_k monomial-wise with x over xrange, y over
     yrange and each lower-order derivative symbol over its own previously
-    computed bound.  With an outward rounding mode every bound is widened
-    before being stored and fed to the next stage, which reproduces
-    two-decimal tabulated bounds; exact mode keeps the raw rational endpoints.
+    computed bound (`DerivativeChain.bounds`).  With an outward rounding mode
+    every bound is widened before being stored and fed to the next stage,
+    which reproduces two-decimal tabulated bounds; exact mode keeps the raw
+    rational endpoints.
     """
-    env: dict[str, RatInterval] = {"x": xrange, "y": yrange}
-    bounds: list[RatInterval] = []
-    for k in range(1, len(chain) + 1):
-        bound = rounding.apply(chain.expr_for_order(k).eval_interval(env))
-        bounds.append(bound)
-        env[symbol_name(k)] = bound
-    return bounds
+    return chain.bounds(xrange, yrange, rounding)
 
 
 def lagrange_remainder(

@@ -8,8 +8,18 @@ substituted by f.  Iterating it from f yields expressions for every higher
 solution derivative, which in turn give exact Taylor coefficients.
 
 A certificate builds its DerivativeChain once, one single-pass flow
-derivative per step; the exact values and Taylor coefficients at x0 come from
-DerivativeChain.values and DerivativeChain.coefficients.
+derivative per step.  DerivativeChain.bounds encloses every derivative over a
+box, order by order; DerivativeChain.values, the exact values at x0, is its
+point case, and DerivativeChain.coefficients divides them by k!.
+
+Evaluation runs on integers, in the fraction-free manner of Bareiss (*Math.
+Comp.* 22, 1968): each binding is a pair of endpoint numerators over a shared
+denominator, which is kept as a vector of exponents over a few fixed bases
+(the lcm of the coefficient denominators, the denominators of the bound
+boxes and, for outward rounding, 10**places).  Monomials multiply numerators
+and add vectors; a sum lifts its monomials to the componentwise maximum
+vector.  Only the stored result is reduced, with one gcd per endpoint, and
+every value equals the monomial-wise Fraction evaluation exactly.
 """
 
 from __future__ import annotations
@@ -17,10 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial
+from math import factorial, lcm
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ratcore import RatInterval, RationalLike, as_rational
+from .ratcore import (
+    DecimalRounding,
+    RatInterval,
+    RationalLike,
+    as_rational,
+    mul_endpoints,
+    pow_endpoints,
+)
 
 # A monomial key is (e_x, e_y, e_y', ..., e_y^(m)) with trailing zeros trimmed.
 MonomialKey = tuple[int, ...]
@@ -203,15 +221,11 @@ class FlowExpr:
         return env[name]
 
     def eval_exact(self, env: Mapping[str, RationalLike]) -> Fraction:
-        """Exact rational value under a symbol->Rational environment."""
-        total = Fraction(0)
-        for key, coeff in self._monomials.items():
-            value = coeff
-            for slot, exp in enumerate(key):
-                if exp:
-                    value *= as_rational(self._symbol_value(env, slot)) ** exp
-            total += value
-        return total
+        """Exact rational value under a symbol->Rational environment.
+
+        The point case of `eval_interval`: each symbol is bound to a point.
+        """
+        return self._enclose(env, RatInterval.point).lo
 
     def eval_interval(self, env: Mapping[str, RatInterval]) -> RatInterval:
         """Monomial-wise interval evaluation under symbol->interval bindings.
@@ -219,19 +233,19 @@ class FlowExpr:
         Each monomial is enclosed exactly (every symbol occurs once per
         monomial, as an integer power); the monomial enclosures are summed,
         which accepts the usual interval dependency overestimation across
-        monomials.
+        monomials.  Rational bindings stand for points.
         """
-        total = RatInterval.point(0)
-        for key, coeff in self._monomials.items():
-            factor = RatInterval.point(1)
-            for slot, exp in enumerate(key):
-                if exp:
-                    bound = self._symbol_value(env, slot)
-                    if not isinstance(bound, RatInterval):
-                        bound = RatInterval.point(bound)  # type: ignore[arg-type]
-                    factor = factor * bound.int_pow(exp)
-            total = total + factor.scale(coeff)
-        return total
+        return self._enclose(
+            env, lambda b: b if isinstance(b, RatInterval) else RatInterval.point(b)
+        )
+
+    def _enclose(self, env, as_interval) -> RatInterval:
+        """Enclosure on the integer kernel, each symbol the monomials mention
+        bound to its own base: the denominator of its interval."""
+        used = sorted({s for key in self._monomials for s, exp in enumerate(key) if exp})
+        boxes = {slot: as_interval(self._symbol_value(env, slot)) for slot in used}
+        kernel = _Kernel([self._monomials], boxes)
+        return kernel.interval(*kernel.enclose(self._monomials))
 
     def subs_x(self, value: RationalLike) -> "FlowExpr":
         """Substitute x := value exactly, leaving derivative symbols symbolic."""
@@ -268,6 +282,103 @@ class FlowExpr:
         return f"FlowExpr({self._monomials!r})"
 
 
+class _Kernel:
+    """Monomial-wise interval sums on integers over a shared denominator.
+
+    A binding is a triple (lo, hi, vec): integer endpoint numerators over the
+    denominator prod(bases[i] ** vec[i]).  bases[0] is c, the lcm of the
+    coefficient denominators; then come the denominators of the boxes bound
+    to slots, and any extra bases the caller adds.  A monomial multiplies
+    its bindings' numerators by the sign cases of `mul_endpoints` and adds
+    their vectors; the sum lifts each monomial to the componentwise maximum
+    vector by an integer power product, from a cache that lives as long as
+    the kernel.  No step needs a gcd or a division: only `interval` reduces.
+    """
+
+    def __init__(
+        self,
+        tables: Sequence[Mapping[MonomialKey, Fraction]],
+        boxes: Mapping[int, RatInterval],
+        extra_bases: Sequence[int] = (),
+    ):
+        c = lcm(*(q.denominator for table in tables for q in table.values()))
+        dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
+        self.bases = (c, *dens, *extra_bases)
+        self._powers: dict[tuple[int, ...], int] = {}
+        self._coeff_vec = self._unit(0)
+        self.slots = {
+            slot: self.numerators(box, index)
+            for index, (slot, box) in enumerate(boxes.items(), start=1)
+        }
+
+    def _unit(self, index: int) -> tuple[int, ...]:
+        return tuple(int(i == index) for i in range(len(self.bases)))
+
+    def power(self, vec: tuple[int, ...]) -> int:
+        """prod(bases[i] ** vec[i]), cached."""
+        value = self._powers.get(vec)
+        if value is None:
+            value = 1
+            for base, exp in zip(self.bases, vec):
+                if exp:
+                    value *= base**exp
+            self._powers[vec] = value
+        return value
+
+    def numerators(self, box: RatInterval, index: int) -> tuple[int, int, tuple[int, ...]]:
+        """Binding of box over bases[index], which its denominators divide."""
+        den = self.bases[index]
+        lo, hi = box.lo, box.hi
+        return (
+            lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator),
+            self._unit(index),
+        )
+
+    def enclose(
+        self, monomials: Mapping[MonomialKey, Fraction]
+    ) -> tuple[int, int, tuple[int, ...]]:
+        """Binding of the monomial-wise enclosure of a sum of monomials.
+
+        The vectors come first, so that each monomial's numerators are lifted
+        and added as soon as they are formed: only one monomial's big
+        integers are alive at a time, which keeps the peak memory of a sum
+        near that of the Fraction loop it replaced.
+        """
+        slots = self.slots
+        vecs = []
+        for key in monomials:
+            vec = self._coeff_vec
+            for slot, exp in enumerate(key):
+                if exp:
+                    vec = tuple([v + exp * e for v, e in zip(vec, slots[slot][2])])
+            vecs.append(vec)
+        if not vecs:
+            return 0, 0, self._coeff_vec
+        top = tuple(map(max, zip(*vecs)))
+        c = self.bases[0]
+        total_lo = total_hi = 0
+        for (key, coeff), vec in zip(monomials.items(), vecs):
+            lo = hi = coeff.numerator * (c // coeff.denominator)
+            for slot, exp in enumerate(key):
+                if exp:
+                    b_lo, b_hi, _ = slots[slot]
+                    if exp > 1:
+                        b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
+                    lo, hi = mul_endpoints(lo, hi, b_lo, b_hi)
+            if vec != top:
+                lift = self.power(tuple(map(sub, top, vec)))
+                lo, hi = lo * lift, hi * lift
+            total_lo += lo
+            total_hi += hi
+        return total_lo, total_hi, top
+
+    def interval(self, lo: int, hi: int, vec: tuple[int, ...]) -> RatInterval:
+        """The reduced RatInterval of a binding."""
+        den = self.power(vec)
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
+
+
 @dataclass(frozen=True)
 class DerivativeChain:
     """Expressions [D_1 ... D_{n+1}] for the solution derivatives y', y'', ...
@@ -289,18 +400,49 @@ class DerivativeChain:
         """Expression for y^(k), 1 <= k <= len(self)."""
         return self.exprs[k - 1]
 
+    def bounds(
+        self,
+        xrange: RatInterval,
+        yrange: RatInterval,
+        rounding: DecimalRounding = DecimalRounding.exact(),
+    ) -> list[RatInterval]:
+        """Sequential interval bounds for y^(1) ... y^(len(self)) over a box.
+
+        D_k is evaluated monomial-wise with x over xrange, y over yrange and
+        each symbol below y^(k) over its own bound, found before it.  Each
+        bound goes through `rounding` before it is stored and fed to the next
+        order.
+
+        All orders share one kernel.  An exact bound is fed on as the
+        numerators and exponent vector of its unreduced sum; an outward bound
+        re-enters as numerators over 10**places.  A bound is never made a base
+        of its own: D_k multiplies y^(i) by y^(k-2-i), so the common
+        denominator would become the product of every earlier one.
+        """
+        extra = () if rounding.is_exact else (10**rounding.places,)
+        tables = [expr._monomials for expr in self.exprs]
+        kernel = _Kernel(tables, {0: xrange, 1: yrange}, extra)
+        bounds = []
+        for slot, table in enumerate(tables, start=2):
+            lo, hi, vec = kernel.enclose(table)
+            bound = rounding.apply(kernel.interval(lo, hi, vec))
+            if extra:
+                lo, hi, vec = kernel.numerators(bound, len(kernel.bases) - 1)
+            bounds.append(bound)
+            kernel.slots[slot] = (lo, hi, vec)
+        return bounds
+
     def values(self, x0: RationalLike, y0: RationalLike, n: int) -> list[Fraction]:
         """Exact values [y'(x0), ..., y^(n)(x0)] for 0 <= n <= len(self).
 
-        D_k is evaluated at x0 and the values already found for the symbols
-        below y^(k), starting from y(x0) = y0.
+        The point case of `bounds`: D_k is evaluated at x0 and the values
+        already found for the symbols below y^(k), starting from y(x0) = y0.
         """
         if not 0 <= n <= len(self):
             raise ValueError(f"need 0 <= n <= {len(self)}, got {n}")
-        env = {"x": as_rational(x0), "y": as_rational(y0)}
-        for k in range(1, n + 1):
-            env[symbol_name(k)] = self.expr_for_order(k).eval_exact(env)
-        return list(env.values())[2:]
+        point = DerivativeChain(self.exprs[:n])
+        bounds = point.bounds(RatInterval.point(x0), RatInterval.point(y0))
+        return [bound.lo for bound in bounds]
 
     def coefficients(
         self, x0: RationalLike, y0: RationalLike, n: int

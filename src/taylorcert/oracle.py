@@ -166,6 +166,8 @@ def reference_grid(
     the same problem are needed.
     """
     check_tol(tol)
+    if not xs:
+        return []
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid points must be strictly increasing")
     if xs and as_rational(xs[0]) < as_rational(x0):

@@ -13,12 +13,16 @@ take outside input: they convert endpoints to `Fraction` and reject
 construction (`+`, `-`, negation, `scale`, `shift`, `*`, `int_pow`, the
 sine, cosine and square-root enclosures) go through the trusted helper
 `_ordered`, which skips both checks.  Products and powers pick their
-endpoints by the signs of the factors' endpoints, read off the numerators
-(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009, sec.
-2.3): a product forms the two endpoint products it needs unless both factors
-straddle zero, and only then forms four and compares them.  The result is the
-tightest enclosure, the same interval as the min and max over all four corner
-products.
+endpoints by the signs of the factors' endpoints (Moore, Kearfott & Cloud,
+*Introduction to Interval Analysis*, 2009, sec. 2.3): a product forms the two
+endpoint products it needs unless both factors straddle zero, and only then
+forms four and compares them.  The result is the tightest enclosure, the same
+interval as the min and max over all four corner products.  This case
+analysis lives once, in `mul_endpoints` and `pow_endpoints`, which work on
+endpoint pairs of ints or Fractions alike: `RatInterval` calls them on its
+Fraction endpoints, and the derivative chain's kernel in `odexpr` on integer
+numerators over a shared positive denominator, whose signs are those of the
+rationals they stand for.
 """
 
 from __future__ import annotations
@@ -149,25 +153,7 @@ class RatInterval:
         return _ordered(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "RatInterval") -> "RatInterval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a.numerator >= 0:  # self >= 0
-            if c.numerator >= 0:
-                return _ordered(a * c, b * d)
-            if d.numerator <= 0:
-                return _ordered(b * c, a * d)
-            return _ordered(b * c, b * d)
-        if b.numerator <= 0:  # self <= 0
-            if c.numerator >= 0:
-                return _ordered(a * d, b * c)
-            if d.numerator <= 0:
-                return _ordered(b * d, a * c)
-            return _ordered(a * d, a * c)
-        # self straddles zero
-        if c.numerator >= 0:
-            return _ordered(a * d, b * d)
-        if d.numerator <= 0:
-            return _ordered(b * c, a * c)
-        return _ordered(min(a * d, b * c), max(a * c, b * d))
+        return _ordered(*mul_endpoints(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "RatInterval") -> "RatInterval":
         if other.lo <= 0 <= other.hi:
@@ -203,15 +189,52 @@ class RatInterval:
             return _ordered(Fraction(1), Fraction(1))
         if exponent == 1:
             return self
-        lo, hi = self.lo, self.hi
-        if exponent % 2 == 1 or lo.numerator >= 0:
-            return _ordered(lo**exponent, hi**exponent)
-        if hi.numerator <= 0:
-            return _ordered(hi**exponent, lo**exponent)
-        return _ordered(Fraction(0), max(-lo, hi) ** exponent)
+        lo, hi = pow_endpoints(self.lo, self.hi, exponent)
+        return _ordered(Fraction(lo), hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def mul_endpoints(a, b, c, d):
+    """Endpoints of the product [a, b] * [c, d] of two ordered pairs.
+
+    Picks the two endpoint products it needs from the factors' signs and forms
+    four, comparing them, only when both factors straddle zero.  The values
+    may be ints (numerators over positive denominators, as in the derivative
+    chain's kernel) or Fractions.
+    """
+    if a >= 0:  # [a, b] >= 0
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:  # [a, b] <= 0
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    # [a, b] straddles zero
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def pow_endpoints(lo, hi, exponent: int):
+    """Endpoints of {t**exponent : lo <= t <= hi} for exponent >= 1.
+
+    Even powers of a straddling pair have lower endpoint the int 0, whatever
+    the type of lo and hi.
+    """
+    if exponent % 2 == 1 or lo >= 0:
+        return lo**exponent, hi**exponent
+    if hi <= 0:
+        return hi**exponent, lo**exponent
+    return 0, max(-lo, hi) ** exponent
 
 
 def _ordered(lo: Fraction, hi: Fraction) -> RatInterval:
@@ -373,10 +396,6 @@ def enclose_tan(
     if theta.hi >= Fraction(3, 2):
         raise EnclosureError(
             f"tan argument {theta.hi} outside the series domain [0, 3/2)"
-        )
-    if theta.hi >= HALF_PI_LOWER:
-        raise EnclosureError(
-            f"tan argument {theta.hi} not certified below pi/2 >= {HALF_PI_LOWER}"
         )
     # The excess of the result width over tan(hi) - tan(lo) is bounded by the
     # two endpoint enclosure widths; shrink the series width until that excess

@@ -1,0 +1,273 @@
+"""The shared-denominator integer kernel against the Fraction loops it replaced.
+
+`FlowExpr.eval_interval`, `FlowExpr.eval_exact`, `DerivativeChain.bounds` and
+`DerivativeChain.values` evaluate on integer numerators over a common
+denominator and reduce once per result.  The references below are the
+monomial-wise `Fraction` loops they replaced, kept verbatim; every result must
+equal them exactly, with equal hashes and `Fraction` endpoints.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import riccati_flow
+from taylorcert.certify import bound_derivatives
+from taylorcert.odexpr import (
+    DerivativeChain,
+    ExprError,
+    FlowExpr,
+    derivative_chain,
+    symbol_name,
+)
+from taylorcert.ratcore import DecimalRounding, RatInterval, as_rational
+
+F = Fraction
+
+
+# -- references: the Fraction loops the kernel replaced -----------------------
+
+
+def _symbol_value(env, slot):
+    name = "x" if slot == 0 else symbol_name(slot - 1)
+    if name not in env:
+        raise ExprError(f"unbound symbol {name!r} in evaluation environment")
+    return env[name]
+
+
+def reference_eval_exact(expr: FlowExpr, env) -> Fraction:
+    total = Fraction(0)
+    for key, coeff in expr.monomials.items():
+        value = coeff
+        for slot, exp in enumerate(key):
+            if exp:
+                value *= as_rational(_symbol_value(env, slot)) ** exp
+        total += value
+    return total
+
+
+def reference_eval_interval(expr: FlowExpr, env) -> RatInterval:
+    total = RatInterval.point(0)
+    for key, coeff in expr.monomials.items():
+        factor = RatInterval.point(1)
+        for slot, exp in enumerate(key):
+            if exp:
+                bound = _symbol_value(env, slot)
+                if not isinstance(bound, RatInterval):
+                    bound = RatInterval.point(bound)
+                factor = factor * bound.int_pow(exp)
+        total = total + factor.scale(coeff)
+    return total
+
+
+def reference_bounds(chain, xrange, yrange, rounding) -> list[RatInterval]:
+    env = {"x": xrange, "y": yrange}
+    bounds = []
+    for k in range(1, len(chain) + 1):
+        bound = rounding.apply(reference_eval_interval(chain.expr_for_order(k), env))
+        bounds.append(bound)
+        env[symbol_name(k)] = bound
+    return bounds
+
+
+def reference_values(chain, x0, y0, n) -> list[Fraction]:
+    env = {"x": as_rational(x0), "y": as_rational(y0)}
+    for k in range(1, n + 1):
+        env[symbol_name(k)] = reference_eval_exact(chain.expr_for_order(k), env)
+    return list(env.values())[2:]
+
+
+def assert_same_interval(got: RatInterval, want: RatInterval):
+    assert type(got.lo) is Fraction and type(got.hi) is Fraction
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got == want and hash(got) == hash(want)
+
+
+def assert_same_value(got: Fraction, want: Fraction):
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want)
+
+
+# -- strategies ---------------------------------------------------------------
+
+SLOTS = ("x", "y", "y'", "y''")
+
+# Denominators drawn independently, so endpoints and coefficients mix them.
+magnitudes = st.fractions(min_value=F(1, 64), max_value=4, max_denominator=64)
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=36).filter(bool)
+
+
+@st.composite
+def shaped_intervals(draw):
+    """Intervals of every sign class, with zero endpoints and points."""
+    u, v = sorted((draw(magnitudes), draw(magnitudes)))
+    lo, hi = draw(
+        st.sampled_from(
+            [
+                (u, v),
+                (F(0), v),
+                (-v, -u),
+                (-v, F(0)),
+                (-u, v),
+                (-v, u),
+                (F(0), F(0)),
+                (u, u),
+                (-u, -u),
+            ]
+        )
+    )
+    return RatInterval(lo, hi)
+
+
+@st.composite
+def polynomials(draw, slots=len(SLOTS), max_exp=4):
+    """Polynomials in the first `slots` of x, y, y', y'' with exponents up to
+    `max_exp`, so that even powers of straddling intervals occur."""
+    table = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple(draw(st.integers(0, max_exp)) for _ in range(slots))
+        table[key] = draw(coefficients)
+    return FlowExpr(table)
+
+
+@st.composite
+def boxes(draw):
+    return {name: draw(shaped_intervals()) for name in SLOTS}
+
+
+roundings = st.one_of(
+    st.just(DecimalRounding.exact()),
+    st.integers(0, 6).map(DecimalRounding.outward),
+)
+
+
+def riccati_chain(n):
+    return derivative_chain(riccati_flow(), n)
+
+
+# -- eval_interval and eval_exact ---------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), boxes())
+def test_eval_interval_equals_fraction_loop(expr, env):
+    assert_same_interval(expr.eval_interval(env), reference_eval_interval(expr, env))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), boxes())
+def test_eval_interval_accepts_rational_bindings(expr, env):
+    points = {name: box.lo for name, box in env.items()}
+    points["y"] = str(env["y"].hi)
+    assert_same_interval(
+        expr.eval_interval(points), reference_eval_interval(expr, points)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), boxes())
+def test_eval_exact_equals_fraction_loop(expr, env):
+    points = {name: box.hi for name, box in env.items()}
+    assert_same_value(expr.eval_exact(points), reference_eval_exact(expr, points))
+
+
+def test_zero_expression_evaluates_to_zero():
+    assert_same_interval(FlowExpr.zero().eval_interval({}), RatInterval.point(0))
+    assert_same_value(FlowExpr.zero().eval_exact({}), F(0))
+
+
+@pytest.mark.parametrize(
+    "evaluate, reference",
+    [("eval_interval", reference_eval_interval), ("eval_exact", reference_eval_exact)],
+)
+def test_unbound_symbols_still_raise(evaluate, reference):
+    expr = FlowExpr.monomial(F(2, 3), x_exp=1, derivs={0: 2, 2: 1})
+    env = {"x": F(1, 2), "y": F(-1, 3)}
+    with pytest.raises(ExprError, match="unbound symbol \"y''\""):
+        getattr(expr, evaluate)(env)
+    # Symbols the expression does not mention need no binding.
+    env["y''"] = F(5)
+    assert getattr(expr, evaluate)(env) == reference(expr, env)
+
+
+# -- DerivativeChain.bounds and values ----------------------------------------
+
+
+# Exponents up to 3 over four orders keep the chains, and the reference's
+# Fraction endpoints, small enough for a quick run.
+@settings(max_examples=150, deadline=None)
+@given(
+    polynomials(slots=2, max_exp=3),
+    shaped_intervals(),
+    shaped_intervals(),
+    roundings,
+    st.integers(0, 3),
+)
+def test_bounds_equal_fraction_loop(f, xrange, yrange, rounding, n):
+    chain = derivative_chain(f, n)
+    got = chain.bounds(xrange, yrange, rounding)
+    want = reference_bounds(chain, xrange, yrange, rounding)
+    assert len(got) == len(want) == n + 1
+    for g, w in zip(got, want):
+        assert_same_interval(g, w)
+    assert bound_derivatives(chain, xrange, yrange, rounding) == got
+
+
+@pytest.mark.parametrize("rounding", ["exact", "outward:0", "outward:2", "outward:30"])
+def test_riccati_bounds_equal_fraction_loop(rounding):
+    rounding = DecimalRounding.parse(rounding)
+    chain = riccati_chain(14)
+    xrange, yrange = RatInterval(F(0), F(1, 5)), RatInterval(F(-1), F(-47, 50))
+    got = chain.bounds(xrange, yrange, rounding)
+    for g, w in zip(got, reference_bounds(chain, xrange, yrange, rounding), strict=True):
+        assert_same_interval(g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(slots=2), magnitudes, coefficients, st.integers(0, 5))
+def test_values_equal_fraction_loop(f, x0, y0, length):
+    chain = derivative_chain(f, length)
+    for n in range(len(chain) + 1):
+        got = chain.values(x0, y0, n)
+        want = reference_values(chain, x0, y0, n)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert_same_value(g, w)
+
+
+def test_empty_chain_bounds():
+    chain = DerivativeChain(())
+    assert chain.bounds(RatInterval.point(0), RatInterval.point(1)) == []
+    assert chain.values(0, 1, 0) == []
+
+
+# -- work counter: no gcd per monomial ----------------------------------------
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    calls = []
+    original = math.gcd
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    return calls
+
+
+def test_bounds_reduce_once_per_order(gcd_calls):
+    # Fraction normalises every sum and product with math.gcd; the kernel
+    # works on integers and reduces each order's two endpoints once.
+    chain = riccati_chain(40)
+    xrange, yrange = RatInterval(F(0), F(1, 5)), RatInterval(F(-1), F(-47, 50))
+    gcd_calls.clear()
+    bounds = bound_derivatives(chain, xrange, yrange)
+    assert len(bounds) == 41
+    assert 0 < len(gcd_calls) <= 2 * len(bounds)

@@ -115,6 +115,13 @@ def test_grid_requires_increasing_points():
         reference_grid(riccati_flow(), 0, -1, [F(1, 5), F(1, 10)])
 
 
+def test_empty_grid_returns_no_values(monkeypatch):
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", _no_integration)
+    assert reference_grid(riccati_flow(), 0, -1, []) == []
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        reference_grid(riccati_flow(), 0, -1, [], 0)
+
+
 def test_is_quarter_riccati_detection():
     assert is_quarter_riccati(riccati_flow(), 0, -1)
     assert not is_quarter_riccati(riccati_flow(), 0, 1)
