@@ -98,22 +98,9 @@ class Certificate:
     parity_notes: tuple[str, ...] = ()
 
 
-def bound_derivatives(
-    chain: DerivativeChain,
-    xrange: RatInterval,
-    yrange: RatInterval,
-    rounding: DecimalRounding = DecimalRounding.exact(),
-) -> list[RatInterval]:
-    """Sequential interval bounds for y^(1) ... y^(len(chain)) over the box.
-
-    The bound for y^(k) evaluates D_k monomial-wise with x over xrange, y over
-    yrange and each lower-order derivative symbol over its own previously
-    computed bound (`DerivativeChain.bounds`).  With an outward rounding mode
-    every bound is widened before being stored and fed to the next stage,
-    which reproduces two-decimal tabulated bounds; exact mode keeps the raw
-    rational endpoints.
-    """
-    return chain.bounds(xrange, yrange, rounding)
+#: Sequential interval bounds for y^(1) ... y^(len(chain)) over a box:
+#: bound_derivatives(chain, xrange, yrange, rounding) is chain.bounds(...).
+bound_derivatives = DerivativeChain.bounds
 
 
 def lagrange_remainder(
@@ -142,15 +129,6 @@ def centralize(bound_top: RatInterval, n: int) -> tuple[Fraction, Fraction]:
     """
     fact = factorial(n + 1)
     return bound_top.midpoint / fact, bound_top.radius / fact
-
-
-def poly_range(coeffs: Sequence[Fraction], xrange: RatInterval) -> RatInterval:
-    """Monomial-wise interval enclosure of sum coeffs[k] * x^k over xrange."""
-    total = RatInterval.point(0)
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            total = total + xrange.int_pow(k).scale(c)
-    return total
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: RationalLike) -> Fraction:
@@ -198,7 +176,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
         raise CertificationError("comparison", yrange.diagnostics)
 
     xrange = RatInterval(p.x0, p.x1)
-    bounds = bound_derivatives(chain, xrange, yrange.range, p.rounding)
+    bounds = chain.bounds(xrange, yrange.range, p.rounding)
     if not p.rounding.is_exact:
         parity_notes.append(
             f"bounds rounded outward to {p.rounding.places} decimals at every "
@@ -234,17 +212,14 @@ def certify_polynomial(
     """Rigorous bound on sup |q(x) - y(x)| over [x0, x1].
 
     q is a coefficient list in powers of x.  The bound is the partial-sum
-    remainder bound plus an interval enclosure of max |q - p_n| over the
-    interval, so it certifies any polynomial, not just the Taylor one.
+    remainder bound plus the monomial-wise enclosure of |q - p_n| over the
+    interval (`FlowExpr.eval_interval` of the x-only difference), so it
+    certifies any polynomial, not just the Taylor one.
     """
     if len(q) - 1 > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree exceeds limit {MAX_POLY_DEGREE}")
     cert = certificate if certificate is not None else certify_partial_sum(p)
-    q_coeffs = [as_rational(c) for c in q]
-    diff = list(q_coeffs)
-    for k, c in enumerate(cert.coefficients):
-        while len(diff) <= k:
-            diff.append(Fraction(0))
-        diff[k] -= c
-    diff_range = poly_range(diff, RatInterval(p.x0, p.x1))
-    return cert.remainder_bound + diff_range.mag
+    diff = FlowExpr({(k,): c for k, c in enumerate(q)}) - FlowExpr(
+        {(k,): c for k, c in enumerate(cert.coefficients)}
+    )
+    return cert.remainder_bound + diff.eval_interval({"x": RatInterval(p.x0, p.x1)}).mag

@@ -470,10 +470,7 @@ def derivative_values(
     f: FlowExpr, x0: RationalLike, y0: RationalLike, n: int
 ) -> list[Fraction]:
     """Exact values [y'(x0), ..., y^(n)(x0)] from the derivative chain."""
-    x0, y0 = as_rational(x0), as_rational(y0)
-    if n == 0:
-        return []
-    return derivative_chain(f, n - 1).values(x0, y0, n)
+    return derivative_chain(f, max(n - 1, 0)).values(x0, y0, n)
 
 
 def taylor_coefficients(
@@ -484,10 +481,7 @@ def taylor_coefficients(
     c_0 is the initial value and c_k = y^(k)(x0) / k! with the derivative
     values obtained by evaluating the chain at previously computed ones.
     """
-    x0, y0 = as_rational(x0), as_rational(y0)
-    if n == 0:
-        return [y0]
-    return derivative_chain(f, n - 1).coefficients(x0, y0, n)
+    return derivative_chain(f, max(n - 1, 0)).coefficients(x0, y0, n)
 
 
 # -- restricted text form ------------------------------------------------
@@ -601,21 +595,16 @@ class _Parser:
         if kind == "number":
             return FlowExpr.constant(self.parse_number(value, pos))
         if kind == "name":
-            if value == "x":
-                base = FlowExpr.x()
-            elif value == "y":
-                base = FlowExpr.y(0)
-            else:
+            if value not in ("x", "y"):
                 raise self.error(
                     f"unsupported token {value!r} (only x, y and rational "
                     f"constants; no function calls or parentheses)",
                     pos,
                 )
             exp = self.parse_exponent()
-            result = FlowExpr.constant(1)
-            for _ in range(exp):
-                result = result * base
-            return result
+            if value == "x":
+                return FlowExpr.monomial(1, x_exp=exp)
+            return FlowExpr.monomial(1, derivs={0: exp})
         raise self.error(f"expected a factor, found {value!r}", pos)
 
     def parse_number(self, text: str, pos: int) -> Fraction:

@@ -4,7 +4,7 @@ Nothing here carries a guarantee; these values live outside the certified
 path and are used in tests and in the report's sanity section.  Two methods:
 a classical 4th-order one-step integrator with step halving, and, for the
 specific flow x^2 + y^2/4 started at (0, -1), the closed-form solution as a
-quotient of quarter-order Bessel series normalized by `mp.gamma` values.
+quotient of quarter-order Bessel series.
 """
 
 from __future__ import annotations
@@ -196,15 +196,15 @@ def is_quarter_riccati(f: FlowExpr, x0: RationalLike, y0: RationalLike) -> bool:
     return f == target and as_rational(x0) == 0 and as_rational(y0) == -1
 
 
-def _bessel_series(nu: mp.mpf, z: mp.mpf, gamma_nu_plus_1: mp.mpf, terms: int):
-    """Truncated series of the first-kind Bessel function of order nu at z.
+def _bessel_series(nu: mp.mpf, z: mp.mpf, terms: int):
+    """Truncated series of Gamma(nu + 1) J_nu(z), J_nu of the first kind.
 
     Returns (sum, relative tail estimate).  The k-th term ratio is
     -(z/2)^2 / ((k+1)(nu+k+1)), so for the small arguments used here the tail
     is dominated by the first omitted term.
     """
     half = z / 2
-    term = half**nu / gamma_nu_plus_1
+    term = half**nu
     total = mp.mpf(0)
     for k in range(terms):
         total += term
@@ -222,10 +222,12 @@ def riccati_exact(
     whose solutions are sqrt(x) times Bessel functions of orders +-1/4 in
     x^2/4; matching the initial value fixes the combination
 
-        y(x) = 2x * [8 G34 J(3/4)  - sqrt(2) G14 J(-3/4)]
-                  / [sqrt(2) G14 J(1/4) + 8 G34 J(-1/4)]
+        y(x) = 2x * [32/3 s(3/4) - sqrt(2) s(-3/4)]
+                  / [4 sqrt(2) s(1/4) + 8 s(-1/4)]
 
-    with every J evaluated at x^2/4, G14 = Gamma(1/4) and G34 = Gamma(3/4).
+    with s(nu) = Gamma(nu + 1) J_nu(x^2/4), the series `_bessel_series` sums.
+    Written with J itself, the quotient carries factors Gamma(1/4) and
+    Gamma(3/4) that cancel against these normalizations.
     x = 0 is the removable singularity of the quotient (the limit is the
     initial value) and is rejected; negative x is rejected too, since the
     representation above holds for the principal branch x > 0 only and
@@ -240,22 +242,20 @@ def riccati_exact(
         raise ValueError("need at least 4 series terms")
     with mp.workdps(ORACLE_DPS):
         quarter = mp.mpf(1) / 4
-        g14 = mp.gamma(quarter)
-        g34 = mp.gamma(3 * quarter)
         sqrt2 = mp.sqrt(2)
         xf = to_mpf(x)
         z = xf * xf / 4
-        j_p34, r1 = _bessel_series(3 * quarter, z, 3 * quarter * g34, terms)
-        j_m34, r2 = _bessel_series(-3 * quarter, z, g14, terms)
-        j_p14, r3 = _bessel_series(quarter, z, quarter * g14, terms)
-        j_m14, r4 = _bessel_series(-quarter, z, g34, terms)
+        s_p34, r1 = _bessel_series(3 * quarter, z, terms)
+        s_m34, r2 = _bessel_series(-3 * quarter, z, terms)
+        s_p14, r3 = _bessel_series(quarter, z, terms)
+        s_m14, r4 = _bessel_series(-quarter, z, terms)
         rel_tail = max(r1, r2, r3, r4)
         if rel_tail > rel_tol:
             raise ConvergenceError(
                 f"{terms} series terms leave relative tail {mp.nstr(rel_tail, 3)} "
                 f"at x = {x}; increase terms or shrink |x|"
             )
-        numerator = 8 * g34 * j_p34 - sqrt2 * g14 * j_m34
-        denominator = sqrt2 * g14 * j_p14 + 8 * g34 * j_m14
+        numerator = mp.mpf(32) / 3 * s_p34 - sqrt2 * s_m34
+        denominator = 4 * sqrt2 * s_p14 + 8 * s_m14
         value = 2 * xf * numerator / denominator
         return ReferenceValue(value, abs(value) * rel_tail * 8, "bessel")

@@ -10,14 +10,15 @@ mathematical guarantee, not a numerical estimate.
 The public `RatInterval(lo, hi)`, `RatInterval.of` and `RatInterval.point`
 take outside input: they convert endpoints to `Fraction` and reject
 `lo > hi`.  Internal results whose endpoints are `Fraction`s in order by
-construction (`+`, `-`, negation, `scale`, `shift`, `*`, `int_pow`, the
-sine, cosine and square-root enclosures) go through the trusted helper
+construction (`+`, `-`, negation, `scale`, `shift`, `*`, `/`, `int_pow`,
+the sine, cosine and square-root enclosures) go through the trusted helper
 `_ordered`, which skips both checks.  Products and powers pick their
 endpoints by the signs of the factors' endpoints (Moore, Kearfott & Cloud,
 *Introduction to Interval Analysis*, 2009, sec. 2.3): a product forms the two
 endpoint products it needs unless both factors straddle zero, and only then
 forms four and compares them.  The result is the tightest enclosure, the same
-interval as the min and max over all four corner products.  This case
+interval as the min and max over all four corner products.  Division
+multiplies by the reciprocal [1/d, 1/c] of a zero-free divisor.  This case
 analysis lives once, in `mul_endpoints` and `pow_endpoints`, which work on
 endpoint pairs of ints or Fractions alike: `RatInterval` calls them on its
 Fraction endpoints, and the derivative chain's kernel in `odexpr` on integer
@@ -138,9 +139,6 @@ class RatInterval:
     def contains_interval(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def straddles_zero(self) -> bool:
-        return self.lo < 0 < self.hi
-
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "RatInterval":
@@ -160,13 +158,7 @@ class RatInterval:
             raise ZeroDivisionError(
                 f"divisor interval [{other.lo}, {other.hi}] contains zero"
             )
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return RatInterval(min(quotients), max(quotients))
+        return self * _ordered(1 / other.hi, 1 / other.lo)
 
     def scale(self, factor: RationalLike) -> "RatInterval":
         c = as_rational(factor)

@@ -10,6 +10,8 @@ from conftest import (
     QUADRATIC_COEFFS,
     RICCATI_COEFFS,
     RICCATI_DERIVS,
+    poly_add,
+    poly_scale,
     quadratic_flow,
     riccati_flow,
 )
@@ -24,7 +26,6 @@ from taylorcert.certify import (
     certify_polynomial,
     lagrange_remainder,
     poly_eval,
-    poly_range,
 )
 from taylorcert.odexpr import FlowExpr, derivative_chain, parse_flow_expr, symbol_name
 from taylorcert.ratcore import DecimalRounding, RatInterval, as_rational
@@ -363,9 +364,45 @@ def test_certify_polynomial_degree_cap(riccati_problem):
         certify_polynomial(riccati_problem, [F(0)] * 70)
 
 
+def poly_range(coeffs, xrange: RatInterval) -> RatInterval:
+    """Reference: the interval loop certify_polynomial used to enclose q - p_n,
+    the sum of coeffs[k] * xrange**k term by term."""
+    total = RatInterval.point(0)
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            total = total + xrange.int_pow(k).scale(c)
+    return total
+
+
 def test_poly_range_enclosure():
     coeffs = [F(1), F(-2), F(3)]
     box = RatInterval(F(0), F(1))
     enclosure = poly_range(coeffs, box)
     for x in (F(0), F(1, 4), F(1, 2), F(1)):
         assert poly_eval(coeffs, x) in enclosure
+
+
+@pytest.mark.parametrize("problem", ["riccati_problem", "quadratic_problem"])
+def test_certify_polynomial_equals_poly_range_reference(problem, request):
+    p = request.getfixturevalue(problem)
+    cert = certify_partial_sum(p)
+    rng = random.Random(6)
+    polys = [[], [F(0)], list(cert.coefficients), list(cert.coefficients[:3])]
+    for degree in range(12):
+        polys.append([F(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(degree + 1)])
+    for q in polys:
+        diff = poly_add(q, poly_scale(list(cert.coefficients), F(-1)))
+        expected = cert.remainder_bound + poly_range(diff, RatInterval(p.x0, p.x1)).mag
+        assert certify_polynomial(p, q, certificate=cert) == expected
+
+
+def test_x_only_enclosure_equals_poly_range_reference():
+    # certify_polynomial encloses q - p_n as an x-only FlowExpr; on boxes of
+    # every sign class that enclosure is the reference loop's, exactly.
+    rng = random.Random(7)
+    for _ in range(200):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 9))]
+        lo, hi = sorted(F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(2))
+        box = RatInterval(lo, hi)
+        expr = FlowExpr({(k,): c for k, c in enumerate(coeffs)})
+        assert expr.eval_interval({"x": box}) == poly_range(coeffs, box)

@@ -2,19 +2,28 @@
 
 A counter on FlowExpr.flow_derivative counts chain steps.  A degree-n
 certificate needs D_1 .. D_{n+1}, which is n steps; the coeffs subcommand
-needs D_1 .. D_n, which is max(n - 1, 0).
+needs D_1 .. D_n, which is max(n - 1, 0), and evaluates it once: a counter
+on DerivativeChain.bounds counts evaluation passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import riccati_flow
 from taylorcert import cli
 from taylorcert.certify import certify_partial_sum
-from taylorcert.odexpr import FlowExpr, derivative_values, taylor_coefficients
+from taylorcert.odexpr import (
+    DerivativeChain,
+    FlowExpr,
+    derivative_values,
+    taylor_coefficients,
+)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture
@@ -51,3 +60,16 @@ def test_coeffs_subcommand_builds_chain_once(tmp_path, flow_derivative_calls, de
 def test_degree_zero_values_build_no_chain(flow_derivative_calls):
     assert derivative_values(riccati_flow(), 0, 0, 0) == []
     assert not flow_derivative_calls
+
+
+def test_coeffs_subcommand_evaluates_chain_once(monkeypatch, capsys):
+    passes = []
+    original = DerivativeChain.bounds
+
+    def counted(self, *args, **kwargs):
+        passes.append(len(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DerivativeChain, "bounds", counted)
+    assert cli.run(["coeffs", str(PROBLEMS / "riccati.prob")]) == 0
+    assert passes == [9]

@@ -1,15 +1,15 @@
 """Golden reports: SHA-256 digests of deterministic JSON output.
 
-The digests pin the JSON certificate reports, the `coeffs` output and the
-oracle's output (`oracle` and the sanity section of `certify`) byte for byte,
-so a change to the pipeline that moves any exact value, rounding, reference
-value or key order fails here.  Most were recorded with the earlier
-implementation, which derived the chain twice per certificate and the flow
-derivative term by term; the two degree-60/28 exact digests were recorded
-with the interval product that took the min and max of all four corner
-products, and the oracle digests with hard-coded gamma constants and two
-separate step-doubling loops.  Each checks the current code against an
-independent computation.
+The digests pin the JSON certificate reports, the `coeffs` and `check-poly`
+output and the oracle's output (`oracle` and the sanity section of
+`certify`) byte for byte, so a change to the pipeline that moves any exact
+value, rounding, reference value or key order fails here.  Most were recorded
+with the earlier implementation, which derived the chain twice per
+certificate and the flow derivative term by term; the two degree-60/28 exact
+digests were recorded with the interval product that took the min and max of
+all four corner products, and the oracle digests with hard-coded gamma
+constants and two separate step-doubling loops.  Each checks the current code
+against an independent computation.
 """
 
 from __future__ import annotations
@@ -70,6 +70,12 @@ ORACLE_STDOUT_DIGESTS = {
 # The JSON report of that `certify` run, sanity section included.
 SANITY_JSON_DIGEST = "902f75adc6d22f28873b6ae22d0ca0b6798adbfd0da4436680d9c3b0ee6b21f3"
 
+# `check-poly problems/quadratic.prob --poly problems/quadratic_ybar.poly`:
+# stdout and the --json document, recorded with the enclosure of q - p_n by
+# the interval polynomial loop of the earlier implementation.
+CHECK_POLY_STDOUT_DIGEST = "179889a50462566d2161ad16083077a7583ebfccc394577f0730d27ad8db5ecf"
+CHECK_POLY_JSON_DIGEST = "62482ba0b651305bbfff1c25815030f1181b45fefcc53cd4335ff67efb1f89a6"
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -126,3 +132,12 @@ def test_sanity_json_matches_golden_digest(tmp_path, capsys):
     assert run(["certify", str(PROBLEMS / "riccati.prob"), "--json", str(out)]) == 0
     assert json.loads(out.read_text())["sanity"]["inside_certified_range"] is True
     assert _digest(out.read_text()) == SANITY_JSON_DIGEST
+
+
+def test_check_poly_matches_golden_digests(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    argv = ["check-poly", str(PROBLEMS / "quadratic.prob"),
+            "--poly", str(PROBLEMS / "quadratic_ybar.poly"), "--json", str(out)]
+    assert run(argv) == 0
+    assert _digest(capsys.readouterr().out) == CHECK_POLY_STDOUT_DIGEST
+    assert _digest(out.read_text()) == CHECK_POLY_JSON_DIGEST

@@ -136,6 +136,27 @@ def test_riccati_exact_regression():
     assert ref.method == "bessel"
 
 
+def _besselj_closed_form(x: Fraction) -> mp.mpf:
+    """y(x) from mpmath's besselj and gamma, with the Gamma factors in place:
+    2x [8 G34 J(3/4) - sqrt(2) G14 J(-3/4)] / [sqrt(2) G14 J(1/4) + 8 G34 J(-1/4)]
+    with every J at x^2/4, G14 = Gamma(1/4) and G34 = Gamma(3/4)."""
+    xf = _mpf(x)
+    z = xf * xf / 4
+    g14, g34, sqrt2 = mp.gamma(mp.mpf(1) / 4), mp.gamma(mp.mpf(3) / 4), mp.sqrt(2)
+    j = {nu: mp.besselj(mp.mpf(nu) / 4, z) for nu in (3, -3, 1, -1)}
+    numerator = 8 * g34 * j[3] - sqrt2 * g14 * j[-3]
+    denominator = sqrt2 * g14 * j[1] + 8 * g34 * j[-1]
+    return 2 * xf * numerator / denominator
+
+
+@pytest.mark.parametrize("x", [F(1, 10), F(1, 5), F(1, 2), F(1), F(3, 2)])
+def test_riccati_exact_matches_besselj_closed_form(x):
+    # riccati_exact sums the Bessel series without their Gamma normalization,
+    # which cancels in the quotient.
+    with mp.workdps(ORACLE_DPS):
+        assert abs(riccati_exact(x).value - _besselj_closed_form(x)) < mp.mpf("1e-35")
+
+
 def test_riccati_exact_degenerate_at_zero():
     with pytest.raises(ValueError, match="y\\(0\\) = -1"):
         riccati_exact(F(0))

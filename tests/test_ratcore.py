@@ -138,8 +138,9 @@ def test_scale_and_neg():
 
 def test_division_requires_zero_free_divisor():
     assert interval(1, 2) / interval(2, 4) == interval(F(1, 4), 1)
-    with pytest.raises(ZeroDivisionError):
-        interval(1, 2) / interval(-1, 1)
+    for divisor in (interval(-1, 1), interval(0, 2), interval(-2, 0), interval(0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            interval(1, 2) / divisor
 
 
 def test_endpoint_order_enforced():
@@ -260,6 +261,37 @@ def test_mul_matches_corner_reference_on_every_shape(a, b):
 def test_mul_matches_corner_reference(a, b):
     product = a * b
     assert (product.lo, product.hi) == corner_product(a, b)
+
+
+def quotient_reference(a: RatInterval, b: RatInterval) -> RatInterval:
+    """Reference quotient: min and max over all four endpoint quotients."""
+    quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return RatInterval(min(quotients), max(quotients))
+
+
+@st.composite
+def zero_free_intervals(draw):
+    """Divisors: positive or negative intervals, points included."""
+    u, v = sorted((draw(magnitudes), draw(magnitudes)))
+    return RatInterval(u, v) if draw(st.booleans()) else RatInterval(-v, -u)
+
+
+ZERO_FREE_EXAMPLES = [interval(*ends) for ends in (("1/3", 2), (-3, "-1/4"), ("-5/3", "-5/3"))]
+
+
+@pytest.mark.parametrize("a", SHAPE_EXAMPLES, ids=str)
+@pytest.mark.parametrize("b", ZERO_FREE_EXAMPLES, ids=str)
+def test_div_matches_quotient_reference_on_every_shape(a, b):
+    assert a / b == quotient_reference(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_intervals(), zero_free_intervals())
+def test_div_matches_quotient_reference(a, b):
+    # `/` builds its result unchecked, like `*`: it must be a well-formed copy.
+    quotient = a / b
+    assert quotient == quotient_reference(a, b)
+    assert type(quotient.lo) is Fraction and type(quotient.hi) is Fraction
 
 
 @settings(max_examples=200, deadline=None)
