@@ -2,11 +2,12 @@
 scalar polynomial ODE initial value problems y' = f(x, y), y(x0) = y0.
 
 The rigorous path works entirely in exact rational arithmetic: coefficients
-come from the symbolic derivative chain, a guaranteed convergence radius from
-a magnitude bound over a box, the solution range from an integral-inequality
-comparison bound, and the Lagrange remainder from sequential interval bounds
-on the derivative chain.  A separate, explicitly non-rigorous oracle provides
-high-precision reference values for validation.
+come from a Taylor-mode recurrence on integers, a guaranteed convergence
+radius from a magnitude bound over a box, the solution range from an
+integral-inequality comparison bound, and the Lagrange remainder from
+sequential interval bounds on the symbolic derivative chain.  A separate,
+explicitly non-rigorous oracle provides high-precision reference values for
+validation.
 """
 
 __version__ = "1.0.0"

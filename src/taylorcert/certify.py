@@ -1,11 +1,12 @@
 """Assemble rigorous error certificates for Taylor partial sums.
 
-The pipeline: exact coefficients from the derivative chain, a guaranteed
-convergence-radius bound, a certified solution range on [x0, x1], sequential
-interval bounds for every solution derivative up to order n+1, and finally the
-degree-n remainder in Lagrange form, |R_n(x)| <= sup|y^(n+1)| * dx^(n+1) /
-(n+1)!.  A centralized variant shifts the partial sum by the midpoint of the
-signed remainder range, halving the worst-case error.
+The pipeline: exact coefficients from the Taylor-mode recurrence, a
+guaranteed convergence-radius bound, a certified solution range on [x0, x1],
+sequential interval bounds for every solution derivative up to order n+1 from
+the derivative chain, and finally the degree-n remainder in Lagrange form,
+|R_n(x)| <= sup|y^(n+1)| * dx^(n+1) / (n+1)!.  A centralized variant shifts
+the partial sum by the midpoint of the signed remainder range, halving the
+worst-case error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class CertificationError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+class ConvergenceError(RuntimeError):
+    """The oracle's reference computation did not reach the requested accuracy.
+
+    Defined beside CertificationError, not in `oracle`, so that the CLI maps
+    both to exit code 2 without importing the oracle and mpmath.
+    """
 
 
 @dataclass(frozen=True)
@@ -151,8 +160,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
     warnings: list[str] = list(p.notes)
     parity_notes: list[str] = []
 
-    chain = odexpr.derivative_chain(p.f, p.degree)
-    coefficients = chain.coefficients(p.x0, p.y0, p.degree)
+    coefficients = odexpr.taylor_coefficients(p.f, p.x0, p.y0, p.degree)
 
     radius = cauchy.radius_for_problem(
         p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width
@@ -176,6 +184,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
         raise CertificationError("comparison", yrange.diagnostics)
 
     xrange = RatInterval(p.x0, p.x1)
+    chain = odexpr.derivative_chain(p.f, p.degree)
     bounds = chain.bounds(xrange, yrange.range, p.rounding)
     if not p.rounding.is_exact:
         parity_notes.append(

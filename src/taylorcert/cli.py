@@ -7,6 +7,9 @@ stdout and a machine-readable JSON document (--json PATH) in which every
 rational is an exact "p/q" string.
 
 Exit codes: 0 success, 1 input error, 2 certification failure.
+
+Only the sanity section of `certify` and the `oracle` subcommand import the
+non-rigorous oracle and mpmath; the other subcommands start without them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-import mpmath as mp
-
-from . import __version__, comparison, oracle
+from . import __version__, comparison
 from .cauchy import RadiusCertificate
 from .certify import (
     Certificate,
     CertificationError,
+    ConvergenceError,
     MAX_POLY_DEGREE,
     ProblemSpec,
     certify_partial_sum,
@@ -322,6 +324,10 @@ def render_report(cert: Certificate, sanity: dict | None = None) -> str:
 
 
 def _sanity_section(cert: Certificate) -> dict:
+    import mpmath as mp
+
+    from . import oracle
+
     p = cert.problem
     ref = oracle.reference_solution(p.f, p.x0, p.y0, p.x1, Fraction(1, 10**16))
     approx = poly_eval(cert.coefficients, p.x1)
@@ -470,6 +476,10 @@ def _cmd_check_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    import mpmath as mp
+
+    from . import oracle
+
     p = _load_problem(args.problem, args)
     try:
         at = as_rational(args.at)
@@ -547,7 +557,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # InputError included
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (CertificationError, oracle.ConvergenceError) as exc:
+    except (CertificationError, ConvergenceError) as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 2
 

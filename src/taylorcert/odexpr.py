@@ -5,12 +5,13 @@ exact rational coefficients.  The central operation is the total derivative
 along solutions of y' = f(x, y): x differentiates to 1 and each derivative
 symbol y^(j) differentiates to the next symbol y^(j+1), never getting
 substituted by f.  Iterating it from f yields expressions for every higher
-solution derivative, which in turn give exact Taylor coefficients.
+solution derivative: the DerivativeChain, whose interval evaluation bounds
+each derivative over a box.
 
 A certificate builds its DerivativeChain once, one single-pass flow
-derivative per step.  DerivativeChain.bounds encloses every derivative over a
-box, order by order; DerivativeChain.values, the exact values at x0, is its
-point case, and DerivativeChain.coefficients divides them by k!.
+derivative per step, for DerivativeChain.bounds alone.  Exact Taylor
+coefficients need no chain: `taylor_coefficients` runs a Taylor-mode
+recurrence on integers, and `derivative_values` multiplies its c_k by k!.
 
 Evaluation runs on integers, in the fraction-free manner of Bareiss (*Math.
 Comp.* 22, 1968): each binding is a pair of endpoint numerators over a shared
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, lcm
+from math import comb, factorial, lcm, perm
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -432,45 +433,24 @@ class DerivativeChain:
             kernel.slots[slot] = (lo, hi, vec)
         return bounds
 
-    def values(self, x0: RationalLike, y0: RationalLike, n: int) -> list[Fraction]:
-        """Exact values [y'(x0), ..., y^(n)(x0)] for 0 <= n <= len(self).
 
-        The point case of `bounds`: D_k is evaluated at x0 and the values
-        already found for the symbols below y^(k), starting from y(x0) = y0.
-        """
-        if not 0 <= n <= len(self):
-            raise ValueError(f"need 0 <= n <= {len(self)}, got {n}")
-        point = DerivativeChain(self.exprs[:n])
-        bounds = point.bounds(RatInterval.point(x0), RatInterval.point(y0))
-        return [bound.lo for bound in bounds]
-
-    def coefficients(
-        self, x0: RationalLike, y0: RationalLike, n: int
-    ) -> list[Fraction]:
-        """Exact Taylor coefficients [c_0 ... c_n] at x0, c_k = y^(k)(x0) / k!."""
-        values = enumerate(self.values(x0, y0, n), start=1)
-        return [as_rational(y0)] + [v / factorial(k) for k, v in values]
+def _require_xy(f: FlowExpr) -> None:
+    """Reject a right-hand side that mentions a derivative symbol."""
+    if f.order > 0:
+        raise ExprError(
+            f"right-hand side mentions derivative symbol {symbol_name(f.order)}"
+        )
 
 
 def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
     """Chain [D_1 ... D_{n+1}] for y' = f(x, y) with f in x and y only."""
     if n < 0:
         raise ValueError("chain length parameter must be >= 0")
-    if f.order > 0:
-        raise ExprError(
-            f"right-hand side mentions derivative symbol {symbol_name(f.order)}"
-        )
+    _require_xy(f)
     exprs = [f]
     for _ in range(n):
         exprs.append(exprs[-1].flow_derivative())
     return DerivativeChain(tuple(exprs))
-
-
-def derivative_values(
-    f: FlowExpr, x0: RationalLike, y0: RationalLike, n: int
-) -> list[Fraction]:
-    """Exact values [y'(x0), ..., y^(n)(x0)] from the derivative chain."""
-    return derivative_chain(f, max(n - 1, 0)).values(x0, y0, n)
 
 
 def taylor_coefficients(
@@ -478,10 +458,53 @@ def taylor_coefficients(
 ) -> list[Fraction]:
     """Exact Taylor coefficients [c_0 ... c_n] of the solution at x0.
 
-    c_0 is the initial value and c_k = y^(k)(x0) / k! with the derivative
-    values obtained by evaluating the chain at previously computed ones.
+    A Taylor-mode recurrence (Corliss & Chang, *ACM TOMS* 8, 1982; Jorba &
+    Zou, *Exp. Math.* 14, 2005) on integers.  f(x0 + t, y) is expanded once
+    into sum b_ij t^i y^j.  Let L be the lcm of the denominators of the b_ij
+    and y0, and q = max ceil(j / (i + 1)).  Then w(s) = L y(x0 + L^q s)
+    solves w' = sum a_ij s^i w^j with a_ij = b_ij L^(1 + q(i+1) - j), so its
+    coefficients and initial value are integers, and so is every
+    w^(k)(0) = L^(1 + q k) y^(k)(x0).  Each (w^j)^(k)(0) follows by the
+    Leibniz rule with integer binomials, and
+    w^(k+1)(0) = sum a_ij k!/(k-i)! (w^j)^(k-i)(0).  Each coefficient is
+    reduced once: c_k = w^(k)(0) / (L^(1 + q k) k!).
     """
-    return derivative_chain(f, max(n - 1, 0)).coefficients(x0, y0, n)
+    _require_xy(f)
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    x0, y0 = as_rational(x0), as_rational(y0)
+    shifted: dict[tuple[int, int], Fraction] = {}
+    for key, a in f._monomials.items():
+        e_x, e_y = (*key, 0, 0)[:2]
+        for i in range(e_x + 1):
+            term = a * comb(e_x, i) * x0 ** (e_x - i)
+            shifted[i, e_y] = shifted.get((i, e_y), 0) + term
+    shifted = {ij: b for ij, b in shifted.items() if b}
+    base = lcm(y0.denominator, *(b.denominator for b in shifted.values()))
+    q = max((-(-j // (i + 1)) for i, j in shifted), default=0)
+    terms = [
+        (i, j, b.numerator * (base ** (1 + q * (i + 1) - j) // b.denominator))
+        for (i, j), b in shifted.items()
+    ]
+    w = [y0.numerator * (base // y0.denominator)]
+    # powers[j][k] = (w^j)^(k)(0); powers[1] is w itself.
+    top = max((j for _, j, _ in terms), default=1)
+    powers = [[1], w] + [[w[0] ** j] for j in range(2, top + 1)]
+    for k in range(n):
+        w.append(sum(b * perm(k, i) * powers[j][k - i] for i, j, b in terms if i <= k))
+        powers[0].append(0)
+        row = [comb(k + 1, r) for r in range(k + 2)]
+        for lower, power in zip(powers[1:], powers[2:]):
+            power.append(sum(c * w[r] * lower[k + 1 - r] for r, c in enumerate(row)))
+    return [Fraction(v, base ** (1 + q * k) * factorial(k)) for k, v in enumerate(w)]
+
+
+def derivative_values(
+    f: FlowExpr, x0: RationalLike, y0: RationalLike, n: int
+) -> list[Fraction]:
+    """Exact values [y'(x0), ..., y^(n)(x0)], y^(k)(x0) = k! c_k."""
+    coefficients = taylor_coefficients(f, x0, y0, n)
+    return [factorial(k) * c for k, c in enumerate(coefficients)][1:]
 
 
 # -- restricted text form ------------------------------------------------

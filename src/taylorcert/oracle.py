@@ -14,15 +14,12 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .certify import ConvergenceError
 from .odexpr import FlowExpr
 from .ratcore import RationalLike, as_rational
 
 #: Working precision (significant decimal digits) for all oracle arithmetic.
 ORACLE_DPS = 40
-
-
-class ConvergenceError(RuntimeError):
-    """The reference computation did not reach the requested accuracy."""
 
 
 @dataclass(frozen=True)

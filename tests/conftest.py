@@ -5,11 +5,13 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from taylorcert import FlowExpr, ProblemSpec, parse_flow_expr
-from taylorcert.ratcore import DecimalRounding
+from taylorcert.odexpr import DerivativeChain
+from taylorcert.ratcore import DecimalRounding, RatInterval, as_rational
 
 # -- worked problems --------------------------------------------------------
 
@@ -163,13 +165,39 @@ def random_polynomial_ivp(rng):
     return f, x0, y0
 
 
+# -- the derivative chain at x0: reference for the Taylor-mode recurrence ----
+#
+# `DerivativeChain.values` and `DerivativeChain.coefficients` as they were
+# before `taylor_coefficients` moved to the integer recurrence, kept verbatim
+# as functions of the chain.
+
+
+def chain_values(chain: DerivativeChain, x0, y0, n: int) -> list[Fraction]:
+    """Exact values [y'(x0), ..., y^(n)(x0)] for 0 <= n <= len(chain).
+
+    The point case of `bounds`: D_k is evaluated at x0 and the values
+    already found for the symbols below y^(k), starting from y(x0) = y0.
+    """
+    if not 0 <= n <= len(chain):
+        raise ValueError(f"need 0 <= n <= {len(chain)}, got {n}")
+    point = DerivativeChain(chain.exprs[:n])
+    bounds = point.bounds(RatInterval.point(x0), RatInterval.point(y0))
+    return [bound.lo for bound in bounds]
+
+
+def chain_coefficients(chain: DerivativeChain, x0, y0, n: int) -> list[Fraction]:
+    """Exact Taylor coefficients [c_0 ... c_n] at x0, c_k = y^(k)(x0) / k!."""
+    values = enumerate(chain_values(chain, x0, y0, n), start=1)
+    return [as_rational(y0)] + [v / factorial(k) for k, v in values]
+
+
 def assert_series_consistency(f: FlowExpr, x0: Fraction, y0: Fraction, n: int):
     """p' - f(x, p) vanishes through x^(n-1) for the degree-n partial sum.
 
     Shifting u := x - x0 recenters the problem at 0 (binomial expansion of
     the x powers), so the residual check runs on plain power series.  This is
-    an independent route to the coefficients: convolution instead of the
-    symbolic chain.
+    an independent check of the coefficients: convolution instead of the
+    Leibniz recurrence.
     """
     from math import comb
 

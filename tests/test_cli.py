@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -15,9 +18,11 @@ from taylorcert.cli import (
     run,
 )
 from taylorcert.certify import certify_partial_sum
+from taylorcert.oracle import ConvergenceError
 from taylorcert.ratcore import DecimalRounding
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBLEM_TEXT = """\
 # certificate configuration
@@ -214,6 +219,40 @@ def test_certification_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "certification failed" in err
     assert "comparison" in err
+
+
+def test_oracle_convergence_failure_exit_code(problem_file, capsys, monkeypatch):
+    def stalls(*args, **kwargs):
+        raise ConvergenceError("step halving did not settle")
+
+    monkeypatch.setattr("taylorcert.oracle.reference_solution", stalls)
+    assert run(["oracle", str(problem_file), "--at", "1/5"]) == 2
+    assert capsys.readouterr().err == "certification failed: step halving did not settle\n"
+    assert run(["certify", str(problem_file)]) == 2
+
+
+def test_rigorous_subcommands_do_not_import_mpmath(problem_file):
+    # A fresh interpreter: this one has imported mpmath already.  The last
+    # run, `certify` with its sanity section, shows that the probe sees it.
+    script = f"""
+import sys
+import taylorcert.cli as cli
+loaded = ["mpmath" in sys.modules]
+for argv in (["coeffs"], ["bounds"], ["certify", "--no-sanity"], ["certify"]):
+    assert cli.run([argv[0], {str(problem_file)!r}, *argv[1:]]) == 0
+    loaded.append("mpmath" in sys.modules or "taylorcert.oracle" in sys.modules)
+print(loaded)
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"
 
 
 def test_positivity_failure_exit_code(tmp_path, capsys):

@@ -58,6 +58,18 @@ QUADRATIC_28_EXACT_BOUNDS_DIGEST = (
 COEFFS_JSON_DIGEST = "5bcc031548d13c08b044df9969424f3b9dfbe7413cc58549179610b19211794b"
 COEFFS_STDOUT_DIGEST = "d487cf4e5cc4b710f0a1086d19de0f775bfc909b2b5c31eb324bc65c467fa9e5"
 
+# `coeffs --json` for flows outside the comparison class, recorded with the
+# coefficients of the evaluated derivative chain: (f, x0, y0, degree, x1) ->
+# SHA-256 of the JSON document.
+FLOW_COEFFS_JSON_DIGESTS = {
+    ("1 + x*y^2 + y^3", "0", "0", 20, "1"):
+        "4c4e1449793ad0b9f2b7b80ab496eece2c2077e2fd39e5b876e8233f167ca6cc",
+    ("x^3*y^2 + 2*x + y^4", "0", "0", 20, "1"):
+        "1800c768dfcf717895e4993df826aba526d4a20392325ea1b733d90147ed72cf",
+    ("3/7 - 5/4*y^2 + 2/3*x^2*y + 1/6*x*y^3", "1/3", "2/7", 20, "1/2"):
+        "5395c10908688ba3f0827883ff8f1b76e0d8531f77506be373c0263ccd832f2a",
+}
+
 # Stdout of the two subcommands that run the non-rigorous oracle, for
 # problems/riccati.prob: `oracle --at 1/5` (integrator, closed form and their
 # difference) and `certify` with its sanity section.
@@ -118,6 +130,15 @@ def test_coeffs_json_matches_golden_digest(tmp_path, capsys):
     assert run(["coeffs", str(PROBLEMS / "riccati.prob"), "--json", str(out)]) == 0
     assert _digest(out.read_text()) == COEFFS_JSON_DIGEST
     assert _digest(capsys.readouterr().out) == COEFFS_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("problem", sorted(FLOW_COEFFS_JSON_DIGESTS))
+def test_flow_coeffs_json_matches_golden_digest(problem, tmp_path, capsys):
+    f, x0, y0, degree, x1 = problem
+    path, out = tmp_path / "flow.prob", tmp_path / "coeffs.json"
+    path.write_text(f'f = "{f}"\nx0 = "{x0}"\ny0 = "{y0}"\ndegree = {degree}\nx1 = "{x1}"\n')
+    assert run(["coeffs", str(path), "--json", str(out)]) == 0
+    assert _digest(out.read_text()) == FLOW_COEFFS_JSON_DIGESTS[problem]
 
 
 @pytest.mark.parametrize("argv", sorted(ORACLE_STDOUT_DIGESTS))

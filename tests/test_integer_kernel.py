@@ -1,10 +1,11 @@
 """The shared-denominator integer kernel against the Fraction loops it replaced.
 
-`FlowExpr.eval_interval`, `FlowExpr.eval_exact`, `DerivativeChain.bounds` and
-`DerivativeChain.values` evaluate on integer numerators over a common
-denominator and reduce once per result.  The references below are the
-monomial-wise `Fraction` loops they replaced, kept verbatim; every result must
-equal them exactly, with equal hashes and `Fraction` endpoints.
+`FlowExpr.eval_interval`, `FlowExpr.eval_exact` and `DerivativeChain.bounds`
+(with its point case `chain_values`, the reference for the Taylor-mode
+recurrence) evaluate on integer numerators over a common denominator and
+reduce once per result.  The references below are the monomial-wise
+`Fraction` loops they replaced, kept verbatim; every result must equal them
+exactly, with equal hashes and `Fraction` endpoints.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import riccati_flow
+from conftest import chain_values, riccati_flow
 from taylorcert.certify import bound_derivatives
 from taylorcert.odexpr import (
     DerivativeChain,
@@ -195,7 +196,7 @@ def test_unbound_symbols_still_raise(evaluate, reference):
     assert getattr(expr, evaluate)(env) == reference(expr, env)
 
 
-# -- DerivativeChain.bounds and values ----------------------------------------
+# -- DerivativeChain.bounds and its point case ---------------------------------
 
 
 # Exponents up to 3 over four orders keep the chains, and the reference's
@@ -233,7 +234,7 @@ def test_riccati_bounds_equal_fraction_loop(rounding):
 def test_values_equal_fraction_loop(f, x0, y0, length):
     chain = derivative_chain(f, length)
     for n in range(len(chain) + 1):
-        got = chain.values(x0, y0, n)
+        got = chain_values(chain, x0, y0, n)
         want = reference_values(chain, x0, y0, n)
         assert len(got) == len(want) == n
         for g, w in zip(got, want):
@@ -243,7 +244,7 @@ def test_values_equal_fraction_loop(f, x0, y0, length):
 def test_empty_chain_bounds():
     chain = DerivativeChain(())
     assert chain.bounds(RatInterval.point(0), RatInterval.point(1)) == []
-    assert chain.values(0, 1, 0) == []
+    assert chain_values(chain, 0, 1, 0) == []
 
 
 # -- work counter: no gcd per monomial ----------------------------------------

@@ -12,6 +12,8 @@ from conftest import (
     RICCATI_COEFFS,
     RICCATI_DERIVS,
     assert_series_consistency,
+    chain_coefficients,
+    chain_values,
     quadratic_flow,
     random_polynomial_ivp,
     riccati_flow,
@@ -174,12 +176,12 @@ def test_chain_of_length_one():
 
 def test_chain_values_and_coefficients_stay_within_chain():
     chain = derivative_chain(riccati_flow(), 9)
-    assert chain.values(0, -1, 10) == RICCATI_DERIVS
-    assert chain.coefficients(0, -1, 9) == RICCATI_COEFFS[:10]
-    assert chain.values(0, -1, 0) == []
+    assert chain_values(chain, 0, -1, 10) == RICCATI_DERIVS
+    assert chain_coefficients(chain, 0, -1, 9) == RICCATI_COEFFS[:10]
+    assert chain_values(chain, 0, -1, 0) == []
     for n in (-1, 11):
         with pytest.raises(ValueError):
-            chain.values(0, -1, n)
+            chain_values(chain, 0, -1, n)
 
 
 def test_chain_rejects_derivative_symbols():
@@ -289,6 +291,72 @@ def test_series_consistency_random_ivps():
     for _ in range(10):
         f, x0, y0 = random_polynomial_ivp(rng)
         assert_series_consistency(f, x0, y0, rng.randint(1, 7))
+
+
+# -- the Taylor-mode recurrence against the evaluated chain ---------------------
+
+# Drawn independently, so the denominators of the a_ij, x0 and y0 mix.
+flow_coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+base_points = st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(bool)
+# Values whose reduced denominator is at least 2.
+initial_values = st.integers(2, 9).flatmap(
+    lambda d: st.integers(-3 * d, 3 * d).filter(lambda p: p % d).map(lambda p: F(p, d))
+)
+
+
+@st.composite
+def xy_flows(draw):
+    """f = sum a_ij x^i y^j with i <= 3 and j <= 4."""
+    table = {}
+    for _ in range(draw(st.integers(1, 5))):
+        table[draw(st.integers(0, 3)), draw(st.integers(0, 4))] = draw(flow_coefficients)
+    return FlowExpr(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xy_flows(), base_points, initial_values, st.integers(0, 25))
+def test_recurrence_equals_chain_reference(f, x0, y0, n):
+    chain = derivative_chain(f, max(n - 1, 0))
+    coeffs = taylor_coefficients(f, x0, y0, n)
+    assert coeffs == chain_coefficients(chain, x0, y0, n)
+    assert all(type(c) is F for c in coeffs)
+    assert derivative_values(f, x0, y0, n) == chain_values(chain, x0, y0, n)
+
+
+# At x0 = 0 the shift adds no t^0 terms, so the scaling exponent
+# q = max ceil(j / (i + 1)) can come from an x-dependent term alone.
+@pytest.mark.parametrize("text", ["1/3*x*y^3 + 1/2", "2/5*x^3*y^4 - 1/7*x*y", "3/4*x^2*y^2"])
+def test_recurrence_at_origin_equals_chain_reference(text):
+    f = parse_flow_expr(text)
+    chain = derivative_chain(f, 14)
+    assert taylor_coefficients(f, 0, F(2, 7), 15) == chain_coefficients(chain, 0, F(2, 7), 15)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # The zero flow keeps y at y0.
+        ("0", [F(2, 7)] + [F(0)] * 6),
+        # A constant flow: y = y0 + (5/3) t.
+        ("5/3", [F(2, 7), F(5, 3)] + [F(0)] * 5),
+        # An x-only flow integrates: y' = 3/2 x^2 - 1/5 x around x0 = -1/3.
+        ("3/2*x^2 - 1/5*x", [F(2, 7), F(7, 30), F(-3, 5), F(1, 2)] + [F(0)] * 3),
+    ],
+)
+def test_recurrence_edge_flows(text, expected):
+    f = parse_flow_expr(text)
+    x0, y0 = F(-1, 3), F(2, 7)
+    coeffs = taylor_coefficients(f, x0, y0, 6)
+    assert coeffs == expected
+    assert coeffs == chain_coefficients(derivative_chain(f, 5), x0, y0, 6)
+
+
+def test_recurrence_rejects_negative_degree_and_derivative_symbols():
+    for compute in (taylor_coefficients, derivative_values):
+        with pytest.raises(ValueError):
+            compute(riccati_flow(), 0, -1, -1)
+        with pytest.raises(ExprError, match="y'"):
+            compute(FlowExpr.y(0) + FlowExpr.y(1), 0, -1, 3)
 
 
 # -- parser ---------------------------------------------------------------------
