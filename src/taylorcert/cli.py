@@ -6,7 +6,7 @@ reproduced in isolation.  Reports come in two shapes: human-readable text on
 stdout and a machine-readable JSON document (--json PATH) in which every
 rational is an exact "p/q" string.
 
-Exit codes: 0 success, 1 input error, 2 certification failure.
+Exit codes: 0 success, 1 input error, 2 certification failure, 3 internal error.
 
 Only the sanity section of `certify` and the `oracle` subcommand import the
 non-rigorous oracle and mpmath; the other subcommands start without them.
@@ -36,7 +36,7 @@ from .certify import (
     certify_polynomial,
     poly_eval,
 )
-from .odexpr import ExprParseError, parse_flow_expr, taylor_coefficients
+from .odexpr import parse_flow_expr, taylor_coefficients
 from .ratcore import (
     DEFAULT_ENCLOSURE_WIDTH,
     DecimalRounding,
@@ -97,7 +97,7 @@ def parse_problem(text: str) -> ProblemSpec:
     f_text, f_line = entries["f"]
     try:
         flow = parse_flow_expr(f_text)
-    except ExprParseError as exc:
+    except ValueError as exc:  # ExprParseError, or a literal over the int digit limit
         raise InputError(f"field 'f' (line {f_line}): {exc}") from exc
 
     x0 = rational_field("x0")
@@ -116,16 +116,13 @@ def parse_problem(text: str) -> ProblemSpec:
     if x1 <= x0:
         raise InputError(f"field 'x1': must exceed x0 = {x0}, got {x1}")
 
+    r1, r2 = (rational_field(k) if k in entries else Fraction(1) for k in ("r1", "r2"))
+    missing = [k for k in ("r1", "r2") if k not in entries]
     notes = []
-    if "r1" in entries or "r2" in entries:
-        r1 = rational_field("r1") if "r1" in entries else Fraction(1)
-        r2 = rational_field("r2") if "r2" in entries else Fraction(1)
-        if "r1" not in entries or "r2" not in entries:
-            missing = "r2" if "r1" in entries else "r1"
-            notes.append(f"box radius {missing} not given; defaulting to 1")
-    else:
-        r1 = r2 = Fraction(1)
+    if len(missing) == 2:
         notes.append("box radii r1, r2 not given; defaulting to 1, 1")
+    elif missing:
+        notes.append(f"box radius {missing[0]} not given; defaulting to 1")
     if r1 <= 0 or r2 <= 0:
         raise InputError("fields 'r1'/'r2': box radii must be positive")
 
@@ -161,7 +158,7 @@ def parse_poly_file(text: str) -> list[Fraction]:
     stripped = " ".join(line.split("#", 1)[0] for line in text.splitlines())
     try:
         expr = parse_flow_expr(stripped)
-    except ExprParseError as exc:
+    except ValueError as exc:  # ExprParseError, or a literal over the int digit limit
         raise InputError(f"polynomial file: {exc}") from exc
     if expr.order >= 0:
         raise InputError("polynomial file: only the variable x is allowed")
@@ -364,9 +361,13 @@ def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
         if width <= 0:
             raise InputError("--width: enclosure width must be positive")
         overrides["enclosure_width"] = width
-    if overrides:
-        spec = replace(spec, **overrides)
-    return spec
+    return replace(spec, **overrides)
+
+
+def _with_radius(p: ProblemSpec) -> ProblemSpec:
+    if p.f.is_zero():  # no |f| <= M with M > 0, which the radius bound needs
+        raise InputError("f = 0: the radius bound needs a magnitude bound M > 0")
+    return p
 
 
 def _write_json(args: argparse.Namespace, doc: dict) -> None:
@@ -398,7 +399,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 def _cmd_radius(args: argparse.Namespace) -> int:
     from .cauchy import radius_for_problem
 
-    p = _load_problem(args.problem, args)
+    p = _with_radius(_load_problem(args.problem, args))
     rc = radius_for_problem(p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width)
     print(
         f"r >= {decimal_str(rc.r_floor)} "
@@ -428,7 +429,7 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _run_certificate(args: argparse.Namespace) -> tuple[ProblemSpec, Certificate]:
-    p = _load_problem(args.problem, args)
+    p = _with_radius(_load_problem(args.problem, args))
     return p, certify_partial_sum(p)
 
 
@@ -456,7 +457,7 @@ def _cmd_check_poly(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise InputError(f"cannot read polynomial file {args.poly}: {exc}") from exc
     coeffs = parse_poly_file(poly_text)
-    cert = certify_partial_sum(p)
+    cert = certify_partial_sum(_with_radius(p))
     bound = certify_polynomial(p, coeffs, certificate=cert)
     print(f"polynomial degree {len(coeffs) - 1} checked against degree-{p.degree} "
           f"certificate on [{p.x0}, {p.x1}]")
@@ -490,6 +491,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         oracle.check_tol(tol)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--tol: {exc}") from exc
+    if at < p.x0:
+        raise InputError("evaluation point precedes x0")
     ref = oracle.reference_solution(p.f, p.x0, p.y0, at, tol)
     print(f"integrator:  y({at}) = {ref}")
     if oracle.is_quarter_riccati(p.f, p.x0, p.y0) and at != 0:
@@ -554,12 +557,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:  # InputError included
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (CertificationError, ConvergenceError) as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

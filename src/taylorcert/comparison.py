@@ -92,8 +92,7 @@ def extract_comparison(
         )
     x0, x1, y0 = as_rational(x0), as_rational(x1), as_rational(y0)
     frozen = f.subs_x(x1)
-    alpha = Fraction(0)
-    beta = Fraction(0)
+    alpha = beta = Fraction(0)
     for key, coeff in frozen.monomials.items():
         if key == ():
             alpha = coeff

@@ -1,25 +1,22 @@
 """Polynomial expressions in x and the derivative symbols y, y', y'', ...
 
 A FlowExpr is a finite sum of monomials c * x^i * y^j * (y')^k * ... with
-exact rational coefficients.  The central operation is the total derivative
-along solutions of y' = f(x, y): x differentiates to 1 and each derivative
-symbol y^(j) differentiates to the next symbol y^(j+1), never getting
-substituted by f.  Iterating it from f yields expressions for every higher
-solution derivative: the DerivativeChain, whose interval evaluation bounds
-each derivative over a box.
+exact rational coefficients, stored as integer numerators over one common
+denominator.  The central operation is the total derivative along solutions
+of y' = f(x, y): x differentiates to 1 and each derivative symbol y^(j)
+differentiates to the next symbol y^(j+1), never getting substituted by f.
+It multiplies numerators by integer exponents only, so D_k = P_k / c with
+integer P_k and c the lcm of f's denominators.  Iterating it from f yields
+expressions for every higher solution derivative: the DerivativeChain, whose
+interval evaluation bounds each derivative over a box.
 
 A certificate builds its DerivativeChain once, one single-pass flow
 derivative per step, for DerivativeChain.bounds alone.  Exact Taylor
 coefficients need no chain: `taylor_coefficients` runs a Taylor-mode
 recurrence on integers, and `derivative_values` multiplies its c_k by k!.
 
-Evaluation runs on integers, in the fraction-free manner of Bareiss (*Math.
-Comp.* 22, 1968): each binding is a pair of endpoint numerators over a shared
-denominator, which is kept as a vector of exponents over a few fixed bases
-(the lcm of the coefficient denominators, the denominators of the bound
-boxes and, for outward rounding, 10**places).  Monomials multiply numerators
-and add vectors; a sum lifts its monomials to the componentwise maximum
-vector.  Only the stored result is reduced, with one gcd per endpoint, and
+Evaluation runs on integers too, in the fraction-free manner of Bareiss
+(*Math. Comp.* 22, 1968; see `_Kernel`): only each result is reduced, and
 every value equals the monomial-wise Fraction evaluation exactly.
 """
 
@@ -27,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm, prod
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ratcore import (
     DecimalRounding,
@@ -43,6 +39,9 @@ from .ratcore import (
 
 # A monomial key is (e_x, e_y, e_y', ..., e_y^(m)) with trailing zeros trimmed.
 MonomialKey = tuple[int, ...]
+# A sparse key lists the (slot, exponent) pairs of the nonzero exponents of a
+# monomial key, in slot order: (0, 2, 1) becomes ((1, 2), (2, 1)).
+SparseKey = tuple[tuple[int, int], ...]
 
 
 class ExprError(ValueError):
@@ -67,41 +66,47 @@ def symbol_name(order: int) -> str:
     return f"y^({order})"
 
 
-def _trim(key: Sequence[int]) -> MonomialKey:
-    n = len(key)
-    while n and key[n - 1] == 0:
-        n -= 1
-    return tuple(key[:n])
+def _sparse(key: Sequence[int]) -> SparseKey:
+    return tuple((slot, exp) for slot, exp in enumerate(key) if exp)
 
 
-def _collect(terms: Iterable[tuple[Sequence[int], Fraction]]) -> "FlowExpr":
-    """Sum (key, coeff) pairs into a FlowExpr, trimming keys and dropping zeros.
+def _dense(key: SparseKey) -> MonomialKey:
+    exps = dict(key)
+    return tuple(exps.get(slot, 0) for slot in range(key[-1][0] + 1 if key else 0))
 
-    Trusted: keys must be nonnegative and coefficients Fractions.  Internal
-    arithmetic builds its results here without re-validating them.
-    """
-    table: dict[MonomialKey, Fraction] = {}
-    for key, coeff in terms:
-        key = _trim(key)
-        table[key] = table.get(key, 0) + coeff
+
+def _normalised(num: dict[SparseKey, int], den: int) -> "FlowExpr":
+    """Trusted constructor for internal results, which are not re-validated:
+    drop zero numerators and reduce by one gcd.  den must be positive."""
+    g = gcd(den, *num.values())
     expr = object.__new__(FlowExpr)
-    expr._monomials = {key: c for key, c in table.items() if c}
+    expr._num = {key: n // g for key, n in num.items() if n}
+    expr._den = den // g
     return expr
 
 
 class FlowExpr:
-    """Immutable multivariate polynomial over x and derivative symbols."""
+    """Immutable multivariate polynomial over x and derivative symbols.
 
-    __slots__ = ("_monomials",)
+    The monomial with sparse key k has coefficient `_num[k] / _den`, where
+    `_num[k]` is a nonzero int and `_den > 0` is coprime to all of them, so
+    equal expressions have equal fields.  `monomials` returns the dense table
+    in the insertion order of `_num`.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, monomials: Mapping[MonomialKey, RationalLike] | None = None):
-        monomials = monomials or {}
-        for key in monomials:
+        table: dict[SparseKey, Fraction] = {}
+        for key, coeff in (monomials or {}).items():
             if any(e < 0 for e in key):
                 raise ExprError(f"negative exponent in monomial key {key}")
-        self._monomials = _collect(
-            (key, as_rational(coeff)) for key, coeff in monomials.items()
-        )._monomials
+            key = _sparse(key)
+            table[key] = table.get(key, 0) + as_rational(coeff)
+        table = {key: q for key, q in table.items() if q}
+        # The lcm of reduced denominators is coprime to the numerators it makes.
+        den = self._den = lcm(*(q.denominator for q in table.values()))
+        self._num = {k: q.numerator * (den // q.denominator) for k, q in table.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -129,69 +134,77 @@ class FlowExpr:
         derivs = derivs or {}
         if any(order < 0 for order in derivs):
             raise ExprError(f"negative derivative order in {dict(derivs)}")
-        key = [0] * (max(derivs, default=-1) + 2)
-        key[0] = x_exp
-        for order, exp in derivs.items():
-            key[order + 1] = exp
-        return cls({tuple(key): coeff})
+        orders = range(max(derivs, default=-1) + 1)
+        return cls({(x_exp, *(derivs.get(j, 0) for j in orders)): coeff})
 
     # -- structure -------------------------------------------------------
 
     @property
     def monomials(self) -> Mapping[MonomialKey, Fraction]:
-        return dict(self._monomials)
+        """Dense keys with trailing zeros trimmed, to reduced coefficients."""
+        return {_dense(key): Fraction(n, self._den) for key, n in self._num.items()}
 
     @property
     def order(self) -> int:
         """Highest derivative symbol mentioned; -1 if none (x-only)."""
-        orders = [len(key) - 2 for key in self._monomials if len(key) >= 2]
-        return max(orders) if orders else -1
+        return max((key[-1][0] for key in self._num if key), default=0) - 1
 
     def is_zero(self) -> bool:
-        return not self._monomials
+        return not self._num
 
     def terms(self) -> Iterator[tuple[MonomialKey, Fraction]]:
-        return iter(sorted(self._monomials.items()))
+        return iter(sorted(self.monomials.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowExpr):
             return NotImplemented
-        return self._monomials == other._monomials
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._monomials.items()))
+        return hash(frozenset(self.monomials.items()))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "FlowExpr") -> "FlowExpr":
-        return _collect([*self._monomials.items(), *other._monomials.items()])
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        num = {key: n * a for key, n in self._num.items()}
+        for key, n in other._num.items():
+            num[key] = num.get(key, 0) + n * b
+        return _normalised(num, den)
 
     def __sub__(self, other: "FlowExpr") -> "FlowExpr":
         return self + (-other)
 
     def __neg__(self) -> "FlowExpr":
-        return _collect((key, -c) for key, c in self._monomials.items())
+        return _normalised({key: -n for key, n in self._num.items()}, self._den)
 
     def scale(self, factor: RationalLike) -> "FlowExpr":
-        c = as_rational(factor)
-        return _collect((key, c * coeff) for key, coeff in self._monomials.items())
+        return self * FlowExpr.constant(factor)
 
     def __mul__(self, other: "FlowExpr") -> "FlowExpr":
-        return _collect(
-            (tuple(a + b for a, b in zip_longest(k1, k2, fillvalue=0)), c1 * c2)
-            for k1, c1 in self._monomials.items()
-            for k2, c2 in other._monomials.items()
-        )
+        num: dict[SparseKey, int] = {}
+        for k1, n1 in self._num.items():
+            for k2, n2 in other._num.items():
+                exps = dict(k1)
+                for slot, exp in k2:
+                    exps[slot] = exps.get(slot, 0) + exp
+                key = tuple(sorted(exps.items()))
+                num[key] = num.get(key, 0) + n1 * n2
+        return _normalised(num, self._den * other._den)
 
     # -- calculus --------------------------------------------------------
 
     def partial(self, slot: int) -> "FlowExpr":
         """Partial derivative with respect to slot 0 (x) or slot j+1 (y^(j))."""
-        return _collect(
-            (key[:slot] + (key[slot] - 1,) + key[slot + 1 :], coeff * key[slot])
-            for key, coeff in self._monomials.items()
-            if slot < len(key) and key[slot]
-        )
+        num: dict[SparseKey, int] = {}
+        for key, n in self._num.items():
+            for i, (s, exp) in enumerate(key):
+                if s == slot:
+                    lowered = ((s, exp - 1),) if exp > 1 else ()
+                    new_key = key[:i] + lowered + key[i + 1 :]
+                    num[new_key] = num.get(new_key, 0) + n * exp
+        return _normalised(num, self._den)
 
     def partial_x(self) -> "FlowExpr":
         return self.partial(0)
@@ -202,16 +215,19 @@ class FlowExpr:
         One pass: each nonzero slot emits one term, e times the monomial with
         that slot lowered by one and, for y^(j), slot y^(j+1) raised by one.
         """
-        terms = []
-        for key, coeff in self._monomials.items():
-            for slot, exp in enumerate(key):
-                if exp:
-                    new_key = [*key, 0]
-                    new_key[slot] -= 1
-                    if slot:
-                        new_key[slot + 1] += 1
-                    terms.append((new_key, coeff * exp if exp != 1 else coeff))
-        return _collect(terms)
+        num: dict[SparseKey, int] = {}
+        for key, n in self._num.items():
+            for i, (slot, exp) in enumerate(key):
+                head = key[:i] + ((slot, exp - 1),) if exp > 1 else key[:i]
+                tail = key[i + 1 :]
+                if slot:
+                    if tail and tail[0][0] == slot + 1:
+                        tail = ((slot + 1, tail[0][1] + 1),) + tail[1:]
+                    else:
+                        tail = ((slot + 1, 1),) + tail
+                new_key = head + tail
+                num[new_key] = num.get(new_key, 0) + n * exp
+        return _normalised(num, self._den)
 
     # -- evaluation ------------------------------------------------------
 
@@ -243,44 +259,38 @@ class FlowExpr:
     def _enclose(self, env, as_interval) -> RatInterval:
         """Enclosure on the integer kernel, each symbol the monomials mention
         bound to its own base: the denominator of its interval."""
-        used = sorted({s for key in self._monomials for s, exp in enumerate(key) if exp})
+        used = sorted({slot for key in self._num for slot, _ in key})
         boxes = {slot: as_interval(self._symbol_value(env, slot)) for slot in used}
-        kernel = _Kernel([self._monomials], boxes)
-        return kernel.interval(*kernel.enclose(self._monomials))
+        kernel = _Kernel([self], boxes)
+        return kernel.interval(*kernel.enclose(self))
 
     def subs_x(self, value: RationalLike) -> "FlowExpr":
         """Substitute x := value exactly, leaving derivative symbols symbolic."""
         v = as_rational(value)
-        return _collect(
-            ((0,) + key[1:], coeff * v ** (key[0] if key else 0))
-            for key, coeff in self._monomials.items()
-        )
+        x_exps = [dict(key).get(0, 0) for key in self._num]
+        top = max(x_exps, default=0)
+        num: dict[SparseKey, int] = {}
+        for (key, n), e in zip(self._num.items(), x_exps):
+            key = key[1:] if e else key
+            num[key] = num.get(key, 0) + n * v.numerator**e * v.denominator ** (top - e)
+        return _normalised(num, self._den * v.denominator**top)
 
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._monomials:
-            return "0"
-        pieces = []
+        out = ""
         for key, coeff in self.terms():
-            magnitude = abs(coeff)
-            factors = []
-            if magnitude != 1 or not any(key):
-                factors.append(str(magnitude))
-            for slot, exp in enumerate(key):
-                if exp == 0:
-                    continue
+            factors = [str(abs(coeff))] if abs(coeff) != 1 or not key else []
+            for slot, exp in _sparse(key):
                 name = "x" if slot == 0 else symbol_name(slot - 1)
                 factors.append(name if exp == 1 else f"{name}^{exp}")
-            pieces.append((coeff < 0, "*".join(factors)))
-        negative, text = pieces[0]
-        out = ("-" if negative else "") + text
-        for negative, text in pieces[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
+            out += (" - " if coeff < 0 else " + ") + "*".join(factors)
+        if not out:
+            return "0"
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     def __repr__(self) -> str:
-        return f"FlowExpr({self._monomials!r})"
+        return f"FlowExpr({self.monomials!r})"
 
 
 class _Kernel:
@@ -288,7 +298,7 @@ class _Kernel:
 
     A binding is a triple (lo, hi, vec): integer endpoint numerators over the
     denominator prod(bases[i] ** vec[i]).  bases[0] is c, the lcm of the
-    coefficient denominators; then come the denominators of the boxes bound
+    expressions' denominators; then come the denominators of the boxes bound
     to slots, and any extra bases the caller adds.  A monomial multiplies
     its bindings' numerators by the sign cases of `mul_endpoints` and adds
     their vectors; the sum lifts each monomial to the componentwise maximum
@@ -298,11 +308,11 @@ class _Kernel:
 
     def __init__(
         self,
-        tables: Sequence[Mapping[MonomialKey, Fraction]],
+        exprs: Sequence[FlowExpr],
         boxes: Mapping[int, RatInterval],
         extra_bases: Sequence[int] = (),
     ):
-        c = lcm(*(q.denominator for table in tables for q in table.values()))
+        c = lcm(*(expr._den for expr in exprs))
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
         self.bases = (c, *dens, *extra_bases)
         self._powers: dict[tuple[int, ...], int] = {}
@@ -319,54 +329,44 @@ class _Kernel:
         """prod(bases[i] ** vec[i]), cached."""
         value = self._powers.get(vec)
         if value is None:
-            value = 1
-            for base, exp in zip(self.bases, vec):
-                if exp:
-                    value *= base**exp
-            self._powers[vec] = value
+            value = self._powers[vec] = prod(b**e for b, e in zip(self.bases, vec))
         return value
 
     def numerators(self, box: RatInterval, index: int) -> tuple[int, int, tuple[int, ...]]:
         """Binding of box over bases[index], which its denominators divide."""
         den = self.bases[index]
-        lo, hi = box.lo, box.hi
-        return (
-            lo.numerator * (den // lo.denominator),
-            hi.numerator * (den // hi.denominator),
-            self._unit(index),
-        )
+        lo, hi = (q.numerator * (den // q.denominator) for q in (box.lo, box.hi))
+        return lo, hi, self._unit(index)
 
-    def enclose(
-        self, monomials: Mapping[MonomialKey, Fraction]
-    ) -> tuple[int, int, tuple[int, ...]]:
-        """Binding of the monomial-wise enclosure of a sum of monomials.
+    def enclose(self, expr: FlowExpr) -> tuple[int, int, tuple[int, ...]]:
+        """Binding of the monomial-wise enclosure of an expression.
 
-        The vectors come first, so that each monomial's numerators are lifted
-        and added as soon as they are formed: only one monomial's big
-        integers are alive at a time, which keeps the peak memory of a sum
-        near that of the Fraction loop it replaced.
+        A coefficient num / den enters as num * (c // den), and only the
+        nonzero slots of a monomial are walked.  The vectors come first, so
+        that each monomial's numerators are lifted and added as soon as they
+        are formed: only one monomial's big integers are alive at a time,
+        which keeps the peak memory of a sum near that of the Fraction loop
+        it replaced.
         """
         slots = self.slots
         vecs = []
-        for key in monomials:
+        for key in expr._num:
             vec = self._coeff_vec
-            for slot, exp in enumerate(key):
-                if exp:
-                    vec = tuple([v + exp * e for v, e in zip(vec, slots[slot][2])])
+            for slot, exp in key:
+                vec = tuple([v + exp * e for v, e in zip(vec, slots[slot][2])])
             vecs.append(vec)
         if not vecs:
             return 0, 0, self._coeff_vec
         top = tuple(map(max, zip(*vecs)))
-        c = self.bases[0]
+        scale = self.bases[0] // expr._den
         total_lo = total_hi = 0
-        for (key, coeff), vec in zip(monomials.items(), vecs):
-            lo = hi = coeff.numerator * (c // coeff.denominator)
-            for slot, exp in enumerate(key):
-                if exp:
-                    b_lo, b_hi, _ = slots[slot]
-                    if exp > 1:
-                        b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
-                    lo, hi = mul_endpoints(lo, hi, b_lo, b_hi)
+        for (key, n), vec in zip(expr._num.items(), vecs):
+            lo = hi = n * scale
+            for slot, exp in key:
+                b_lo, b_hi, _ = slots[slot]
+                if exp > 1:
+                    b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
+                lo, hi = mul_endpoints(lo, hi, b_lo, b_hi)
             if vec != top:
                 lift = self.power(tuple(map(sub, top, vec)))
                 lo, hi = lo * lift, hi * lift
@@ -421,11 +421,10 @@ class DerivativeChain:
         denominator would become the product of every earlier one.
         """
         extra = () if rounding.is_exact else (10**rounding.places,)
-        tables = [expr._monomials for expr in self.exprs]
-        kernel = _Kernel(tables, {0: xrange, 1: yrange}, extra)
+        kernel = _Kernel(self.exprs, {0: xrange, 1: yrange}, extra)
         bounds = []
-        for slot, table in enumerate(tables, start=2):
-            lo, hi, vec = kernel.enclose(table)
+        for slot, expr in enumerate(self.exprs, start=2):
+            lo, hi, vec = kernel.enclose(expr)
             bound = rounding.apply(kernel.interval(lo, hi, vec))
             if extra:
                 lo, hi, vec = kernel.numerators(bound, len(kernel.bases) - 1)
@@ -474,10 +473,10 @@ def taylor_coefficients(
         raise ValueError(f"degree must be >= 0, got {n}")
     x0, y0 = as_rational(x0), as_rational(y0)
     shifted: dict[tuple[int, int], Fraction] = {}
-    for key, a in f._monomials.items():
-        e_x, e_y = (*key, 0, 0)[:2]
+    for key, a in f._num.items():
+        e_x, e_y = (*_dense(key), 0, 0)[:2]
         for i in range(e_x + 1):
-            term = a * comb(e_x, i) * x0 ** (e_x - i)
+            term = Fraction(a * comb(e_x, i), f._den) * x0 ** (e_x - i)
             shifted[i, e_y] = shifted.get((i, e_y), 0) + term
     shifted = {ij: b for ij, b in shifted.items() if b}
     base = lcm(y0.denominator, *(b.denominator for b in shifted.values()))

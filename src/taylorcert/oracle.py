@@ -45,11 +45,7 @@ def to_mpf(q: RationalLike) -> mp.mpf:
 
 def _compile_flow(f: FlowExpr):
     """Turn an x/y-only FlowExpr into a fast mpf-valued callable."""
-    terms = []
-    for key, coeff in f.monomials.items():
-        e_x = key[0] if len(key) >= 1 else 0
-        e_y = key[1] if len(key) >= 2 else 0
-        terms.append((to_mpf(coeff), e_x, e_y))
+    terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
 
     def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
         total = mp.mpf(0)

@@ -231,6 +231,57 @@ def test_oracle_convergence_failure_exit_code(problem_file, capsys, monkeypatch)
     assert run(["certify", str(problem_file)]) == 2
 
 
+PROBLEMS = SRC.parent / "problems"
+
+
+def test_internal_fault_is_not_an_input_error(tmp_path, capsys):
+    # Degree 30 drives quadratic's exact bounds past the interpreter's
+    # 4,300-digit int-to-str limit while the report is rendered.  That is a
+    # fault of the program, not of the problem file: exit 3, named as such.
+    text = (PROBLEMS / "quadratic.prob").read_text()
+    path = tmp_path / "quadratic30.prob"
+    path.write_text(text.replace("degree = 5", "degree = 30"))
+    assert run(["certify", str(path), "--no-sanity"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
+    assert "input error" not in err
+
+
+def test_unexpected_exception_exits_3(problem_file, capsys, monkeypatch):
+    def broken(p):
+        raise ZeroDivisionError("division by zero inside the pipeline")
+
+    monkeypatch.setattr("taylorcert.cli.certify_partial_sum", broken)
+    assert run(["bounds", str(problem_file)]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: ZeroDivisionError: division by zero inside the pipeline\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "f, argv, message",
+    [
+        ("0", ["radius"], "input error: f = 0: the radius bound needs"),
+        ("0", ["certify"], "input error: f = 0: the radius bound needs"),
+        ("0", ["check-poly", "--poly", "POLY"], "input error: f = 0: the radius"),
+        ("9" * 5000 + "*x + y^2", ["coeffs"], "input error: field 'f' (line 1): Exceeds"),
+    ],
+)
+def test_input_faults_found_late_stay_input_errors(tmp_path, capsys, f, argv, message):
+    path = tmp_path / "flow.prob"
+    path.write_text(f'f = "{f}"\nx0 = "0"\ny0 = "1"\ndegree = 3\nx1 = "1/5"\n')
+    poly = tmp_path / "p.poly"
+    poly.write_text("1 + x")
+    argv = [str(poly) if a == "POLY" else a for a in argv]
+    assert run([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_poly_literal_over_digit_limit_is_an_input_error():
+    with pytest.raises(InputError, match="polynomial file: Exceeds the limit"):
+        parse_poly_file("1" * 5000 + " + x")
+
+
 def test_rigorous_subcommands_do_not_import_mpmath(problem_file):
     # A fresh interpreter: this one has imported mpmath already.  The last
     # run, `certify` with its sanity section, shows that the probe sees it.
