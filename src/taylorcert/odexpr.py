@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from .ratcore import (
@@ -301,9 +301,11 @@ class _Kernel:
     expressions' denominators; then come the denominators of the boxes bound
     to slots, and any extra bases the caller adds.  A monomial multiplies
     its bindings' numerators by the sign cases of `mul_endpoints` and adds
-    their vectors; the sum lifts each monomial to the componentwise maximum
-    vector by an integer power product, from a cache that lives as long as
-    the kernel.  No step needs a gcd or a division: only `interval` reduces.
+    their vectors; a sum adds up the monomials of each vector and lifts each
+    group sum once to the componentwise maximum vector by an integer power.
+    Powers and monomial factors are cached for the life of the kernel, so a
+    slot's binding must not change once set.  No step needs a gcd or a
+    division: only `interval` reduces.
     """
 
     def __init__(
@@ -316,6 +318,7 @@ class _Kernel:
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
         self.bases = (c, *dens, *extra_bases)
         self._powers: dict[tuple[int, ...], int] = {}
+        self._factors: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
         self._coeff_vec = self._unit(0)
         self.slots = {
             slot: self.numerators(box, index)
@@ -341,32 +344,40 @@ class _Kernel:
     def enclose(self, expr: FlowExpr) -> tuple[int, int, tuple[int, ...]]:
         """Binding of the monomial-wise enclosure of an expression.
 
-        A coefficient num / den enters as num * (c // den), and only the
-        nonzero slots of a monomial are walked.  The vectors come first, so
-        that each monomial's numerators are lifted and added as soon as they
-        are formed: only one monomial's big integers are alive at a time,
-        which keeps the peak memory of a sum near that of the Fraction loop
-        it replaced.
+        One pass over the monomials.  A coefficient num / den enters as
+        num * (c // den), and each (slot, exponent) factor's endpoint
+        numerators and vector are formed once per kernel.  Each monomial's
+        numerators are added into the sum of the monomials with its vector;
+        then each group sum is lifted once to the componentwise maximum
+        vector.  Integer sums are exact, so lifting a sum equals summing the
+        lifted monomials.
         """
-        slots = self.slots
-        vecs = []
-        for key in expr._num:
-            vec = self._coeff_vec
-            for slot, exp in key:
-                vec = tuple([v + exp * e for v, e in zip(vec, slots[slot][2])])
-            vecs.append(vec)
-        if not vecs:
-            return 0, 0, self._coeff_vec
-        top = tuple(map(max, zip(*vecs)))
+        slots, factors, coeff_vec = self.slots, self._factors, self._coeff_vec
         scale = self.bases[0] // expr._den
-        total_lo = total_hi = 0
-        for (key, n), vec in zip(expr._num.items(), vecs):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for key, n in expr._num.items():
             lo = hi = n * scale
-            for slot, exp in key:
-                b_lo, b_hi, _ = slots[slot]
-                if exp > 1:
-                    b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
+            vec = coeff_vec
+            for factor in key:
+                try:
+                    b_lo, b_hi, b_vec = factors[factor]
+                except KeyError:
+                    slot, exp = factor
+                    b_lo, b_hi, b_vec = slots[slot]
+                    if exp > 1:
+                        b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
+                    b_vec = tuple([exp * e for e in b_vec])
+                    factors[factor] = b_lo, b_hi, b_vec
                 lo, hi = mul_endpoints(lo, hi, b_lo, b_hi)
+                vec = tuple(map(add, vec, b_vec))
+            group = groups.setdefault(vec, [0, 0])
+            group[0] += lo
+            group[1] += hi
+        if not groups:
+            return 0, 0, coeff_vec
+        top = tuple(map(max, zip(*groups)))
+        total_lo = total_hi = 0
+        for vec, (lo, hi) in groups.items():
             if vec != top:
                 lift = self.power(tuple(map(sub, top, vec)))
                 lo, hi = lo * lift, hi * lift
@@ -414,21 +425,24 @@ class DerivativeChain:
         bound goes through `rounding` before it is stored and fed to the next
         order.
 
-        All orders share one kernel.  An exact bound is fed on as the
-        numerators and exponent vector of its unreduced sum; an outward bound
-        re-enters as numerators over 10**places.  A bound is never made a base
-        of its own: D_k multiplies y^(i) by y^(k-2-i), so the common
-        denominator would become the product of every earlier one.
+        All orders share one kernel.  An exact bound re-enters as the
+        numerators and vector of its unreduced sum [lo, hi] / den.  Under
+        outward:P, lo and hi are floored and ceiled straight to numerators
+        over 10**P (`DecimalRounding.scaled_floor`), which re-enter as they
+        are; only the two rounded endpoints become Fractions.  A bound is
+        never made a base of its own: D_k multiplies y^(i) by y^(k-2-i), so
+        the common denominator would become the product of every earlier one.
         """
         extra = () if rounding.is_exact else (10**rounding.places,)
         kernel = _Kernel(self.exprs, {0: xrange, 1: yrange}, extra)
         bounds = []
         for slot, expr in enumerate(self.exprs, start=2):
             lo, hi, vec = kernel.enclose(expr)
-            bound = rounding.apply(kernel.interval(lo, hi, vec))
             if extra:
-                lo, hi, vec = kernel.numerators(bound, len(kernel.bases) - 1)
-            bounds.append(bound)
+                den = kernel.power(vec)
+                lo, hi = rounding.scaled_floor(lo, den), -rounding.scaled_floor(-hi, den)
+                vec = kernel._unit(len(kernel.bases) - 1)
+            bounds.append(kernel.interval(lo, hi, vec))
             kernel.slots[slot] = (lo, hi, vec)
         return bounds
 

@@ -245,7 +245,8 @@ class DecimalRounding:
     """Either the identity ("exact") or outward rounding to `places` decimals.
 
     Outward rounding only ever widens an interval, so applying it anywhere in
-    a chain of sound interval computations preserves soundness.
+    a chain of sound interval computations preserves soundness.  places is at
+    most 1000, well below CPython's 4,300-digit int->str limit.
     """
 
     mode: str  # "exact" | "outward"
@@ -254,8 +255,8 @@ class DecimalRounding:
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "outward"):
             raise ValueError(f"unknown rounding mode {self.mode!r}")
-        if self.mode == "outward" and self.places < 0:
-            raise ValueError("outward rounding needs places >= 0")
+        if self.mode == "outward" and not 0 <= self.places <= 1000:
+            raise ValueError("outward rounding needs 0 <= places <= 1000")
 
     @classmethod
     def exact(cls) -> "DecimalRounding":
@@ -278,11 +279,15 @@ class DecimalRounding:
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
+    def scaled_floor(self, num: int, den: int) -> int:
+        """Numerator over 10**places of num / den rounded down, den > 0 and
+        num / den reduced or not; rounding up is -scaled_floor(-num, den)."""
+        return num * 10**self.places // den
+
     def round_down(self, q: Fraction) -> Fraction:
         if self.is_exact:
             return q
-        scale = 10**self.places
-        return Fraction(q.numerator * scale // q.denominator, scale)
+        return Fraction(self.scaled_floor(q.numerator, q.denominator), 10**self.places)
 
     def round_up(self, q: Fraction) -> Fraction:
         return -self.round_down(-q)

@@ -277,6 +277,30 @@ def test_input_faults_found_late_stay_input_errors(tmp_path, capsys, f, argv, me
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("places", [1001, 20000, 200000])
+def test_outward_places_over_cap_are_input_errors(problem_file, capsys, places):
+    # Unbounded places once ran for minutes, or crashed rendering the bounds.
+    message = "outward rounding needs 0 <= places <= 1000\n"
+    text = PROBLEM_TEXT.replace('"exact"', f'"outward:{places}"')
+    problem_file.write_text(text)
+    assert run(["bounds", str(problem_file)]) == 1
+    assert capsys.readouterr().err == f"input error: line 9: field 'rounding': {message}"
+    problem_file.write_text(PROBLEM_TEXT)
+    assert run(["bounds", str(problem_file), "--rounding", f"outward:{places}"]) == 1
+    assert capsys.readouterr().err == f"input error: --rounding: {message}"
+
+
+def test_outward_places_at_cap_certify_degree_60(problem_file, tmp_path, capsys):
+    problem_file.write_text(PROBLEM_TEXT.replace("degree = 9", "degree = 60"))
+    out = tmp_path / "out.json"
+    argv = ["certify", str(problem_file), "--no-sanity", "--rounding", "outward:1000"]
+    assert run([*argv, "--json", str(out)]) == 0
+    assert "rounding outward:1000" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["problem"]["rounding"] == "outward:1000"
+    assert len(report["certificate"]["derivative_bounds"]) == 61
+
+
 def test_poly_literal_over_digit_limit_is_an_input_error():
     with pytest.raises(InputError, match="polynomial file: Exceeds the limit"):
         parse_poly_file("1" * 5000 + " + x")

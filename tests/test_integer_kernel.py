@@ -21,6 +21,7 @@ from conftest import chain_values, riccati_flow
 from taylorcert.certify import bound_derivatives
 from taylorcert.odexpr import (
     DerivativeChain,
+    _Kernel,
     ExprError,
     FlowExpr,
     derivative_chain,
@@ -219,14 +220,32 @@ def test_bounds_equal_fraction_loop(f, xrange, yrange, rounding, n):
     assert bound_derivatives(chain, xrange, yrange, rounding) == got
 
 
-@pytest.mark.parametrize("rounding", ["exact", "outward:0", "outward:2", "outward:30"])
-def test_riccati_bounds_equal_fraction_loop(rounding):
+# The box of the benchmark's riccati-60 outward:30 certificate: x over
+# [0, 1/5] and y over [-1, U], U the solution range's outward:30 upper end.
+# 49 of its 61 bounds straddle 0.
+BENCH_XRANGE = RatInterval(F(0), F(1, 5))
+BENCH_YRANGE = RatInterval(
+    F(-1), F(-188950977864534681271752763187, 200000000000000000000000000000)
+)
+
+
+@pytest.mark.parametrize(
+    "rounding, n, yrange",
+    [
+        pytest.param(mode, 14, RatInterval(F(-1), F(-47, 50)), id=mode)
+        for mode in ("exact", "outward:0", "outward:2", "outward:30")
+    ]
+    + [pytest.param("outward:30", 60, BENCH_YRANGE, id="outward:30-bench-box")],
+)
+def test_riccati_bounds_equal_fraction_loop(rounding, n, yrange):
     rounding = DecimalRounding.parse(rounding)
-    chain = riccati_chain(14)
-    xrange, yrange = RatInterval(F(0), F(1, 5)), RatInterval(F(-1), F(-47, 50))
+    chain = riccati_chain(n)
+    xrange = RatInterval(F(0), F(1, 5))
     got = chain.bounds(xrange, yrange, rounding)
     for g, w in zip(got, reference_bounds(chain, xrange, yrange, rounding), strict=True):
         assert_same_interval(g, w)
+    if n == 60:
+        assert sum(b.lo < 0 < b.hi for b in got) == 49
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,3 +319,58 @@ def test_chain_does_no_fraction_arithmetic(fraction_arithmetic):
     # The counter sees Fraction arithmetic when there is some.
     assert F(1, 2) * 3 + F(1, 3) == F(11, 6)
     assert len(fraction_arithmetic) == 2
+
+
+# -- work counters: one lift per vector, rounding on integers -----------------
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """Counts Fraction constructions, arithmetic results included."""
+    calls = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    calls = []
+    original = _Kernel.power
+
+    def counted(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(_Kernel, "power", counted)
+    return calls
+
+
+def test_outward_bounds_build_two_fractions_per_order(fractions_built):
+    # Each order's sum is floored and ceiled on integers; only the two
+    # rounded endpoints become Fractions (three times as many when each
+    # bound was reduced, then rounded through Fraction floor and ceil).
+    chain = riccati_chain(60)
+    rounding = DecimalRounding.outward(30)
+    fractions_built.clear()
+    bounds = chain.bounds(BENCH_XRANGE, BENCH_YRANGE, rounding)
+    assert len(bounds) == 61
+    assert len(fractions_built) == 2 * len(bounds)
+
+
+def test_bounds_lift_once_per_vector(power_calls):
+    # The monomials of an order are summed per exponent vector and each
+    # group sum is lifted once; lifting each of riccati-60's 964 monomials
+    # took over 16 power calls per order.
+    chain = riccati_chain(60)
+    power_calls.clear()
+    bounds = chain.bounds(BENCH_XRANGE, BENCH_YRANGE, DecimalRounding.outward(30))
+    assert len(power_calls) <= 5 * len(bounds)
+    power_calls.clear()
+    chain.bounds(BENCH_XRANGE, BENCH_YRANGE)
+    assert len(power_calls) <= 2 * len(bounds)

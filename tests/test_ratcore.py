@@ -1,6 +1,7 @@
 """Interval arithmetic and certified elementary enclosures."""
 
 from fractions import Fraction
+import math
 from math import isqrt
 import random
 
@@ -360,6 +361,42 @@ def test_rounding_parse():
     assert DecimalRounding.parse("outward:2") == DecimalRounding.outward(2)
     with pytest.raises(ValueError):
         DecimalRounding.parse("inward:2")
+
+
+@pytest.mark.parametrize("places", [-1, 1001, 20000])
+def test_outward_places_out_of_range(places):
+    with pytest.raises(ValueError, match="0 <= places <= 1000"):
+        DecimalRounding.outward(places)
+    assert DecimalRounding.outward(1000).places == 1000
+
+
+@st.composite
+def scaled_quotients(draw):
+    """(num, den, places): den > 0, num / den not necessarily reduced, and
+    num / den an exact multiple of 10**-places in about half the draws."""
+    places = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        q = F(draw(st.integers(-(10**50), 10**50)), 10**places)
+    else:
+        q = F(draw(st.integers(-(10**50), 10**50)), draw(st.integers(1, 10**45)))
+    spare = draw(st.integers(1, 10**6))
+    return q.numerator * spare, q.denominator * spare, places
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_quotients())
+def test_scaled_floor_equals_fraction_floor_and_ceil(case):
+    # The derivative chain rounds its unreduced integer sums with this
+    # primitive; round_down and round_up reduce first and must agree.
+    num, den, places = case
+    rounding = DecimalRounding.outward(places)
+    exact = F(num, den) * 10**places
+    down, up = rounding.scaled_floor(num, den), -rounding.scaled_floor(-num, den)
+    assert down == math.floor(exact) and up == math.ceil(exact)
+    assert rounding.round_down(F(num, den)) == F(down, 10**places)
+    assert rounding.round_up(F(num, den)) == F(up, 10**places)
+    if exact.denominator == 1:
+        assert down == up == exact
 
 
 # -- series oracles used to freeze expected enclosure values ------------------
