@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from .ratcore import (
     DecimalRounding,
     RatInterval,
     RationalLike,
+    _ordered,
     as_rational,
     mul_endpoints,
     pow_endpoints,
@@ -297,15 +297,15 @@ class _Kernel:
     """Monomial-wise interval sums on integers over a shared denominator.
 
     A binding is a triple (lo, hi, vec): integer endpoint numerators over the
-    denominator prod(bases[i] ** vec[i]).  bases[0] is c, the lcm of the
-    expressions' denominators; then come the denominators of the boxes bound
-    to slots, and any extra bases the caller adds.  A monomial multiplies
-    its bindings' numerators by the sign cases of `mul_endpoints` and adds
-    their vectors; a sum adds up the monomials of each vector and lifts each
-    group sum once to the componentwise maximum vector by an integer power.
-    Powers and monomial factors are cached for the life of the kernel, so a
-    slot's binding must not change once set.  No step needs a gcd or a
-    division: only `interval` reduces.
+    denominator prod(bases[i] ** e_i), the int vec holding e_i in bits
+    [64 i, 64 i + 64).  Vectors add with `+`, and top - vec borrows nothing
+    for top >= vec.  No field overflows: power() would be uncomputable long
+    before, as any base >= 2 to the 2**64 has 2**64 bits.  bases[0] is c, the
+    lcm of the expressions' denominators; then come the denominators of the
+    boxes bound to slots, and any extra bases the caller adds.  Powers and
+    monomial factors are cached for the life of the kernel, so a slot's
+    binding must not change once set.  No step needs a gcd or a division:
+    only `interval` reduces; `enclose` says how sums are formed.
     """
 
     def __init__(
@@ -317,78 +317,88 @@ class _Kernel:
         c = lcm(*(expr._den for expr in exprs))
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
         self.bases = (c, *dens, *extra_bases)
-        self._powers: dict[tuple[int, ...], int] = {}
-        self._factors: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
-        self._coeff_vec = self._unit(0)
+        self._powers: dict[int, int] = {}
+        self._factors: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.slots = {
             slot: self.numerators(box, index)
             for index, (slot, box) in enumerate(boxes.items(), start=1)
         }
 
-    def _unit(self, index: int) -> tuple[int, ...]:
-        return tuple(int(i == index) for i in range(len(self.bases)))
+    @staticmethod
+    def _unit(index: int) -> int:
+        return 1 << 64 * index
 
-    def power(self, vec: tuple[int, ...]) -> int:
-        """prod(bases[i] ** vec[i]), cached."""
+    def _exponents(self, vec: int) -> list[int]:
+        return [(vec >> 64 * i) & ((1 << 64) - 1) for i in range(len(self.bases))]
+
+    def power(self, vec: int) -> int:
+        """prod(bases[i] ** e_i) of a packed vector, cached."""
         value = self._powers.get(vec)
         if value is None:
-            value = self._powers[vec] = prod(b**e for b, e in zip(self.bases, vec))
+            value = self._powers[vec] = prod(map(pow, self.bases, self._exponents(vec)))
         return value
 
-    def numerators(self, box: RatInterval, index: int) -> tuple[int, int, tuple[int, ...]]:
+    def numerators(self, box: RatInterval, index: int) -> tuple[int, int, int]:
         """Binding of box over bases[index], which its denominators divide."""
         den = self.bases[index]
         lo, hi = (q.numerator * (den // q.denominator) for q in (box.lo, box.hi))
         return lo, hi, self._unit(index)
 
-    def enclose(self, expr: FlowExpr) -> tuple[int, int, tuple[int, ...]]:
+    def _factor(self, factor: tuple[int, int]) -> tuple[int, int, int]:
+        """Binding of one (slot, exponent) factor, cached."""
+        slot, exp = factor
+        lo, hi, vec = self.slots[slot]
+        if exp > 1:
+            lo, hi = pow_endpoints(lo, hi, exp)
+        binding = self._factors[factor] = lo, hi, exp * vec
+        return binding
+
+    def enclose(self, expr: FlowExpr) -> tuple[int, int, int]:
         """Binding of the monomial-wise enclosure of an expression.
 
         One pass over the monomials.  A coefficient num / den enters as
-        num * (c // den), and each (slot, exponent) factor's endpoint
-        numerators and vector are formed once per kernel.  Each monomial's
-        numerators are added into the sum of the monomials with its vector;
-        then each group sum is lifted once to the componentwise maximum
-        vector.  Integer sums are exact, so lifting a sum equals summing the
-        lifted monomials.
+        n = num * (c // den), which the first factor scales by its sign case;
+        only later factors call `mul_endpoints`.  Each (slot, exponent)
+        factor's binding is formed once per kernel.  Monomials are summed per
+        vector; with two or more vectors, each group sum is lifted once to
+        their componentwise maximum.  Integer sums are exact, so lifting a
+        sum equals summing the lifted monomials.  No monomials sum to (0, 0, 0).
         """
-        slots, factors, coeff_vec = self.slots, self._factors, self._coeff_vec
+        get, mul, coeff_vec = self._factors.get, mul_endpoints, self._unit(0)
         scale = self.bases[0] // expr._den
-        groups: dict[tuple[int, ...], list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for key, n in expr._num.items():
-            lo = hi = n * scale
+            lo = hi = n = n * scale
             vec = coeff_vec
-            for factor in key:
-                try:
-                    b_lo, b_hi, b_vec = factors[factor]
-                except KeyError:
-                    slot, exp = factor
-                    b_lo, b_hi, b_vec = slots[slot]
-                    if exp > 1:
-                        b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
-                    b_vec = tuple([exp * e for e in b_vec])
-                    factors[factor] = b_lo, b_hi, b_vec
-                lo, hi = mul_endpoints(lo, hi, b_lo, b_hi)
-                vec = tuple(map(add, vec, b_vec))
+            if key:
+                lo, hi, b_vec = get(key[0]) or self._factor(key[0])
+                lo, hi = (n * lo, n * hi) if n >= 0 else (n * hi, n * lo)
+                vec += b_vec
+                for factor in key[1:]:
+                    b_lo, b_hi, b_vec = get(factor) or self._factor(factor)
+                    lo, hi = mul(lo, hi, b_lo, b_hi)
+                    vec += b_vec
             group = groups.setdefault(vec, [0, 0])
             group[0] += lo
             group[1] += hi
-        if not groups:
-            return 0, 0, coeff_vec
-        top = tuple(map(max, zip(*groups)))
+        if len(groups) == 1:
+            [(vec, (lo, hi))] = groups.items()
+            return lo, hi, vec
+        fields = zip(*map(self._exponents, groups))
+        top = sum(max(field) * self._unit(i) for i, field in enumerate(fields))
         total_lo = total_hi = 0
         for vec, (lo, hi) in groups.items():
             if vec != top:
-                lift = self.power(tuple(map(sub, top, vec)))
+                lift = self.power(top - vec)
                 lo, hi = lo * lift, hi * lift
             total_lo += lo
             total_hi += hi
         return total_lo, total_hi, top
 
-    def interval(self, lo: int, hi: int, vec: tuple[int, ...]) -> RatInterval:
-        """The reduced RatInterval of a binding."""
+    def interval(self, lo: int, hi: int, vec: int) -> RatInterval:
+        """The reduced RatInterval of a binding; lo <= hi always holds here."""
         den = self.power(vec)
-        return RatInterval(Fraction(lo, den), Fraction(hi, den))
+        return _ordered(Fraction(lo, den), Fraction(hi, den))
 
 
 @dataclass(frozen=True)
@@ -478,7 +488,8 @@ def taylor_coefficients(
     solves w' = sum a_ij s^i w^j with a_ij = b_ij L^(1 + q(i+1) - j), so its
     coefficients and initial value are integers, and so is every
     w^(k)(0) = L^(1 + q k) y^(k)(x0).  Each (w^j)^(k)(0) follows by the
-    Leibniz rule with integer binomials, and
+    Leibniz rule with integer binomials (for w^2, symmetric in r: twice the
+    terms r < k/2, plus the middle one when k is even), and
     w^(k+1)(0) = sum a_ij k!/(k-i)! (w^j)^(k-i)(0).  Each coefficient is
     reduced once: c_k = w^(k)(0) / (L^(1 + q k) k!).
     """
@@ -506,9 +517,14 @@ def taylor_coefficients(
     for k in range(n):
         w.append(sum(b * perm(k, i) * powers[j][k - i] for i, j, b in terms if i <= k))
         powers[0].append(0)
-        row = [comb(k + 1, r) for r in range(k + 2)]
-        for lower, power in zip(powers[1:], powers[2:]):
-            power.append(sum(c * w[r] * lower[k + 1 - r] for r, c in enumerate(row)))
+        m = k + 1
+        row = [comb(m, r) for r in range(m + 1)]
+        if top >= 2:
+            half = sum(row[r] * w[r] * w[m - r] for r in range((m + 1) // 2))
+            middle = 0 if m % 2 else row[m // 2] * w[m // 2] ** 2
+            powers[2].append(2 * half + middle)
+        for lower, power in zip(powers[2:], powers[3:]):
+            power.append(sum(c * w[r] * lower[m - r] for r, c in enumerate(row)))
     return [Fraction(v, base ** (1 + q * k) * factorial(k)) for k, v in enumerate(w)]
 
 

@@ -44,14 +44,19 @@ def to_mpf(q: RationalLike) -> mp.mpf:
 
 
 def _compile_flow(f: FlowExpr):
-    """Turn an x/y-only FlowExpr into a fast mpf-valued callable."""
+    """Turn an x/y-only FlowExpr into a fast mpf-valued callable.  It skips
+    the factors x**0, y**0 and the sum's start mpf(0), which are exact."""
     terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
 
     def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
-        total = mp.mpf(0)
-        for c, e_x, e_y in terms:
-            total += c * x**e_x * y**e_y
-        return total
+        total = None
+        for term, e_x, e_y in terms:
+            if e_x:
+                term = term * x**e_x
+            if e_y:
+                term = term * y**e_y
+            total = term if total is None else total + term
+        return mp.mpf(0) if total is None else total
 
     return call
 

@@ -11,7 +11,7 @@ The public `RatInterval(lo, hi)`, `RatInterval.of` and `RatInterval.point`
 take outside input: they convert endpoints to `Fraction` and reject
 `lo > hi`.  Internal results whose endpoints are `Fraction`s in order by
 construction (`+`, `-`, negation, `scale`, `shift`, `*`, `/`, `int_pow`,
-the sine, cosine and square-root enclosures) go through the trusted helper
+the exp, sine, cosine and square-root enclosures) go through the trusted helper
 `_ordered`, which skips both checks.  Products and powers pick their
 endpoints by the signs of the factors' endpoints (Moore, Kearfott & Cloud,
 *Introduction to Interval Analysis*, 2009, sec. 2.3): a product forms the two
@@ -324,8 +324,10 @@ def enclose_exp_neg(
 ) -> RatInterval:
     """Certified enclosure of exp(-q) for rational q >= 0.
 
-    Sums the series for exp(q) in exact rationals, bounds the tail by a
-    geometric series, and reciprocates.  The returned width is at most `width`.
+    Sums the series for exp(q), bounds the tail by a geometric series, and
+    reciprocates; the returned width is at most `width`.  On integers: with
+    q = a/b, k terms sum to P/D, the last T/D, over D = k! b^k; each step is
+    T *= a, D *= k b, P = P k b + T, and only the endpoints become Fractions.
     """
     q = as_rational(q)
     width = _check_width(width)
@@ -334,23 +336,22 @@ def enclose_exp_neg(
     if q == 0:
         return RatInterval.point(1)
 
-    partial = Fraction(1)
-    term = Fraction(1)
+    (a, b), (wn, wd) = q.as_integer_ratio(), width.as_integer_ratio()
+    partial = term = den = 1
     k = 0
     while True:
         k += 1
-        term *= q / k
-        partial += term
+        term, den = term * a, den * k * b
+        partial = partial * k * b + term
         # Tail after k terms: sum_{j>k} q^j/j! <= term * r/(1-r), r = q/(k+1),
-        # valid once q < k+1.
-        if k + 1 > q:
-            ratio = q / (k + 1)
-            tail = term * ratio / (1 - ratio)
-            # exp(q) in [partial, partial + tail]; reciprocal width is
-            # tail / (partial * (partial + tail)) <= tail since partial >= 1.
-            if tail / (partial * (partial + tail)) <= width:
-                upper_exp = partial + tail
-                return RatInterval(1 / upper_exp, 1 / partial)
+        # valid once q < k+1; r/(1-r) = a/E with E = (k+1) b - a.
+        excess = (k + 1) * b - a
+        if excess > 0:
+            # exp(q) in [P/D, (P E + T a)/(D E)]; the reciprocal width
+            # T a D / (P (P E + T a)) is at most the tail since P >= D.
+            upper = partial * excess + term * a
+            if term * a * den * wd <= wn * partial * upper:
+                return _ordered(Fraction(den * excess, upper), Fraction(den, partial))
 
 
 def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
@@ -358,17 +359,20 @@ def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
 
     Sums the alternating series of terms (-1)^k t^(2k+power) / (2k+power)!.
     The truncation error is bounded by the first omitted term (Lagrange bound
-    with |sin^(m)|, |cos^(m)| <= 1).
+    with |sin^(m)|, |cos^(m)| <= 1).  On integers: with t = a/b, the sum P
+    and the term T of degree m lie over D = m! b^m; each step multiplies P
+    and D by (m+1)(m+2) b^2 and T by -a^2.
     """
-    partial = Fraction(0)
-    term = t**power
+    (a, b), (wn, wd) = t.as_integer_ratio(), width.as_integer_ratio()
+    partial, term, den = 0, a**power, b**power
     while True:
         partial += term
-        term = -term * t * t / ((power + 1) * (power + 2))
+        step = (power + 1) * (power + 2) * b * b
+        partial, term, den = partial * step, -term * a * a, den * step
         power += 2
         err = abs(term)
-        if err <= width / 2:
-            return _ordered(partial - err, partial + err)
+        if 2 * err * wd <= wn * den:
+            return _ordered(Fraction(partial - err, den), Fraction(partial + err, den))
 
 
 def _tan_point_enclosure(t: Fraction, width: Fraction) -> RatInterval:

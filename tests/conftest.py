@@ -247,3 +247,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, passed, elapsed in ACCEPTANCE_RESULTS:
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{status}  {name}  ({elapsed:.2f}s)")
+
+
+# -- work counters ------------------------------------------------------------
+
+
+@pytest.fixture
+def fraction_arithmetic(monkeypatch):
+    """Counts Fraction additions, subtractions, multiplications and divisions."""
+    calls = []
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        original = getattr(Fraction, f"__{name}__")
+
+        def counted(self, other, _original=original):
+            calls.append(1)
+            return _original(self, other)
+
+        monkeypatch.setattr(Fraction, f"__{name}__", counted)
+    return calls

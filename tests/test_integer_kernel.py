@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_values, riccati_flow
+from taylorcert import odexpr
 from taylorcert.certify import bound_derivatives
 from taylorcert.odexpr import (
     DerivativeChain,
@@ -293,21 +294,6 @@ def test_bounds_reduce_once_per_order(gcd_calls):
     assert 0 < len(gcd_calls) <= 2 * len(bounds)
 
 
-@pytest.fixture
-def fraction_arithmetic(monkeypatch):
-    """Counts Fraction additions, subtractions, multiplications and divisions."""
-    calls = []
-    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
-        original = getattr(Fraction, f"__{name}__")
-
-        def counted(self, other, _original=original):
-            calls.append(1)
-            return _original(self, other)
-
-        monkeypatch.setattr(Fraction, f"__{name}__", counted)
-    return calls
-
-
 def test_chain_does_no_fraction_arithmetic(fraction_arithmetic):
     # D_k = P_k / c: the flow derivative multiplies integer numerators by
     # integer exponents over the fixed denominator c of f.
@@ -374,3 +360,29 @@ def test_bounds_lift_once_per_vector(power_calls):
     power_calls.clear()
     chain.bounds(BENCH_XRANGE, BENCH_YRANGE)
     assert len(power_calls) <= 2 * len(bounds)
+
+
+@pytest.fixture
+def mul_endpoints_calls(monkeypatch):
+    calls = []
+    original = odexpr.mul_endpoints
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(odexpr, "mul_endpoints", counted)
+    return calls
+
+
+def test_first_factor_scales_without_a_call(mul_endpoints_calls):
+    # A monomial's first factor multiplies the scalar coefficient numerator by
+    # its sign case; only later factors need mul_endpoints.  Riccati-60 has
+    # 1,893 factors in 964 monomials, one of them constant: 930 calls, where
+    # a call per factor made 1,893.
+    chain = riccati_chain(60)
+    later_factors = sum(max(len(key) - 1, 0) for expr in chain for key in expr._num)
+    mul_endpoints_calls.clear()
+    bounds = chain.bounds(BENCH_XRANGE, BENCH_YRANGE, DecimalRounding.outward(30))
+    assert len(bounds) == 61
+    assert len(mul_endpoints_calls) <= later_factors == 930

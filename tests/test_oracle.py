@@ -15,13 +15,16 @@ from conftest import (
 from taylorcert.oracle import (
     ConvergenceError,
     ORACLE_DPS,
+    _compile_flow,
+    _rk4_fixed,
     integrate_fixed,
     is_quarter_riccati,
     reference_grid,
     reference_solution,
     riccati_exact,
+    to_mpf,
 )
-from taylorcert.odexpr import parse_flow_expr
+from taylorcert.odexpr import FlowExpr, parse_flow_expr
 
 F = Fraction
 
@@ -188,3 +191,42 @@ def test_cross_oracle_agreement_on_grid():
 def test_riccati_exact_rejects_negative_argument():
     with pytest.raises(ValueError, match="x > 0"):
         riccati_exact(F(-1, 10))
+
+
+def _reference_compile_flow(f):
+    """The flow compiler before it skipped x**0, y**0 and the sum's mpf(0)."""
+    terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
+
+    def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
+        total = mp.mpf(0)
+        for c, e_x, e_y in terms:
+            total += c * x**e_x * y**e_y
+        return total
+
+    return call
+
+
+@pytest.mark.parametrize("steps", [16, 512])
+@pytest.mark.parametrize("x1", [None, F(3, 5)])
+@pytest.mark.parametrize(
+    "f, y0, default_x1",
+    [
+        (riccati_flow(), F(-1), F(1, 5)),
+        (quadratic_flow(), F(1), F(2, 5)),
+        (parse_flow_expr("1 + x*y^2 + 2/3*y^3"), F(0), F(1, 5)),
+    ],
+    ids=["riccati", "quadratic", "constant-term"],
+)
+def test_compiled_flow_is_bit_identical(f, y0, default_x1, x1, steps):
+    # Multiplying by x**0 or y**0 and adding to mpf(0) are exact in mpf, so
+    # skipping them changes no bit of any RK4 step.
+    with mp.workdps(ORACLE_DPS):
+        args = (to_mpf(0), to_mpf(y0), to_mpf(x1 or default_x1), steps)
+        got = _rk4_fixed(_compile_flow(f), *args)
+        want = _rk4_fixed(_reference_compile_flow(f), *args)
+    assert got._mpf_ == want._mpf_
+
+
+def test_compiled_zero_flow_is_zero():
+    with mp.workdps(ORACLE_DPS):
+        assert _compile_flow(FlowExpr.zero())(mp.mpf(1), mp.mpf(2)) == 0
