@@ -45,7 +45,6 @@ from .ratcore import (
     DecimalRounding,
     EnclosureError,
     RatInterval,
-    Rational,
     as_rational,
     enclose_exp_neg,
     enclose_sqrt,
@@ -66,7 +65,6 @@ __all__ = [
     "QuadraticComparison",
     "RadiusCertificate",
     "RatInterval",
-    "Rational",
     "SolutionRange",
     "as_rational",
     "bound_derivatives",

@@ -68,9 +68,9 @@ def magnitude_bound(
     return f.eval_interval(box).mag
 
 
-def _floor_to_clean_decimal(q: Fraction, places: int = 2) -> Fraction:
-    """Truncate downward to `places` decimals, extending only if that hits 0."""
-    for places in range(places, 41):
+def _floor_to_clean_decimal(q: Fraction) -> Fraction:
+    """Truncate downward to 2 decimals, extending only if that hits 0."""
+    for places in range(2, 41):
         floored = DecimalRounding.outward(places).round_down(q)
         if floored > 0 or q <= 0:
             return floored

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Sequence
 
 from . import cauchy, comparison, odexpr
-from .odexpr import DerivativeChain, FlowExpr, symbol_name
+from .odexpr import DerivativeChain, FlowExpr, _require_xy
 from .ratcore import (
     DEFAULT_ENCLOSURE_WIDTH,
     DecimalRounding,
@@ -28,6 +28,9 @@ from .ratcore import (
 
 #: Degree cap for polynomials accepted by certify_polynomial.
 MAX_POLY_DEGREE = 64
+
+#: Degree cap for partial sums, which bounds every stage's work.
+MAX_DEGREE = 400
 
 
 class CertificationError(RuntimeError):
@@ -65,12 +68,9 @@ class ProblemSpec:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.f.order > 0:
-            raise ValueError(
-                f"right-hand side mentions {symbol_name(self.f.order)}"
-            )
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        _require_xy(self.f)
+        if not 0 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {self.degree}")
         if self.x1 <= self.x0:
             raise ValueError("x1 must exceed x0")
         if self.r1 <= 0 or self.r2 <= 0:
@@ -177,9 +177,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
         qc = comparison.extract_comparison(p.f, p.x0, p.x1, p.y0)
     except comparison.ComparisonFormError as exc:
         raise CertificationError("comparison", str(exc)) from exc
-    yrange = comparison.solution_range(
-        qc, p.enclosure_width, p.rounding, flow=p.f
-    )
+    yrange = comparison.solution_range(qc, p.enclosure_width, p.rounding, p.f)
     if not yrange.valid:
         raise CertificationError("comparison", yrange.diagnostics)
 
@@ -214,21 +212,20 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
 
 
 def certify_polynomial(
-    p: ProblemSpec,
-    q: Sequence[RationalLike],
-    certificate: Certificate | None = None,
+    p: ProblemSpec, q: Sequence[RationalLike], certificate: Certificate
 ) -> Fraction:
     """Rigorous bound on sup |q(x) - y(x)| over [x0, x1].
 
-    q is a coefficient list in powers of x.  The bound is the partial-sum
-    remainder bound plus the monomial-wise enclosure of |q - p_n| over the
-    interval (`FlowExpr.eval_interval` of the x-only difference), so it
-    certifies any polynomial, not just the Taylor one.
+    q is a coefficient list in powers of x, and `certificate` is
+    certify_partial_sum(p).  The bound is its remainder bound plus the
+    monomial-wise enclosure of |q - p_n| over the interval
+    (`FlowExpr.eval_interval` of the x-only difference), so it certifies any
+    polynomial, not just the Taylor one.
     """
     if len(q) - 1 > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree exceeds limit {MAX_POLY_DEGREE}")
-    cert = certificate if certificate is not None else certify_partial_sum(p)
     diff = FlowExpr({(k,): c for k, c in enumerate(q)}) - FlowExpr(
-        {(k,): c for k, c in enumerate(cert.coefficients)}
+        {(k,): c for k, c in enumerate(certificate.coefficients)}
     )
-    return cert.remainder_bound + diff.eval_interval({"x": RatInterval(p.x0, p.x1)}).mag
+    x_range = {"x": RatInterval(p.x0, p.x1)}
+    return certificate.remainder_bound + diff.eval_interval(x_range).mag

@@ -30,6 +30,7 @@ from .certify import (
     Certificate,
     CertificationError,
     ConvergenceError,
+    MAX_DEGREE,
     MAX_POLY_DEGREE,
     ProblemSpec,
     certify_partial_sum,
@@ -111,8 +112,11 @@ def parse_problem(text: str) -> ProblemSpec:
         raise InputError(
             f"line {degree_line}: field 'degree' must be an integer"
         ) from exc
-    if degree < 0:
-        raise InputError(f"line {degree_line}: field 'degree' must be >= 0")
+    if not 0 <= degree <= MAX_DEGREE:
+        raise InputError(
+            f"line {degree_line}: field 'degree' must be in [0, {MAX_DEGREE}], "
+            f"got {degree}"
+        )
     if x1 <= x0:
         raise InputError(f"field 'x1': must exceed x0 = {x0}, got {x1}")
 
@@ -348,12 +352,12 @@ def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
         raise InputError(f"cannot read problem file {path}: {exc}") from exc
     spec = parse_problem(text)
     overrides = {}
-    if getattr(args, "rounding", None):
+    if getattr(args, "rounding", None) is not None:
         try:
             overrides["rounding"] = DecimalRounding.parse(args.rounding)
         except ValueError as exc:
             raise InputError(f"--rounding: {exc}") from exc
-    if getattr(args, "width", None):
+    if getattr(args, "width", None) is not None:
         try:
             width = as_rational(args.width)
         except (ValueError, ZeroDivisionError) as exc:
@@ -415,13 +419,11 @@ def _cmd_range(args: argparse.Namespace) -> int:
     try:
         qc = comparison.extract_comparison(p.f, p.x0, p.x1, p.y0)
     except comparison.ComparisonFormError as exc:
-        print(f"certification failed [comparison]: {exc}", file=sys.stderr)
-        return 2
-    sr = comparison.solution_range(qc, p.enclosure_width, p.rounding, flow=p.f)
+        raise CertificationError("comparison", str(exc)) from exc
+    sr = comparison.solution_range(qc, p.enclosure_width, p.rounding, p.f)
     _write_json(args, {"problem": _problem_json(p), "solution_range": _range_json(sr)})
     if not sr.valid:
-        print(f"certification failed [comparison]: {sr.diagnostics}", file=sys.stderr)
-        return 2
+        raise CertificationError("comparison", sr.diagnostics)
     print(f"frozen right-hand side: {qc.alpha} + {qc.beta}*y^2")
     print(f"upper bound enclosure {_fmt_interval(sr.tight_upper)}")
     print(f"certified range [{_fmt(sr.range.lo)}, {_fmt(sr.range.hi)}]")
@@ -458,7 +460,7 @@ def _cmd_check_poly(args: argparse.Namespace) -> int:
         raise InputError(f"cannot read polynomial file {args.poly}: {exc}") from exc
     coeffs = parse_poly_file(poly_text)
     cert = certify_partial_sum(_with_radius(p))
-    bound = certify_polynomial(p, coeffs, certificate=cert)
+    bound = certify_polynomial(p, coeffs, cert)
     print(f"polynomial degree {len(coeffs) - 1} checked against degree-{p.degree} "
           f"certificate on [{p.x0}, {p.x1}]")
     print(f"certified: sup |q(x) - y(x)| <= {decimal_str(bound)}")

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .odexpr import FlowExpr, symbol_name
+from .odexpr import FlowExpr, _require_xy
 from .ratcore import (
-    DEFAULT_ENCLOSURE_WIDTH,
     DecimalRounding,
     EnclosureError,
     HALF_PI_LOWER,
@@ -82,14 +81,12 @@ def extract_comparison(
 ) -> QuadraticComparison:
     """Freeze x := x1 in f and extract alpha + beta * y^2.
 
-    Any residual monomial (x powers are gone after substitution) that is not
-    the constant or the pure y^2 term is rejected by name, as are nonpositive
+    A right-hand side with a derivative symbol raises ExprError.  Any
+    residual monomial (x powers are gone after substitution) that is not the
+    constant or the pure y^2 term is rejected by name, as are nonpositive
     alpha or beta.
     """
-    if f.order > 0:
-        raise ComparisonFormError(
-            f"right-hand side mentions {symbol_name(f.order)}; expected x and y only"
-        )
+    _require_xy(f)
     x0, x1, y0 = as_rational(x0), as_rational(x1), as_rational(y0)
     frozen = f.subs_x(x1)
     alpha = beta = Fraction(0)
@@ -133,7 +130,7 @@ def check_applicability(
             f_range,
             f"cannot certify f > 0 on the box: interval evaluation gives {f_range}",
         )
-    fx_range = f.partial_x().eval_interval(box)
+    fx_range = f.partial(0).eval_interval(box)
     if fx_range.lo < 0:
         raise ApplicabilityError(
             "monotonicity",
@@ -156,17 +153,18 @@ def _invalid(
 
 def solution_range(
     qc: QuadraticComparison,
-    width: RationalLike = DEFAULT_ENCLOSURE_WIDTH,
-    rounding: DecimalRounding = DecimalRounding.exact(),
-    flow: FlowExpr | None = None,
+    width: RationalLike,
+    rounding: DecimalRounding,
+    flow: FlowExpr,
 ) -> SolutionRange:
-    """Certified range [y0, U] of the solution over [x0, x1].
+    """Certified range [y0, U] of the solution of y' = flow over [x0, x1].
 
-    U encloses the tangent-addition value (s*t + y0) / (1 - t*y0/s) computed
-    entirely with certified enclosures and outward interval division.  The
-    certificate is refused (valid=False) if the comparison solution blows up
-    before x1 (denominator not certifiably positive) or, when `flow` is given,
-    if the comparison hypotheses fail on [x0, x1] x [y0, U].
+    U encloses the tangent-addition value (s*t + y0) / (1 - t*y0/s), to a
+    width of at most `width`, computed entirely with certified enclosures and
+    outward interval division.  The certificate is refused (valid=False) if
+    the comparison solution blows up before x1 (denominator not certifiably
+    positive) or if the comparison hypotheses for `flow`, from which `qc` was
+    extracted, fail on [x0, x1] x [y0, U].
 
     The reported upper endpoint is widened per `rounding`; the tight enclosure
     is always retained alongside.
@@ -225,13 +223,12 @@ def solution_range(
     upper = RatInterval(max(upper.lo, qc.y0), max(upper.hi, qc.y0))
     reported = RatInterval(qc.y0, rounding.round_up(upper.hi))
 
-    if flow is not None:
-        try:
-            check_applicability(flow, qc.x0, qc.x1, reported)
-        except ApplicabilityError as exc:
-            return _invalid(
-                qc.y0, f"{exc.kind} fails on certified range {reported}: {exc}", upper
-            )
+    try:
+        check_applicability(flow, qc.x0, qc.x1, reported)
+    except ApplicabilityError as exc:
+        return _invalid(
+            qc.y0, f"{exc.kind} fails on certified range {reported}: {exc}", upper
+        )
     return SolutionRange(
         range=reported,
         valid=True,

@@ -206,9 +206,6 @@ class FlowExpr:
                     num[new_key] = num.get(new_key, 0) + n * exp
         return _normalised(num, self._den)
 
-    def partial_x(self) -> "FlowExpr":
-        return self.partial(0)
-
     def flow_derivative(self) -> "FlowExpr":
         """Total derivative along solutions: d/dx + sum_j y^(j+1) d/dy^(j).
 
@@ -237,30 +234,21 @@ class FlowExpr:
             raise ExprError(f"unbound symbol {name!r} in evaluation environment")
         return env[name]
 
-    def eval_exact(self, env: Mapping[str, RationalLike]) -> Fraction:
-        """Exact rational value under a symbol->Rational environment.
-
-        The point case of `eval_interval`: each symbol is bound to a point.
-        """
-        return self._enclose(env, RatInterval.point).lo
-
-    def eval_interval(self, env: Mapping[str, RatInterval]) -> RatInterval:
+    def eval_interval(self, env: Mapping[str, object]) -> RatInterval:
         """Monomial-wise interval evaluation under symbol->interval bindings.
 
         Each monomial is enclosed exactly (every symbol occurs once per
         monomial, as an integer power); the monomial enclosures are summed,
         which accepts the usual interval dependency overestimation across
-        monomials.  Rational bindings stand for points.
+        monomials.  Rational bindings stand for points, so with every symbol
+        bound to one the result is the point of the exact value.  Runs on the
+        integer kernel, each symbol the monomials mention bound to its own
+        base: the denominator of its interval.
         """
-        return self._enclose(
-            env, lambda b: b if isinstance(b, RatInterval) else RatInterval.point(b)
-        )
-
-    def _enclose(self, env, as_interval) -> RatInterval:
-        """Enclosure on the integer kernel, each symbol the monomials mention
-        bound to its own base: the denominator of its interval."""
-        used = sorted({slot for key in self._num for slot, _ in key})
-        boxes = {slot: as_interval(self._symbol_value(env, slot)) for slot in used}
+        boxes = {}
+        for slot in sorted({slot for key in self._num for slot, _ in key}):
+            b = self._symbol_value(env, slot)
+            boxes[slot] = b if isinstance(b, RatInterval) else RatInterval.point(b)
         kernel = _Kernel([self], boxes)
         return kernel.interval(*kernel.enclose(self))
 
@@ -418,10 +406,6 @@ class DerivativeChain:
     def __getitem__(self, index: int) -> FlowExpr:
         return self.exprs[index]
 
-    def expr_for_order(self, k: int) -> FlowExpr:
-        """Expression for y^(k), 1 <= k <= len(self)."""
-        return self.exprs[k - 1]
-
     def bounds(
         self,
         xrange: RatInterval,
@@ -458,7 +442,8 @@ class DerivativeChain:
 
 
 def _require_xy(f: FlowExpr) -> None:
-    """Reject a right-hand side that mentions a derivative symbol."""
+    """Reject a right-hand side that mentions a derivative symbol: the one
+    check of every entry point that takes a right-hand side."""
     if f.order > 0:
         raise ExprError(
             f"right-hand side mentions derivative symbol {symbol_name(f.order)}"

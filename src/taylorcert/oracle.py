@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .certify import ConvergenceError
-from .odexpr import FlowExpr
+from .odexpr import FlowExpr, _require_xy
 from .ratcore import RationalLike, as_rational
 
 #: Working precision (significant decimal digits) for all oracle arithmetic.
@@ -76,26 +76,6 @@ def check_tol(tol: RationalLike) -> None:
         )
 
 
-def _until_stable(sweep, steps: int, max_doublings: int, tol: RationalLike):
-    """Double the step count from `steps` until two successive sweeps agree.
-
-    `sweep(steps)` returns a list of values; returns the last sweep and its
-    largest difference from the one before, once that is below tol.
-    """
-    tol_f = to_mpf(tol)
-    prev = sweep(steps)
-    for _ in range(max_doublings):
-        steps *= 2
-        current = sweep(steps)
-        diff = max(abs(c - p) for c, p in zip(current, prev))
-        if diff < tol_f:
-            return current, diff
-        prev = current
-    raise ConvergenceError(
-        f"integrator did not stabilize within {tol} after {steps} steps"
-    )
-
-
 def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
     h = (x1 - x0) / steps
     x, y = x0, y0
@@ -117,8 +97,7 @@ def integrate_fixed(
     steps: int,
 ) -> mp.mpf:
     """Classical one-step 4th-order integration with a fixed step count."""
-    if f.order > 0:
-        raise ValueError("flow must involve x and y only")
+    _require_xy(f)
     with mp.workdps(ORACLE_DPS):
         return _rk4_fixed(_compile_flow(f), to_mpf(x0), to_mpf(y0), to_mpf(x), steps)
 
@@ -132,22 +111,15 @@ def reference_solution(
     max_doublings: int = 22,
 ) -> ReferenceValue:
     """Integrator value of y(x), halving the step until stable within tol."""
-    if f.order > 0:
-        raise ValueError("flow must involve x and y only")
+    _require_xy(f)
     check_tol(tol)
     x0, x = as_rational(x0), as_rational(x)
     if x < x0:
         raise ValueError("evaluation point precedes x0")
     if x == x0:
         return ReferenceValue(to_mpf(y0), mp.mpf(0), "integrator")
-    with mp.workdps(ORACLE_DPS):
-        flow = _compile_flow(f)
-        a, b, start = to_mpf(x0), to_mpf(x), to_mpf(y0)
-        (value,), diff = _until_stable(
-            lambda steps: [_rk4_fixed(flow, a, start, b, steps)],
-            16, max_doublings, tol,
-        )
-        return ReferenceValue(value, diff, "integrator")
+    (value,), diff = _integrate(f, x0, y0, [x], tol, 16, max_doublings)
+    return ReferenceValue(value, diff, "integrator")
 
 
 def reference_grid(
@@ -163,27 +135,55 @@ def reference_grid(
     Far cheaper than independent reference_solution calls when many points of
     the same problem are needed.
     """
+    _require_xy(f)
     check_tol(tol)
     if not xs:
         return []
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid points must be strictly increasing")
-    if xs and as_rational(xs[0]) < as_rational(x0):
+    if as_rational(xs[0]) < as_rational(x0):
         raise ValueError("grid starts before x0")
-    with mp.workdps(ORACLE_DPS):
-        flow = _compile_flow(f)
-        nodes = [to_mpf(x0)] + [to_mpf(p) for p in xs]
+    return _integrate(f, x0, y0, xs, tol, 4, max_doublings)[0]
 
-        def sweep(steps_per_segment: int) -> list[mp.mpf]:
-            y = to_mpf(y0)
-            out = []
+
+def _integrate(
+    f: FlowExpr,
+    x0: RationalLike,
+    y0: RationalLike,
+    xs: list[RationalLike],
+    tol: RationalLike,
+    steps: int,
+    max_doublings: int,
+) -> tuple[list[mp.mpf], mp.mpf]:
+    """RK4 values at increasing points xs >= x0, along one trajectory.
+
+    Each segment takes `steps` steps, doubled until two successive sweeps
+    agree within tol; returns the last sweep and its largest difference from
+    the one before.
+    """
+    with mp.workdps(ORACLE_DPS):
+        flow, tol_f = _compile_flow(f), to_mpf(tol)
+        nodes = [to_mpf(x0)] + [to_mpf(x) for x in xs]
+
+        def sweep(per_segment: int) -> list[mp.mpf]:
+            y, out = to_mpf(y0), []
             for a, b in zip(nodes, nodes[1:]):
                 if b > a:
-                    y = _rk4_fixed(flow, a, y, b, steps_per_segment)
+                    y = _rk4_fixed(flow, a, y, b, per_segment)
                 out.append(y)
             return out
 
-        return _until_stable(sweep, 4, max_doublings, tol)[0]
+        prev = sweep(steps)
+        for _ in range(max_doublings):
+            steps *= 2
+            current = sweep(steps)
+            diff = max(abs(c - p) for c, p in zip(current, prev))
+            if diff < tol_f:
+                return current, diff
+            prev = current
+    raise ConvergenceError(
+        f"integrator did not stabilize within {tol} after {steps} steps"
+    )
 
 
 def is_quarter_riccati(f: FlowExpr, x0: RationalLike, y0: RationalLike) -> bool:

@@ -7,16 +7,16 @@ truncated series in exact rational arithmetic with explicit tail bounds, or,
 for square roots, one integer square root, so the returned interval is a
 mathematical guarantee, not a numerical estimate.
 
-The public `RatInterval(lo, hi)`, `RatInterval.of` and `RatInterval.point`
-take outside input: they convert endpoints to `Fraction` and reject
-`lo > hi`.  Internal results whose endpoints are `Fraction`s in order by
-construction (`+`, `-`, negation, `scale`, `shift`, `*`, `/`, `int_pow`,
-the exp, sine, cosine and square-root enclosures) go through the trusted helper
-`_ordered`, which skips both checks.  Products and powers pick their
-endpoints by the signs of the factors' endpoints (Moore, Kearfott & Cloud,
-*Introduction to Interval Analysis*, 2009, sec. 2.3): a product forms the two
-endpoint products it needs unless both factors straddle zero, and only then
-forms four and compares them.  The result is the tightest enclosure, the same
+The public `RatInterval(lo, hi)` and `RatInterval.point` take outside
+input: they convert endpoints to `Fraction` and reject `lo > hi`.  Internal
+results whose endpoints are `Fraction`s in order by construction (`+`, `-`,
+negation, `scale`, `*`, `/`, the exp, sine, cosine and square-root
+enclosures) go through the trusted helper `_ordered`, which skips both
+checks.  Products and powers pick their endpoints by the signs of the
+factors' endpoints (Moore, Kearfott & Cloud, *Introduction to Interval
+Analysis*, 2009, sec. 2.3): a product forms the two endpoint products it
+needs unless both factors straddle zero, and only then forms four and
+compares them.  The result is the tightest enclosure, the same
 interval as the min and max over all four corner products.  Division
 multiplies by the reciprocal [1/d, 1/c] of a zero-free divisor.  This case
 analysis lives once, in `mul_endpoints` and `pow_endpoints`, which work on
@@ -32,9 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 from typing import Union
-
-# The universal exact scalar of the library.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -109,10 +106,6 @@ class RatInterval:
         v = as_rational(value)
         return cls(v, v)
 
-    @classmethod
-    def of(cls, lo: RationalLike, hi: RationalLike) -> "RatInterval":
-        return cls(as_rational(lo), as_rational(hi))
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -135,9 +128,6 @@ class RatInterval:
     def __contains__(self, value: RationalLike) -> bool:
         v = as_rational(value)
         return self.lo <= v <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     # -- arithmetic ------------------------------------------------------
 
@@ -165,24 +155,6 @@ class RatInterval:
         if c.numerator >= 0:
             return _ordered(c * self.lo, c * self.hi)
         return _ordered(c * self.hi, c * self.lo)
-
-    def shift(self, offset: RationalLike) -> "RatInterval":
-        c = as_rational(offset)
-        return _ordered(self.lo + c, self.hi + c)
-
-    def int_pow(self, exponent: int) -> "RatInterval":
-        """Tightest enclosure of {t**exponent : t in self}, exponent >= 0.
-
-        Even powers of straddling intervals have lower endpoint exactly 0.
-        """
-        if exponent < 0:
-            raise ValueError("int_pow exponent must be nonnegative")
-        if exponent == 0:
-            return _ordered(Fraction(1), Fraction(1))
-        if exponent == 1:
-            return self
-        lo, hi = pow_endpoints(self.lo, self.hi, exponent)
-        return _ordered(Fraction(lo), hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -291,11 +263,6 @@ class DecimalRounding:
 
     def round_up(self, q: Fraction) -> Fraction:
         return -self.round_down(-q)
-
-    def apply(self, interval: RatInterval) -> RatInterval:
-        if self.is_exact:
-            return interval
-        return RatInterval(self.round_down(interval.lo), self.round_up(interval.hi))
 
     def __str__(self) -> str:
         return "exact" if self.is_exact else f"outward:{self.places}"

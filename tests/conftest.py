@@ -11,7 +11,41 @@ import pytest
 
 from taylorcert import FlowExpr, ProblemSpec, parse_flow_expr
 from taylorcert.odexpr import DerivativeChain
-from taylorcert.ratcore import DecimalRounding, RatInterval, as_rational
+from taylorcert.ratcore import (
+    DecimalRounding,
+    RatInterval,
+    _ordered,
+    as_rational,
+    pow_endpoints,
+)
+
+# -- references: interval power and outward rounding ------------------------
+#
+# Verbatim copies of the former `RatInterval.int_pow` and
+# `DecimalRounding.apply`, so that the Fraction reference loops of the tests
+# keep their own copy of both.
+
+
+def int_pow(interval: RatInterval, exponent: int) -> RatInterval:
+    """Tightest enclosure of {t**exponent : t in interval}, exponent >= 0.
+
+    Even powers of straddling intervals have lower endpoint exactly 0.
+    """
+    if exponent < 0:
+        raise ValueError("int_pow exponent must be nonnegative")
+    if exponent == 0:
+        return _ordered(Fraction(1), Fraction(1))
+    if exponent == 1:
+        return interval
+    lo, hi = pow_endpoints(interval.lo, interval.hi, exponent)
+    return _ordered(Fraction(lo), hi)
+
+
+def apply_rounding(rounding: DecimalRounding, interval: RatInterval) -> RatInterval:
+    if rounding.is_exact:
+        return interval
+    return RatInterval(rounding.round_down(interval.lo), rounding.round_up(interval.hi))
+
 
 # -- worked problems --------------------------------------------------------
 

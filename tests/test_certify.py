@@ -10,6 +10,7 @@ from conftest import (
     QUADRATIC_COEFFS,
     RICCATI_COEFFS,
     RICCATI_DERIVS,
+    int_pow,
     poly_add,
     poly_scale,
     quadratic_flow,
@@ -19,6 +20,7 @@ from taylorcert import oracle
 from taylorcert.certify import (
     Certificate,
     CertificationError,
+    MAX_DEGREE,
     ProblemSpec,
     bound_derivatives,
     centralize,
@@ -52,6 +54,10 @@ def riccati_chain(n=9):
     return derivative_chain(riccati_flow(), n)
 
 
+def inside(inner: RatInterval, outer: RatInterval) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
 # -- bound_derivatives --------------------------------------------------------
 
 
@@ -71,7 +77,7 @@ def test_second_order_bound_with_rounded_inputs():
         chain, RICCATI_XRANGE, RICCATI_YRANGE, DecimalRounding.outward(2)
     )
     # raw second-stage interval before its own rounding is [-0.145, 0.2966]
-    raw = chain.expr_for_order(2).eval_interval(
+    raw = chain[1].eval_interval(
         {"x": RICCATI_XRANGE, "y": RICCATI_YRANGE, "y'": bounds[0]}
     )
     assert raw == RatInterval(F(-145, 1000), F(2966, 10000))
@@ -115,7 +121,7 @@ def test_rounding_isotonicity_of_bounds():
         riccati_chain(9), RICCATI_XRANGE, RICCATI_YRANGE, DecimalRounding.outward(2)
     )
     for tight, wide in zip(exact, rounded):
-        assert wide.contains_interval(tight)
+        assert inside(tight, wide)
 
 
 def test_pipeline_rounding_isotonicity(riccati_problem, riccati_problem_parity):
@@ -123,9 +129,9 @@ def test_pipeline_rounding_isotonicity(riccati_problem, riccati_problem_parity):
     # containment must still hold order by order
     exact_cert = certify_partial_sum(riccati_problem)
     parity_cert = certify_partial_sum(riccati_problem_parity)
-    assert parity_cert.yrange.range.contains_interval(exact_cert.yrange.range)
+    assert inside(exact_cert.yrange.range, parity_cert.yrange.range)
     for tight, wide in zip(exact_cert.derivative_bounds, parity_cert.derivative_bounds):
-        assert wide.contains_interval(tight)
+        assert inside(tight, wide)
     assert parity_cert.remainder_bound >= exact_cert.remainder_bound
 
 
@@ -279,7 +285,7 @@ def test_derivative_bounds_contain_path_values(riccati_problem):
     with mp.workdps(45):
         env_num = {"x": mp.mpf(1) / 5, "y": y_at_x1}
         for k in range(1, riccati_problem.degree + 2):
-            expr = chain.expr_for_order(k)
+            expr = chain[k - 1]
             value = mp.mpf(0)
             for key, coeff in expr.monomials.items():
                 term = mp.mpf(coeff.numerator) / coeff.denominator
@@ -319,6 +325,11 @@ def test_problem_spec_validation():
         ProblemSpec(f=riccati_flow(), x0=F(1), y0=F(0), degree=1, x1=F(1))
     with pytest.raises(ValueError):
         ProblemSpec(f=FlowExpr.y(1), x0=F(0), y0=F(0), degree=1, x1=F(1))
+    with pytest.raises(ValueError, match="degree must be in"):
+        ProblemSpec(f=riccati_flow(), x0=F(0), y0=F(0), degree=MAX_DEGREE + 1, x1=F(1))
+    assert ProblemSpec(
+        f=riccati_flow(), x0=F(0), y0=F(0), degree=MAX_DEGREE, x1=F(1)
+    ).degree == MAX_DEGREE
 
 
 # -- certify_polynomial ----------------------------------------------------------
@@ -343,8 +354,8 @@ def test_certify_polynomial_with_centralized_term(riccati_problem):
 
 def test_certify_polynomial_published_quintic(quadratic_problem):
     ybar = [F(1), F(1, 4), F(3, 16), F(7, 192), F(1, 96), F(1, 200)]
-    bound = certify_polynomial(quadratic_problem, ybar)
     cert = certify_partial_sum(quadratic_problem)
+    bound = certify_polynomial(quadratic_problem, ybar, cert)
     diff = F(1, 200) - F(19, 5120)
     assert bound == cert.remainder_bound + diff * F(2, 5) ** 5
     # grid check: the true error of ybar stays below 2 units in the 5th place
@@ -360,8 +371,9 @@ def test_certify_polynomial_published_quintic(quadratic_problem):
 
 
 def test_certify_polynomial_degree_cap(riccati_problem):
+    cert = certify_partial_sum(riccati_problem)
     with pytest.raises(ValueError):
-        certify_polynomial(riccati_problem, [F(0)] * 70)
+        certify_polynomial(riccati_problem, [F(0)] * 70, cert)
 
 
 def poly_range(coeffs, xrange: RatInterval) -> RatInterval:
@@ -370,7 +382,7 @@ def poly_range(coeffs, xrange: RatInterval) -> RatInterval:
     total = RatInterval.point(0)
     for k, c in enumerate(coeffs):
         if c != 0:
-            total = total + xrange.int_pow(k).scale(c)
+            total = total + int_pow(xrange, k).scale(c)
     return total
 
 

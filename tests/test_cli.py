@@ -17,7 +17,7 @@ from taylorcert.cli import (
     report_to_json,
     run,
 )
-from taylorcert.certify import certify_partial_sum
+from taylorcert.certify import MAX_DEGREE, certify_partial_sum
 from taylorcert.oracle import ConvergenceError
 from taylorcert.ratcore import DecimalRounding
 
@@ -328,6 +328,62 @@ print(loaded)
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"
+
+
+@pytest.mark.parametrize(
+    "f, x0, x1, message",
+    [
+        ("x*y", "0", "1/5", "unsupported monomial 1/5*y after freezing x = 1/5"),
+        (
+            "x^2 + y^2",
+            "-1",
+            "1",
+            "tangent argument [2, 2] reaches the certified pi/2 bound: "
+            "no tangent-form bound exists on [-1, 1]",
+        ),
+    ],
+    ids=["no-comparison-form", "blow-up"],
+)
+def test_range_reports_failures_like_certify(tmp_path, capsys, f, x0, x1, message):
+    # One fault, one line, whichever subcommand meets it.
+    prob = tmp_path / "fails.prob"
+    prob.write_text(f'f = "{f}"\nx0 = "{x0}"\ny0 = "0"\ndegree = 3\nx1 = "{x1}"\n')
+    out = tmp_path / "range.json"
+    line = f"certification failed: [comparison] {message}\n"
+    assert run(["range", str(prob), "--json", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert run(["certify", str(prob), "--no-sanity"]) == 2
+    assert capsys.readouterr().err == line
+    if f == "x*y":  # no comparison form: nothing to write
+        assert not out.exists()
+    else:  # an invalid range still writes its JSON first
+        doc = json.loads(out.read_text())["solution_range"]
+        assert (doc["valid"], doc["diagnostics"]) == (False, message)
+
+
+@pytest.mark.parametrize("flag", ["--width", "--rounding"])
+def test_empty_overrides_are_input_errors(problem_file, capsys, flag):
+    assert run(["coeffs", str(problem_file), flag, ""]) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+
+
+def test_degree_over_cap_is_refused_at_once(problem_file):
+    # Degree 5000 once ran past a 10 s timeout in `coeffs`.
+    problem_file.write_text(PROBLEM_TEXT.replace("degree = 9", "degree = 5000"))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "taylorcert.cli", "coeffs", str(problem_file)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"input error: line 5: field 'degree' must be in [0, {MAX_DEGREE}], got 5000\n"
+    )
+    spec = parse_problem(PROBLEM_TEXT.replace("degree = 9", f"degree = {MAX_DEGREE}"))
+    assert spec.degree == MAX_DEGREE
 
 
 def test_positivity_failure_exit_code(tmp_path, capsys):

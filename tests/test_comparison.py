@@ -19,7 +19,7 @@ from taylorcert.comparison import (
     extract_comparison,
     solution_range,
 )
-from taylorcert.odexpr import parse_flow_expr
+from taylorcert.odexpr import FlowExpr, parse_flow_expr
 from taylorcert.ratcore import DecimalRounding, RatInterval
 
 F = Fraction
@@ -38,6 +38,15 @@ def riccati_qc() -> QuadraticComparison:
 
 def quadratic_qc() -> QuadraticComparison:
     return extract_comparison(quadratic_flow(), 0, F(2, 5), 1)
+
+
+WIDTH = F(1, 10**12)
+EXACT = DecimalRounding.exact()
+
+
+def frozen_flow(qc: QuadraticComparison) -> FlowExpr:
+    """alpha + beta*y^2 itself: positive, and constant in x."""
+    return FlowExpr.constant(qc.alpha) + FlowExpr.monomial(qc.beta, derivs={0: 2})
 
 
 # -- extraction ----------------------------------------------------------------
@@ -103,7 +112,7 @@ def test_applicability_quadratic_box():
 
 
 def test_range_riccati_tight_and_rounded():
-    sr = solution_range(riccati_qc(), F(1, 10**12), DecimalRounding.outward(2))
+    sr = solution_range(riccati_qc(), WIDTH, DecimalRounding.outward(2), riccati_flow())
     assert sr.valid
     assert U_RICCATI in sr.tight_upper
     assert sr.tight_upper.width <= F(1, 10**12)
@@ -111,7 +120,7 @@ def test_range_riccati_tight_and_rounded():
 
 
 def test_range_riccati_exact_mode():
-    sr = solution_range(riccati_qc(), F(1, 10**12))
+    sr = solution_range(riccati_qc(), WIDTH, EXACT, riccati_flow())
     assert sr.valid
     assert sr.range.lo == F(-1)
     assert sr.range.hi == sr.tight_upper.hi
@@ -121,13 +130,13 @@ def test_range_riccati_exact_mode():
 
 def test_range_degenerate_interval():
     qc = QuadraticComparison(alpha=F(1, 25), beta=F(1, 4), x0=F(0), x1=F(0), y0=F(-1))
-    sr = solution_range(qc)
+    sr = solution_range(qc, WIDTH, EXACT, frozen_flow(qc))
     assert sr.valid
     assert sr.range == RatInterval(F(-1), F(-1))
 
 
 def test_range_quadratic():
-    sr = solution_range(quadratic_qc(), F(1, 10**12), DecimalRounding.outward(3))
+    sr = solution_range(quadratic_qc(), WIDTH, DecimalRounding.outward(3), quadratic_flow())
     assert sr.valid
     assert U_QUADRATIC in sr.tight_upper
     assert sr.range == RatInterval(F(1), F(289, 250))
@@ -139,7 +148,7 @@ def test_upper_bound_never_below_initial_value():
         qc = QuadraticComparison(
             alpha=F(1, 10), beta=F(1, 4), x0=F(0), x1=F(1, 5), y0=y0
         )
-        sr = solution_range(qc)
+        sr = solution_range(qc, WIDTH, EXACT, frozen_flow(qc))
         assert sr.valid
         assert sr.range.lo == y0
         assert sr.tight_upper.hi >= y0
@@ -151,7 +160,7 @@ def test_monotonicity_in_x1():
         qc = QuadraticComparison(
             alpha=F(1, 25), beta=F(1, 4), x0=F(0), x1=x1, y0=F(-1)
         )
-        sr = solution_range(qc)
+        sr = solution_range(qc, WIDTH, EXACT, frozen_flow(qc))
         assert sr.valid
         if previous is not None:
             assert sr.tight_upper.hi >= previous
@@ -161,25 +170,25 @@ def test_monotonicity_in_x1():
 def test_blowup_detected():
     # y' = 1 + y^2 from y0 = 0 blows up at pi/2; certifying past it must fail.
     qc = QuadraticComparison(alpha=F(1), beta=F(1), x0=F(0), x1=F(2), y0=F(0))
-    sr = solution_range(qc)
+    sr = solution_range(qc, WIDTH, EXACT, frozen_flow(qc))
     assert not sr.valid
     assert "escape" in sr.diagnostics or "pi/2" in sr.diagnostics
 
 
 def test_blowup_close_to_pole_detected():
     qc = QuadraticComparison(alpha=F(1), beta=F(1), x0=F(0), x1=F(8, 5), y0=F(0))
-    sr = solution_range(qc)
+    sr = solution_range(qc, WIDTH, EXACT, frozen_flow(qc))
     assert not sr.valid
 
 
 def test_recheck_on_certified_range():
-    # adding the flow triggers the applicability re-run on [y0, U]
-    sr = solution_range(riccati_qc(), flow=riccati_flow())
+    # the flow's applicability is re-run on [y0, U]
+    sr = solution_range(riccati_qc(), WIDTH, EXACT, riccati_flow())
     assert sr.valid
     # a flow that straddles zero on the certified range fails the recheck
     f = parse_flow_expr("x^2 + y^2")
     qc = QuadraticComparison(alpha=F(1, 25), beta=F(1), x0=F(0), x1=F(1, 5), y0=F(0))
-    sr = solution_range(qc, flow=f)
+    sr = solution_range(qc, WIDTH, EXACT, f)
     assert not sr.valid
     assert "positivity" in sr.diagnostics
 
@@ -190,7 +199,7 @@ def test_oracle_stays_inside_range_on_grid():
         (riccati_flow(), riccati_qc(), F(1, 5), F(-1)),
         (quadratic_flow(), quadratic_qc(), F(2, 5), F(1)),
     ):
-        sr = solution_range(qc, flow=flow)
+        sr = solution_range(qc, WIDTH, EXACT, flow)
         assert sr.valid
         xs = [x1 * k / 20 for k in range(1, 21)]
         values = oracle.reference_grid(flow, qc.x0, y0, xs, F(1, 10**13))
@@ -204,7 +213,7 @@ def test_oracle_stays_inside_range_on_grid():
 
 def test_invalid_width_rejected():
     with pytest.raises(Exception):
-        solution_range(riccati_qc(), F(0))
+        solution_range(riccati_qc(), F(0), EXACT, riccati_flow())
 
 
 def test_qc_validation():

@@ -1,9 +1,9 @@
 """The shared-denominator integer kernel against the Fraction loops it replaced.
 
-`FlowExpr.eval_interval`, `FlowExpr.eval_exact` and `DerivativeChain.bounds`
-(with its point case `chain_values`, the reference for the Taylor-mode
-recurrence) evaluate on integer numerators over a common denominator and
-reduce once per result.  The references below are the monomial-wise
+`FlowExpr.eval_interval` (with its point case, every symbol bound to a
+rational) and `DerivativeChain.bounds` (with its point case `chain_values`,
+the reference for the Taylor-mode recurrence) evaluate on integer numerators
+over a common denominator and reduce once per result.  The references below are the monomial-wise
 `Fraction` loops they replaced, kept verbatim; every result must equal them
 exactly, with equal hashes and `Fraction` endpoints.
 """
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_values, riccati_flow
+from conftest import apply_rounding, chain_values, int_pow, riccati_flow
 from taylorcert import odexpr
 from taylorcert.certify import bound_derivatives
 from taylorcert.odexpr import (
@@ -63,7 +63,7 @@ def reference_eval_interval(expr: FlowExpr, env) -> RatInterval:
                 bound = _symbol_value(env, slot)
                 if not isinstance(bound, RatInterval):
                     bound = RatInterval.point(bound)
-                factor = factor * bound.int_pow(exp)
+                factor = factor * int_pow(bound, exp)
         total = total + factor.scale(coeff)
     return total
 
@@ -72,7 +72,7 @@ def reference_bounds(chain, xrange, yrange, rounding) -> list[RatInterval]:
     env = {"x": xrange, "y": yrange}
     bounds = []
     for k in range(1, len(chain) + 1):
-        bound = rounding.apply(reference_eval_interval(chain.expr_for_order(k), env))
+        bound = apply_rounding(rounding, reference_eval_interval(chain[k - 1], env))
         bounds.append(bound)
         env[symbol_name(k)] = bound
     return bounds
@@ -81,7 +81,7 @@ def reference_bounds(chain, xrange, yrange, rounding) -> list[RatInterval]:
 def reference_values(chain, x0, y0, n) -> list[Fraction]:
     env = {"x": as_rational(x0), "y": as_rational(y0)}
     for k in range(1, n + 1):
-        env[symbol_name(k)] = reference_eval_exact(chain.expr_for_order(k), env)
+        env[symbol_name(k)] = reference_eval_exact(chain[k - 1], env)
     return list(env.values())[2:]
 
 
@@ -153,7 +153,7 @@ def riccati_chain(n):
     return derivative_chain(riccati_flow(), n)
 
 
-# -- eval_interval and eval_exact ---------------------------------------------
+# -- eval_interval ------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,27 +175,25 @@ def test_eval_interval_accepts_rational_bindings(expr, env):
 @settings(max_examples=200, deadline=None)
 @given(polynomials(), boxes())
 def test_eval_exact_equals_fraction_loop(expr, env):
+    # Point bindings: the enclosure is the point of the exact value.
     points = {name: box.hi for name, box in env.items()}
-    assert_same_value(expr.eval_exact(points), reference_eval_exact(expr, points))
+    value = expr.eval_interval(points)
+    assert_same_value(value.lo, reference_eval_exact(expr, points))
+    assert value.hi == value.lo
 
 
 def test_zero_expression_evaluates_to_zero():
     assert_same_interval(FlowExpr.zero().eval_interval({}), RatInterval.point(0))
-    assert_same_value(FlowExpr.zero().eval_exact({}), F(0))
 
 
-@pytest.mark.parametrize(
-    "evaluate, reference",
-    [("eval_interval", reference_eval_interval), ("eval_exact", reference_eval_exact)],
-)
-def test_unbound_symbols_still_raise(evaluate, reference):
+def test_unbound_symbols_still_raise():
     expr = FlowExpr.monomial(F(2, 3), x_exp=1, derivs={0: 2, 2: 1})
     env = {"x": F(1, 2), "y": F(-1, 3)}
     with pytest.raises(ExprError, match="unbound symbol \"y''\""):
-        getattr(expr, evaluate)(env)
+        expr.eval_interval(env)
     # Symbols the expression does not mention need no binding.
     env["y''"] = F(5)
-    assert getattr(expr, evaluate)(env) == reference(expr, env)
+    assert expr.eval_interval(env) == reference_eval_interval(expr, env)
 
 
 # -- DerivativeChain.bounds and its point case ---------------------------------

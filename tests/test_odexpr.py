@@ -106,7 +106,7 @@ def test_flow_derivative_leibniz(e1, e2):
 
 def reference_flow_derivative(expr: FlowExpr) -> FlowExpr:
     """The defining formula d/dx + sum_j y^(j+1) * d/dy^(j), term by term."""
-    result = expr.partial_x()
+    result = expr.partial(0)
     for j in range(expr.order + 1):
         result = result + expr.partial(j + 1) * FlowExpr.y(j + 1)
     return result
@@ -165,7 +165,7 @@ def test_chain_top_expression_structure():
         + FlowExpr.monomial(F(9, 2), derivs={1: 1, 8: 1})
         + FlowExpr.monomial(F(1, 2), derivs={0: 1, 9: 1})
     )
-    assert chain.expr_for_order(10) == expected_top
+    assert chain[9] == expected_top
 
 
 def test_chain_of_length_one():
@@ -189,10 +189,31 @@ def test_chain_rejects_derivative_symbols():
         derivative_chain(FlowExpr.y(1), 2)
 
 
+def test_every_entry_point_rejects_derivative_symbols_alike():
+    from taylorcert import oracle
+    from taylorcert.certify import ProblemSpec
+    from taylorcert.comparison import extract_comparison
+
+    f = FlowExpr.y(0) + FlowExpr.y(1)
+    calls = [
+        lambda: ProblemSpec(f=f, x0=F(0), y0=F(0), degree=1, x1=F(1)),
+        lambda: extract_comparison(f, 0, 1, 0),
+        lambda: oracle.integrate_fixed(f, 0, 0, 1, 4),
+        lambda: oracle.reference_solution(f, 0, 0, 1),
+        lambda: oracle.reference_grid(f, 0, 0, [F(1, 2), F(1)]),
+        lambda: derivative_chain(f, 1),
+        lambda: taylor_coefficients(f, 0, 0, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ExprError) as info:
+            call()
+        assert str(info.value) == "right-hand side mentions derivative symbol y'"
+
+
 def test_chain_orders_stay_bounded():
     chain = derivative_chain(riccati_flow(), 9)
     for k in range(1, 11):
-        assert chain.expr_for_order(k).order <= k - 1
+        assert chain[k - 1].order <= k - 1
 
 
 def test_quadratic_chain_second_expression():
@@ -200,23 +221,30 @@ def test_quadratic_chain_second_expression():
     expected = FlowExpr.constant(F(1, 4)) + FlowExpr.monomial(
         F(1, 2), derivs={0: 1, 1: 1}
     )
-    assert chain.expr_for_order(2) == expected
+    assert chain[1] == expected
 
 
 # -- exact evaluation ----------------------------------------------------------
 
 
+def point_value(expr: FlowExpr, env) -> Fraction:
+    """The exact value under rational bindings: eval_interval's point."""
+    value = expr.eval_interval(env)
+    assert value.lo == value.hi
+    return value.lo
+
+
 def test_eval_exact_third_derivative():
     chain = derivative_chain(riccati_flow(), 2)
     env = {"x": F(0), "y": F(-1), "y'": F(1, 4), "y''": F(-1, 8)}
-    assert chain.expr_for_order(3).eval_exact(env) == F(67, 32)
+    assert point_value(chain[2], env) == F(67, 32)
 
 
 def test_eval_exact_top_of_chain():
     chain = derivative_chain(riccati_flow(), 9)
     env = {"x": F(0), "y": F(-1)}
     for order, value in enumerate(RICCATI_DERIVS, start=1):
-        assert chain.expr_for_order(order).eval_exact(env) == value
+        assert point_value(chain[order - 1], env) == value
         env[symbol_name(order)] = value
 
 
@@ -224,7 +252,7 @@ def test_eval_exact_fixed_binding_regression():
     # Pure-evaluation regression on a fixed environment for the top chain
     # expression; the bindings are historical tabulated values, not the
     # chain's own.
-    top = derivative_chain(riccati_flow(), 9).expr_for_order(10)
+    top = derivative_chain(riccati_flow(), 9)[9]
     env = {
         "x": F(0),
         "y": F(-1),
@@ -238,20 +266,20 @@ def test_eval_exact_fixed_binding_regression():
         "y^(8)": F(-119475, 2048),
         "y^(9)": F(725769, 4096),
     }
-    assert top.eval_exact(env) == F(-10509885, 16384)
+    assert point_value(top, env) == F(-10509885, 16384)
 
 
 def test_eval_exact_constant_and_unbound():
-    assert FlowExpr.constant(7).eval_exact({}) == 7
+    assert point_value(FlowExpr.constant(7), {}) == 7
     with pytest.raises(ExprError, match="y'"):
-        FlowExpr.y(1).eval_exact({"x": F(0), "y": F(1)})
+        FlowExpr.y(1).eval_interval({"x": F(0), "y": F(1)})
 
 
 def test_eval_interval_matches_exact_on_points():
     f = riccati_flow().flow_derivative()
     env_exact = {"x": F(1, 3), "y": F(-1, 2), "y'": F(1, 4)}
     env_interval = {k: RatInterval.point(v) for k, v in env_exact.items()}
-    assert f.eval_exact(env_exact) in f.eval_interval(env_interval)
+    assert point_value(f, env_exact) in f.eval_interval(env_interval)
 
 
 # -- Taylor coefficients --------------------------------------------------------
