@@ -24,10 +24,11 @@ from .ratcore import (
 
 @dataclass(frozen=True)
 class RadiusCertificate:
-    """Certified convergence-radius bound r1 * (1 - exp(-r2 / 2 M r1)).
+    """Certified convergence-radius bound r1 * (1 - exp(-q)), q = r2 / (2 M r1).
 
-    r_enclosure brackets the exact bound; r_floor is a short decimal at or
-    below the enclosure, convenient for reporting.
+    r_enclosure brackets the exact bound, or for q above the cap of
+    `convergence_radius` the smaller valid bound r1 * (1 - exp(-cap)); r_floor
+    is a short decimal at or below the enclosure, convenient for reporting.
     """
 
     r1: Fraction
@@ -83,12 +84,20 @@ def convergence_radius(
     M: RationalLike,
     width: RationalLike = DEFAULT_ENCLOSURE_WIDTH,
 ) -> RadiusCertificate:
-    """Certificate for the radius bound given box radii and magnitude bound."""
+    """Certificate for the radius bound given box radii and magnitude bound.
+
+    The exponent q = r2 / (2 M r1) is clamped to cap = max(1, bits(d) -
+    bits(n) + 1) for width / r1 = n / d, so 2**cap * n >= 2**bits(d) > d and
+    r1 * exp(-cap) < width.  For q > cap the enclosure brackets
+    r1 * (1 - exp(-cap)), a valid lower bound within width of the unclamped
+    one, and the exp series needs about cap terms however large q is.
+    """
     r1, r2, M = as_rational(r1), as_rational(r2), as_rational(M)
     if r1 <= 0 or r2 <= 0 or M <= 0:
         raise ValueError("r1, r2 and M must all be positive")
-    exponent = r2 / (2 * M * r1)
-    exp_enclosure = enclose_exp_neg(exponent, as_rational(width) / r1)
+    w = as_rational(width) / r1
+    cap = max(1, w.denominator.bit_length() - w.numerator.bit_length() + 1)
+    exp_enclosure = enclose_exp_neg(min(r2 / (2 * M * r1), cap), w)
     one = RatInterval.point(1)
     r_enclosure = (one - exp_enclosure).scale(r1)
     return RadiusCertificate(

@@ -56,6 +56,15 @@ _REQUIRED_KEYS = ("f", "x0", "y0", "degree", "x1")
 _KNOWN_KEYS = _REQUIRED_KEYS + ("r1", "r2", "rounding", "width")
 
 
+def _parsed(label: str, parse, value):
+    """parse(value), with the ValueError or ZeroDivisionError it raises for bad
+    outside input turned into an InputError that starts with label."""
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{label}: {exc}") from exc
+
+
 def _strip_quotes(value: str) -> str:
     value = value.strip()
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
@@ -88,22 +97,16 @@ def parse_problem(text: str) -> ProblemSpec:
         if key not in entries:
             raise InputError(f"missing required key {key!r}")
 
-    def rational_field(key: str) -> Fraction:
+    def field(key: str, parse=as_rational):
         value, lineno = entries[key]
-        try:
-            return as_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"line {lineno}: field {key!r}: {exc}") from exc
+        return _parsed(f"line {lineno}: field {key!r}", parse, value)
 
     f_text, f_line = entries["f"]
-    try:
-        flow = parse_flow_expr(f_text)
-    except ValueError as exc:  # ExprParseError, or a literal over the int digit limit
-        raise InputError(f"field 'f' (line {f_line}): {exc}") from exc
+    flow = _parsed(f"field 'f' (line {f_line})", parse_flow_expr, f_text)
 
-    x0 = rational_field("x0")
-    y0 = rational_field("y0")
-    x1 = rational_field("x1")
+    x0 = field("x0")
+    y0 = field("y0")
+    x1 = field("x1")
 
     degree_text, degree_line = entries["degree"]
     try:
@@ -120,7 +123,7 @@ def parse_problem(text: str) -> ProblemSpec:
     if x1 <= x0:
         raise InputError(f"field 'x1': must exceed x0 = {x0}, got {x1}")
 
-    r1, r2 = (rational_field(k) if k in entries else Fraction(1) for k in ("r1", "r2"))
+    r1, r2 = (field(k) if k in entries else Fraction(1) for k in ("r1", "r2"))
     missing = [k for k in ("r1", "r2") if k not in entries]
     notes = []
     if len(missing) == 2:
@@ -131,15 +134,11 @@ def parse_problem(text: str) -> ProblemSpec:
         raise InputError("fields 'r1'/'r2': box radii must be positive")
 
     if "rounding" in entries:
-        value, lineno = entries["rounding"]
-        try:
-            rounding = DecimalRounding.parse(value)
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: field 'rounding': {exc}") from exc
+        rounding = field("rounding", DecimalRounding.parse)
     else:
         rounding = DecimalRounding.exact()
 
-    width = rational_field("width") if "width" in entries else DEFAULT_ENCLOSURE_WIDTH
+    width = field("width") if "width" in entries else DEFAULT_ENCLOSURE_WIDTH
     if width <= 0:
         raise InputError("field 'width': enclosure width must be positive")
 
@@ -160,10 +159,7 @@ def parse_problem(text: str) -> ProblemSpec:
 def parse_poly_file(text: str) -> list[Fraction]:
     """Parse a polynomial in x (restricted expression form) to coefficients."""
     stripped = " ".join(line.split("#", 1)[0] for line in text.splitlines())
-    try:
-        expr = parse_flow_expr(stripped)
-    except ValueError as exc:  # ExprParseError, or a literal over the int digit limit
-        raise InputError(f"polynomial file: {exc}") from exc
+    expr = _parsed("polynomial file", parse_flow_expr, stripped)
     if expr.order >= 0:
         raise InputError("polynomial file: only the variable x is allowed")
     coeffs: list[Fraction] = []
@@ -353,15 +349,10 @@ def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
     spec = parse_problem(text)
     overrides = {}
     if getattr(args, "rounding", None) is not None:
-        try:
-            overrides["rounding"] = DecimalRounding.parse(args.rounding)
-        except ValueError as exc:
-            raise InputError(f"--rounding: {exc}") from exc
+        rounding = _parsed("--rounding", DecimalRounding.parse, args.rounding)
+        overrides["rounding"] = rounding
     if getattr(args, "width", None) is not None:
-        try:
-            width = as_rational(args.width)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"--width: {exc}") from exc
+        width = _parsed("--width", as_rational, args.width)
         if width <= 0:
             raise InputError("--width: enclosure width must be positive")
         overrides["enclosure_width"] = width
@@ -484,15 +475,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from . import oracle
 
     p = _load_problem(args.problem, args)
-    try:
-        at = as_rational(args.at)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"--at: {exc}") from exc
-    try:
-        tol = as_rational(args.tol)
-        oracle.check_tol(tol)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"--tol: {exc}") from exc
+    at = _parsed("--at", as_rational, args.at)
+    tol = _parsed("--tol", as_rational, args.tol)
+    _parsed("--tol", oracle.check_tol, tol)
     if at < p.x0:
         raise InputError("evaluation point precedes x0")
     ref = oracle.reference_solution(p.f, p.x0, p.y0, at, tol)

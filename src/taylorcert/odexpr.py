@@ -28,6 +28,7 @@ from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .ratcore import (
+    MAX_LITERAL_DIGITS,
     DecimalRounding,
     RatInterval,
     RationalLike,
@@ -528,150 +529,110 @@ def derivative_values(
 # factor := NUMBER | 'x' ['^' INT] | 'y' ['^' INT]
 # NUMBER := INT | INT '/' INT | DECIMAL          (parsed exactly)
 #
-# Derivative symbols never appear in user input.
+# Derivative symbols never appear in user input.  A NUMBER has at most
+# MAX_LITERAL_DIGITS digits, numerator and denominator together, and so does
+# an exponent.
 
 _MAX_EXPONENT = 64
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _position(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        last_nl = self.text.rfind("\n", 0, pos)
-        return line, pos - last_nl
-
-    def error(self, message: str, pos: int | None = None) -> ExprParseError:
-        line, col = self._position(self.pos if pos is None else pos)
-        return ExprParseError(message, line, col)
-
-    def tokens(self) -> list[tuple[str, str, int]]:
-        out = []
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-                continue
-            start = self.pos
-            if ch in "+-*^/()":
-                out.append(("op", ch, start))
-                self.pos += 1
-            elif ch.isdigit():
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self.pos += 1
-                if self.pos < len(text) and text[self.pos] == ".":
-                    self.pos += 1
-                    if self.pos >= len(text) or not text[self.pos].isdigit():
-                        raise self.error("decimal point must be followed by digits")
-                    while self.pos < len(text) and text[self.pos].isdigit():
-                        self.pos += 1
-                out.append(("number", text[start : self.pos], start))
-            elif ch.isalpha():
-                while self.pos < len(text) and text[self.pos].isalnum():
-                    self.pos += 1
-                out.append(("name", text[start : self.pos], start))
-            else:
-                raise self.error(f"unsupported character {ch!r}")
-        out.append(("end", "", len(text)))
-        return out
+def _error(text: str, message: str, pos: int) -> ExprParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ExprParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokenizer = _Tokenizer(text)
-        self.toks = self.tokenizer.tokens()
-        self.idx = 0
+def _check_digits(text: str, digits: int, pos: int) -> None:
+    if digits > MAX_LITERAL_DIGITS:
+        message = f"literal has {digits} digits, limit {MAX_LITERAL_DIGITS}"
+        raise _error(text, message, pos)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.idx]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.toks[self.idx]
-        self.idx += 1
-        return tok
+def _skip(text: str, pos: int, accept) -> int:
+    while pos < len(text) and accept(text[pos]):
+        pos += 1
+    return pos
 
-    def error(self, message: str, pos: int) -> ExprParseError:
-        return self.tokenizer.error(message, pos)
 
-    def parse(self) -> FlowExpr:
-        expr = FlowExpr.zero()
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            self.advance()
-        elif kind == "end":
-            raise self.error("empty expression", pos)
-        while True:
-            term = self.parse_term()
-            expr = expr + (term.scale(-1) if sign < 0 else term)
-            kind, value, pos = self.peek()
-            if kind == "end":
-                return expr
-            if kind == "op" and value in "+-":
-                sign = -1 if value == "-" else 1
-                self.advance()
-                continue
-            raise self.error(f"expected '+' or '-' before {value!r}", pos)
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """All (token, offset) pairs of text, then ("", len(text)) for the end.
 
-    def parse_term(self) -> FlowExpr:
-        term = self.parse_factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                term = term * self.parse_factor()
-            else:
-                return term
-
-    def parse_factor(self) -> FlowExpr:
-        kind, value, pos = self.advance()
-        if kind == "number":
-            return FlowExpr.constant(self.parse_number(value, pos))
-        if kind == "name":
-            if value not in ("x", "y"):
-                raise self.error(
-                    f"unsupported token {value!r} (only x, y and rational "
-                    f"constants; no function calls or parentheses)",
-                    pos,
-                )
-            exp = self.parse_exponent()
-            if value == "x":
-                return FlowExpr.monomial(1, x_exp=exp)
-            return FlowExpr.monomial(1, derivs={0: exp})
-        raise self.error(f"expected a factor, found {value!r}", pos)
-
-    def parse_number(self, text: str, pos: int) -> Fraction:
-        kind, value, slash_pos = self.peek()
-        if kind == "op" and value == "/":
-            if "." in text:
-                raise self.error("ratio parts must be integers", slash_pos)
-            self.advance()
-            kind, denom, dpos = self.advance()
-            if kind != "number" or "." in denom:
-                raise self.error("expected an integer denominator", dpos)
-            if int(denom) == 0:
-                raise self.error("zero denominator", dpos)
-            return Fraction(int(text), int(denom))
-        return Fraction(text)
-
-    def parse_exponent(self) -> int:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.advance()
-            if kind != "number" or "." in value or "/" in value:
-                raise self.error("exponent must be a nonnegative integer", pos)
-            exp = int(value)
-            if exp > _MAX_EXPONENT:
-                raise self.error(f"exponent {exp} exceeds limit {_MAX_EXPONENT}", pos)
-            return exp
-        return 1
+    A token is an operator, a number (its first character a digit) or a name
+    (a letter).  Eager, so a bad character anywhere wins over any grammar
+    error before it.
+    """
+    out, pos = [], 0
+    while pos < len(text):
+        start, ch = pos, text[pos]
+        pos += 1
+        if ch.isdigit():
+            pos = _skip(text, pos, str.isdigit)
+            if text.startswith(".", pos):
+                pos += 1
+                if not text[pos : pos + 1].isdigit():
+                    raise _error(text, "decimal point must be followed by digits", pos)
+                pos = _skip(text, pos, str.isdigit)
+        elif ch.isalpha():
+            pos = _skip(text, pos, str.isalnum)
+        elif ch.isspace():
+            continue
+        elif ch not in "+-*^/()":
+            raise _error(text, f"unsupported character {ch!r}", start)
+        out.append((text[start:pos], start))
+    return out + [("", len(text))] * 3  # a factor looks two tokens ahead
 
 
 def parse_flow_expr(text: str) -> FlowExpr:
     """Parse the restricted text form (terms c * x^i * y^j over + and -)."""
-    return _Parser(text).parse()
+    toks = _tokens(text)
+    tok, pos = toks[0]
+    if not tok:
+        raise _error(text, "empty expression", pos)
+    i, negative = (1 if tok in ("+", "-") else 0), tok == "-"
+    expr, term = FlowExpr.zero(), None
+    while True:
+        (tok, pos), (op, op_pos), (arg, arg_pos) = toks[i : i + 3]
+        i += 1
+        if tok[:1].isdigit() and op == "/":
+            if "." in tok:
+                raise _error(text, "ratio parts must be integers", op_pos)
+            if not arg[:1].isdigit() or "." in arg:
+                raise _error(text, "expected an integer denominator", arg_pos)
+            _check_digits(text, len(tok) + len(arg), pos)
+            if int(arg) == 0:
+                raise _error(text, "zero denominator", arg_pos)
+            factor, i = FlowExpr.constant(Fraction(int(tok), int(arg))), i + 2
+        elif tok[:1].isdigit():
+            _check_digits(text, len(tok) - ("." in tok), pos)
+            factor = FlowExpr.constant(Fraction(tok))
+        elif tok in ("x", "y"):
+            exp = 1
+            if op == "^":
+                if not arg[:1].isdigit() or "." in arg:
+                    message = "exponent must be a nonnegative integer"
+                    raise _error(text, message, arg_pos)
+                _check_digits(text, len(arg), arg_pos)
+                exp, i = int(arg), i + 2
+                if exp > _MAX_EXPONENT:
+                    message = f"exponent {exp} exceeds limit {_MAX_EXPONENT}"
+                    raise _error(text, message, arg_pos)
+            factor = FlowExpr({(exp,) if tok == "x" else (0, exp): 1})
+        elif tok[:1].isalpha():
+            raise _error(
+                text,
+                f"unsupported token {tok!r} (only x, y and rational constants; "
+                f"no function calls or parentheses)",
+                pos,
+            )
+        else:
+            raise _error(text, f"expected a factor, found {tok!r}", pos)
+        term = factor if term is None else term * factor
+        tok, pos = toks[i]
+        i += 1
+        if tok == "*":
+            continue
+        expr = expr + (-term if negative else term)
+        if not tok:
+            return expr
+        if tok not in ("+", "-"):
+            raise _error(text, f"expected '+' or '-' before {tok!r}", pos)
+        negative, term = tok == "-", None

@@ -38,6 +38,9 @@ RationalLike = Union[Fraction, int, str]
 #: Default width for elementary-function enclosures.
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10**12)
 
+#: Most digits a rational literal may have, numerator and denominator together.
+MAX_LITERAL_DIGITS = 100
+
 
 class EnclosureError(ValueError):
     """Raised when an enclosure is requested outside its certified domain."""
@@ -47,7 +50,9 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce int/str/Fraction to an exact Fraction; floats are rejected.
 
     Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25", parsed
-    exactly).
+    exactly), of at most MAX_LITERAL_DIGITS digits: exponent ("1e-3") and
+    underscore ("1_000") forms, which would let a short string stand for a
+    huge number, are rejected.
     """
     if isinstance(value, bool):
         raise TypeError("cannot convert bool to exact rational")
@@ -58,7 +63,14 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a string or Fraction")
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        digits = sum(map(str.isdigit, text))
+        if digits > MAX_LITERAL_DIGITS:
+            message = f"literal has {digits} digits, limit {MAX_LITERAL_DIGITS}"
+            raise ValueError(message)
+        if any(ch in "eE_" for ch in text):
+            raise ValueError(f"expected an integer, p/q or decimal, got {text!r}")
+        return Fraction(text)
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
 
 
@@ -214,29 +226,27 @@ def _ordered(lo: Fraction, hi: Fraction) -> RatInterval:
 
 @dataclass(frozen=True)
 class DecimalRounding:
-    """Either the identity ("exact") or outward rounding to `places` decimals.
+    """Either the identity (places None, "exact") or outward rounding to
+    `places` decimals.
 
     Outward rounding only ever widens an interval, so applying it anywhere in
     a chain of sound interval computations preserves soundness.  places is at
     most 1000, well below CPython's 4,300-digit int->str limit.
     """
 
-    mode: str  # "exact" | "outward"
-    places: int = 0
+    places: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "outward"):
-            raise ValueError(f"unknown rounding mode {self.mode!r}")
-        if self.mode == "outward" and not 0 <= self.places <= 1000:
+        if self.places is not None and not 0 <= self.places <= 1000:
             raise ValueError("outward rounding needs 0 <= places <= 1000")
 
     @classmethod
     def exact(cls) -> "DecimalRounding":
-        return cls("exact")
+        return cls()
 
     @classmethod
     def outward(cls, places: int) -> "DecimalRounding":
-        return cls("outward", places)
+        return cls(places)
 
     @classmethod
     def parse(cls, text: str) -> "DecimalRounding":
@@ -249,7 +259,7 @@ class DecimalRounding:
 
     @property
     def is_exact(self) -> bool:
-        return self.mode == "exact"
+        return self.places is None
 
     def scaled_floor(self, num: int, den: int) -> int:
         """Numerator over 10**places of num / den rounded down, den > 0 and

@@ -82,6 +82,19 @@ def test_tiny_radius_floor_stays_positive():
     assert 0 < rc.r_floor <= rc.r_enclosure.lo
 
 
+def test_huge_exponent_is_clamped_within_width():
+    # q = r2 / (2 M r1) = 5 * 10**8 would take the exp series some 10**9 terms;
+    # clamped, the enclosure stays below r1 and within 2 width of it.
+    r1, width = F(1, 10**6), F(1, 10**12)
+    rc = convergence_radius(r1, 1000, 1, width)
+    assert rc.r_enclosure.hi < r1
+    assert rc.r_enclosure.lo >= r1 - 2 * width
+    for w in (F(1), F(3, 10), F(7, 1000)):  # cap 1, 2 or 3, near 1/w's bit length
+        rc = convergence_radius(1, 10**6, 1, w)
+        assert rc.r_enclosure.hi < 1
+        assert rc.r_enclosure.lo >= 1 - 2 * w
+
+
 def test_certificate_invariants_enforced():
     with pytest.raises(ValueError):
         RadiusCertificate(

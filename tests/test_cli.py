@@ -264,7 +264,11 @@ def test_unexpected_exception_exits_3(problem_file, capsys, monkeypatch):
         ("0", ["radius"], "input error: f = 0: the radius bound needs"),
         ("0", ["certify"], "input error: f = 0: the radius bound needs"),
         ("0", ["check-poly", "--poly", "POLY"], "input error: f = 0: the radius"),
-        ("9" * 5000 + "*x + y^2", ["coeffs"], "input error: field 'f' (line 1): Exceeds"),
+        (
+            "9" * 5000 + "*x + y^2",
+            ["coeffs"],
+            "input error: field 'f' (line 1): line 1, column 1: literal has 5000 digits",
+        ),
     ],
 )
 def test_input_faults_found_late_stay_input_errors(tmp_path, capsys, f, argv, message):
@@ -302,7 +306,8 @@ def test_outward_places_at_cap_certify_degree_60(problem_file, tmp_path, capsys)
 
 
 def test_poly_literal_over_digit_limit_is_an_input_error():
-    with pytest.raises(InputError, match="polynomial file: Exceeds the limit"):
+    message = "polynomial file: line 1, column 1: literal has 5000 digits, limit 100"
+    with pytest.raises(InputError, match=message):
         parse_poly_file("1" * 5000 + " + x")
 
 
@@ -367,23 +372,64 @@ def test_empty_overrides_are_input_errors(problem_file, capsys, flag):
     assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
 
 
-def test_degree_over_cap_is_refused_at_once(problem_file):
-    # Degree 5000 once ran past a 10 s timeout in `coeffs`.
-    problem_file.write_text(PROBLEM_TEXT.replace("degree = 9", "degree = 5000"))
+def run_child(*argv: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "taylorcert.cli", "coeffs", str(problem_file)],
+    return subprocess.run(
+        [sys.executable, "-m", "taylorcert.cli", *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=5,
     )
+
+
+def test_degree_over_cap_is_refused_at_once(problem_file):
+    # Degree 5000 once ran past a 10 s timeout in `coeffs`.
+    problem_file.write_text(PROBLEM_TEXT.replace("degree = 9", "degree = 5000"))
+    proc = run_child("coeffs", str(problem_file))
     assert proc.returncode == 1
     assert proc.stderr == (
         f"input error: line 5: field 'degree' must be in [0, {MAX_DEGREE}], got 5000\n"
     )
     spec = parse_problem(PROBLEM_TEXT.replace("degree = 9", f"degree = {MAX_DEGREE}"))
     assert spec.degree == MAX_DEGREE
+
+
+def test_huge_radius_exponent_finishes(tmp_path):
+    # r2 / (2 M r1) = 5 * 10**8 once ran both commands past a 10 s timeout.
+    prob = tmp_path / "exponent.prob"
+    prob.write_text(
+        'f = "1"\nx0 = "0"\ny0 = "0"\ndegree = 3\nx1 = "1/1000000000"\n'
+        'r1 = "1/1000000"\nr2 = "1000"\n'
+    )
+    proc = run_child("radius", str(prob))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("r >= 0.0000009")
+    proc = run_child("certify", str(prob), "--no-sanity")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("certification failed: [comparison]")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # Each ran past a 30 s timeout, or for 27 s before exiting 3.
+        ('x1 = "1/5"', 'x1 = "1/' + "7" * 4000 + '"', "line 6: field 'x1': "
+         "literal has 4001 digits, limit 100"),
+        ('x1 = "1/5"', 'x1 = "1e-3000"', "line 6: field 'x1': "
+         "expected an integer, p/q or decimal, got '1e-3000'"),
+        ('rounding = "exact"', 'width = "1e-20000"', "line 9: field 'width': "
+         "expected an integer, p/q or decimal, got '1e-20000'"),
+    ],
+    ids=["long-ratio", "exponent", "exponent-width"],
+)
+def test_hostile_literals_are_refused_at_once(problem_file, old, new, message):
+    text = PROBLEM_TEXT.replace(old, new)
+    if old.startswith("x1"):
+        text = text.replace("degree = 9", "degree = 40")
+    problem_file.write_text(text)
+    proc = run_child("certify", str(problem_file), "--no-sanity")
+    assert (proc.returncode, proc.stderr) == (1, f"input error: {message}\n")
 
 
 def test_positivity_failure_exit_code(tmp_path, capsys):

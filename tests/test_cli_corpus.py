@@ -101,25 +101,27 @@ def problem_text(overrides: dict, extra: str = "") -> str:
 def cases() -> dict[str, tuple[list[str], str, str]]:
     """Case id -> (argv, problem text, polynomial text)."""
     out = {}
-    good = problem_text({})
+    good, poly = problem_text({}), "1 + x"
     for key, values in FIELD_FAULTS.items():
         for value in values:
             for name, argv in COMMANDS.items():
-                out[f"{name} {key}={value!r}"] = (argv, problem_text({key: value}), "1 + x")
+                bad = problem_text({key: value})
+                out[f"{name} {key}={value!r}"] = (argv, bad, poly)
     for label, overrides in STRUCTURE_FAULTS.items():
-        out[f"radius {label}"] = (COMMANDS["radius"], problem_text(overrides), "1 + x")
+        out[f"radius {label}"] = (COMMANDS["radius"], problem_text(overrides), poly)
     for label, extra in EXTRA_LINES.items():
-        out[f"coeffs {label}"] = (COMMANDS["coeffs"], problem_text({}, extra), "1 + x")
+        out[f"coeffs {label}"] = (COMMANDS["coeffs"], problem_text({}, extra), poly)
     for flag, values in FLAG_FAULTS.items():
         for value in values:
             for name, argv in COMMANDS.items():
-                out[f"{name} {flag}={value!r}"] = ([*argv, f"{flag}={value}"], good, "1 + x")
+                flagged = [*argv, f"{flag}={value}"]
+                out[f"{name} {flag}={value!r}"] = (flagged, good, poly)
     for extra in ORACLE_FAULTS:
-        out[f"oracle {' '.join(extra)}"] = ([*COMMANDS["oracle"], *extra], good, "1 + x")
-    for poly in POLY_FAULTS:
-        out[f"check-poly poly={poly!r}"] = (COMMANDS["check-poly"], good, poly)
+        out[f"oracle {' '.join(extra)}"] = ([*COMMANDS["oracle"], *extra], good, poly)
+    for text in POLY_FAULTS:
+        out[f"check-poly poly={text!r}"] = (COMMANDS["check-poly"], good, text)
     for argv in ARGV_FAULTS:
-        out[f"argv {' '.join(argv)!r}"] = (argv, good, "1 + x")
+        out[f"argv {' '.join(argv)!r}"] = (argv, good, poly)
     return out
 
 
@@ -139,4 +141,5 @@ def test_cli_corpus_matches_recorded_outputs(tmp_path, capsys):
         case: run_case(tmp_path, *inputs, capsys) for case, inputs in cases().items()
     }
     assert sorted(actual) == sorted(expected)
-    assert {case: actual[case] for case in expected if actual[case] != expected[case]} == {}
+    changed = {case: got for case, got in actual.items() if got != expected[case]}
+    assert changed == {}

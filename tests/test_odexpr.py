@@ -416,6 +416,24 @@ def test_parse_errors_carry_position():
         parse_flow_expr("x^y")
 
 
+def test_parse_digit_budget():
+    # A number and its denominator count together; so does an exponent.
+    assert parse_flow_expr("1" * 50 + "/" + "3" * 50 + "*x") == FlowExpr.monomial(
+        F(int("1" * 50), int("3" * 50)), x_exp=1
+    )
+    assert parse_flow_expr("0." + "0" * 98 + "1") == FlowExpr.constant(F(1, 10**99))
+    for text, column in [
+        ("x + " + "1" * 50 + "/" + "3" * 51, 5),
+        ("x + 0." + "0" * 99 + "1", 5),
+        ("x^" + "0" * 101, 3),
+    ]:
+        with pytest.raises(ExprParseError, match=f"column {column}: literal has 101 "):
+            parse_flow_expr(text)
+    # Counted before the zero test, which would convert the 5,000 digits.
+    with pytest.raises(ExprParseError, match="column 1: literal has 5001 digits"):
+        parse_flow_expr("1" * 5000 + "/0")
+
+
 def test_parse_rejects_unknown_operators():
     with pytest.raises(ExprParseError):
         parse_flow_expr("x @ y")

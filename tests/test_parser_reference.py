@@ -207,11 +207,8 @@ numbers = st.one_of(
     st.tuples(integers, integers).map("/".join),
     st.tuples(integers, st.integers(0, 10**20)).map(lambda p: f"{p[0]}.{p[1]}"),
 )
-factors = st.one_of(
-    numbers,
-    st.tuples(st.sampled_from(["x", "y"]), st.sampled_from(["", "^0", "^1", "^3", "^64"]))
-    .map("".join),
-)
+powers = st.tuples(st.sampled_from("xy"), st.sampled_from(["", "^0", "^3", "^64"]))
+factors = st.one_of(numbers, powers.map("".join))
 terms = st.lists(factors, min_size=1, max_size=4).map("*".join)
 spaces = st.sampled_from(["", " ", "\n", " \n "])
 sums = st.lists(st.tuples(st.sampled_from(["+", "-", ""]), spaces, terms), min_size=1,

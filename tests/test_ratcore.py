@@ -1,5 +1,6 @@
 """Interval arithmetic and certified elementary enclosures."""
 
+from dataclasses import fields
 from fractions import Fraction
 import math
 from math import isqrt
@@ -49,6 +50,23 @@ def test_as_rational_forms():
     assert as_rational("0.2") == F(1, 5)
     assert as_rational("-7") == F(-7)
     assert as_rational(F(2, 6)) == F(1, 3)
+
+
+def test_as_rational_digit_budget():
+    # Counted over numerator and denominator together, decimals included.
+    assert as_rational("1/" + "9" * 99) == F(1, 10**99 - 1)
+    assert as_rational("0." + "0" * 98 + "1") == F(1, 10**99)
+    assert as_rational("7" * 100) == int("7" * 100)
+    for text in ["1/" + "9" * 100, "0." + "0" * 99 + "1", "7" * 101]:
+        with pytest.raises(ValueError, match="literal has 101 digits, limit 100"):
+            as_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e-3000", "1E5", "2.5e-1", "1_000", "1/1_0"])
+def test_as_rational_rejects_exponent_and_underscore_forms(text):
+    # Fraction accepts these, and "1e-3000" is a 3,001-digit denominator.
+    with pytest.raises(ValueError, match="expected an integer, p/q or decimal"):
+        as_rational(text)
 
 
 def test_as_rational_rejects_floats_and_bools():
@@ -363,6 +381,16 @@ def test_rounding_parse():
     assert DecimalRounding.parse("outward:2") == DecimalRounding.outward(2)
     with pytest.raises(ValueError):
         DecimalRounding.parse("inward:2")
+
+
+def test_rounding_has_one_field():
+    # places None is exact, so there is one exact value and no other mode.
+    assert [f.name for f in fields(DecimalRounding)] == ["places"]
+    exact = DecimalRounding.parse("exact")
+    assert DecimalRounding() == DecimalRounding.exact() == exact
+    assert DecimalRounding(7) == DecimalRounding.outward(7)
+    assert str(DecimalRounding.outward(7)) == "outward:7"
+    assert not DecimalRounding.outward(0).is_exact
 
 
 @pytest.mark.parametrize("places", [-1, 1001, 20000])
