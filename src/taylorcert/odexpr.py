@@ -554,7 +554,7 @@ def _skip(text: str, pos: int, accept) -> int:
 
 
 def _tokens(text: str) -> list[tuple[str, int]]:
-    """All (token, offset) pairs of text, then ("", len(text)) for the end.
+    """All (token, offset) pairs of text, then end markers ("", len(text)).
 
     A token is an operator, a number (its first character a digit) or a name
     (a letter).  Eager, so a bad character anywhere wins over any grammar
