@@ -21,6 +21,7 @@ from .ratcore import (
     HALF_PI_LOWER,
     RatInterval,
     RationalLike,
+    _check_width,
     as_rational,
     enclose_sqrt,
     enclose_tan,
@@ -42,7 +43,7 @@ class ApplicabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticComparison:
-    """The frozen right-hand side f(x1, y) = alpha + beta * y^2 on [x0, x1]."""
+    """f(x1, y) = alpha + beta * y^2 frozen on [x0, x1]: alpha, beta > 0, x1 > x0."""
 
     alpha: Fraction
     beta: Fraction
@@ -53,8 +54,8 @@ class QuadraticComparison:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.beta <= 0:
             raise ComparisonFormError("alpha and beta must be positive")
-        if self.x1 < self.x0:
-            raise ValueError("x1 must not precede x0")
+        if self.x1 <= self.x0:
+            raise ValueError("x1 must exceed x0")
 
 
 @dataclass(frozen=True)
@@ -160,26 +161,17 @@ def solution_range(
     """Certified range [y0, U] of the solution of y' = flow over [x0, x1].
 
     U encloses the tangent-addition value (s*t + y0) / (1 - t*y0/s), to a
-    width of at most `width`, computed entirely with certified enclosures and
-    outward interval division.  The certificate is refused (valid=False) if
-    the comparison solution blows up before x1 (denominator not certifiably
-    positive) or if the comparison hypotheses for `flow`, from which `qc` was
-    extracted, fail on [x0, x1] x [y0, U].
+    width of at most `width`, from certified enclosures and outward interval
+    division; a round that fails to certify s > 0, denominator > 0 or that
+    width retries with 16 times finer series, up to 60 rounds.  The
+    certificate is refused (valid=False) if the comparison solution blows up
+    before x1 (denominator not certifiably positive) or if the comparison
+    hypotheses for `flow`, which `qc` was extracted from, fail on the box.
 
     The reported upper endpoint is widened per `rounding`; the tight enclosure
     is always retained alongside.
     """
-    width = as_rational(width)
-    if width <= 0:
-        raise EnclosureError("enclosure width must be positive")
-    if qc.x1 == qc.x0:
-        return SolutionRange(
-            range=RatInterval.point(qc.y0),
-            valid=True,
-            diagnostics="degenerate interval: x1 = x0",
-            tight_upper=RatInterval.point(qc.y0),
-        )
-
+    width = _check_width(width)
     dx = qc.x1 - qc.x0
     component_width = width / 8
     for _ in range(60):
@@ -196,25 +188,19 @@ def solution_range(
             t_enc = enclose_tan(theta, component_width)
         except EnclosureError as exc:
             return _invalid(qc.y0, f"tangent enclosure failed: {exc}")
-        if s_enc.lo <= 0:
-            component_width /= 16
-            continue
-        denominator = RatInterval.point(1) - t_enc * RatInterval.point(qc.y0) / s_enc
-        if denominator.lo <= 0:
-            if denominator.hi <= 0 or component_width <= width / 2**40:
+        if s_enc.lo > 0:
+            denominator = RatInterval.point(1) - t_enc * RatInterval.point(qc.y0) / s_enc
+            if denominator.lo > 0:
+                upper = (s_enc * t_enc + RatInterval.point(qc.y0)) / denominator
+                if upper.width <= width:
+                    break
+            elif denominator.hi <= 0 or component_width <= width / 2**40:
                 return _invalid(
                     qc.y0,
                     f"denominator 1 - t*y0/s = {denominator} not certifiably "
                     f"positive: comparison solution escapes before x1 = {qc.x1}",
                 )
-            component_width /= 16
-            continue
-        numerator = s_enc * t_enc + RatInterval.point(qc.y0)
-        upper = numerator / denominator
-        if upper.width > width:
-            component_width /= 16
-            continue
-        break
+        component_width /= 16
     else:
         return _invalid(qc.y0, "enclosure width target unreachable")
 

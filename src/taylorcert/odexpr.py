@@ -120,14 +120,6 @@ class FlowExpr:
         return cls({(): as_rational(value)})
 
     @classmethod
-    def x(cls) -> "FlowExpr":
-        return cls({(1,): Fraction(1)})
-
-    @classmethod
-    def y(cls, order: int = 0) -> "FlowExpr":
-        return cls.monomial(1, derivs={order: 1})
-
-    @classmethod
     def monomial(
         cls, coeff: RationalLike, x_exp: int = 0, derivs: Mapping[int, int] | None = None
     ) -> "FlowExpr":
@@ -179,9 +171,6 @@ class FlowExpr:
 
     def __neg__(self) -> "FlowExpr":
         return _normalised({key: -n for key, n in self._num.items()}, self._den)
-
-    def scale(self, factor: RationalLike) -> "FlowExpr":
-        return self * FlowExpr.constant(factor)
 
     def __mul__(self, other: "FlowExpr") -> "FlowExpr":
         num: dict[SparseKey, int] = {}

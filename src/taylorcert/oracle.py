@@ -89,26 +89,12 @@ def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
     return y
 
 
-def integrate_fixed(
-    f: FlowExpr,
-    x0: RationalLike,
-    y0: RationalLike,
-    x: RationalLike,
-    steps: int,
-) -> mp.mpf:
-    """Classical one-step 4th-order integration with a fixed step count."""
-    _require_xy(f)
-    with mp.workdps(ORACLE_DPS):
-        return _rk4_fixed(_compile_flow(f), to_mpf(x0), to_mpf(y0), to_mpf(x), steps)
-
-
 def reference_solution(
     f: FlowExpr,
     x0: RationalLike,
     y0: RationalLike,
     x: RationalLike,
     tol: RationalLike = Fraction(1, 10**15),
-    max_doublings: int = 22,
 ) -> ReferenceValue:
     """Integrator value of y(x), halving the step until stable within tol."""
     _require_xy(f)
@@ -118,7 +104,7 @@ def reference_solution(
         raise ValueError("evaluation point precedes x0")
     if x == x0:
         return ReferenceValue(to_mpf(y0), mp.mpf(0), "integrator")
-    (value,), diff = _integrate(f, x0, y0, [x], tol, 16, max_doublings)
+    (value,), diff = _integrate(f, x0, y0, [x], tol, 16, 22)
     return ReferenceValue(value, diff, "integrator")
 
 
@@ -128,7 +114,6 @@ def reference_grid(
     y0: RationalLike,
     xs: list[Fraction],
     tol: RationalLike = Fraction(1, 10**15),
-    max_doublings: int = 18,
 ) -> list[mp.mpf]:
     """Integrator values at increasing grid points, sharing one trajectory.
 
@@ -143,7 +128,7 @@ def reference_grid(
         raise ValueError("grid points must be strictly increasing")
     if as_rational(xs[0]) < as_rational(x0):
         raise ValueError("grid starts before x0")
-    return _integrate(f, x0, y0, xs, tol, 4, max_doublings)[0]
+    return _integrate(f, x0, y0, xs, tol, 4, 18)[0]
 
 
 def _integrate(
@@ -211,9 +196,7 @@ def _bessel_series(nu: mp.mpf, z: mp.mpf, terms: int):
     return total, rel_tail
 
 
-def riccati_exact(
-    x: RationalLike, terms: int = 40, rel_tol: mp.mpf = mp.mpf("1e-13")
-) -> ReferenceValue:
+def riccati_exact(x: RationalLike) -> ReferenceValue:
     """Closed-form value of the solution of y' = x^2 + y^2/4, y(0) = -1.
 
     The substitution y = -4 w'/w linearizes the flow to w'' + (x^2/4) w = 0,
@@ -223,9 +206,10 @@ def riccati_exact(
         y(x) = 2x * [32/3 s(3/4) - sqrt(2) s(-3/4)]
                   / [4 sqrt(2) s(1/4) + 8 s(-1/4)]
 
-    with s(nu) = Gamma(nu + 1) J_nu(x^2/4), the series `_bessel_series` sums.
-    Written with J itself, the quotient carries factors Gamma(1/4) and
-    Gamma(3/4) that cancel against these normalizations.
+    with s(nu) = Gamma(nu + 1) J_nu(x^2/4), the series `_bessel_series` sums
+    to 40 terms (a relative tail above 1e-13, as from x = 10, raises
+    ConvergenceError).  Written with J itself, the quotient carries factors
+    Gamma(1/4) and Gamma(3/4) that cancel against these normalizations.
     x = 0 is the removable singularity of the quotient (the limit is the
     initial value) and is rejected; negative x is rejected too, since the
     representation above holds for the principal branch x > 0 only and
@@ -236,22 +220,20 @@ def riccati_exact(
         raise ValueError("closed form degenerates at x = 0; the limit is y(0) = -1")
     if x < 0:
         raise ValueError("closed form is implemented for x > 0 only")
-    if terms < 4:
-        raise ValueError("need at least 4 series terms")
     with mp.workdps(ORACLE_DPS):
         quarter = mp.mpf(1) / 4
         sqrt2 = mp.sqrt(2)
         xf = to_mpf(x)
         z = xf * xf / 4
-        s_p34, r1 = _bessel_series(3 * quarter, z, terms)
-        s_m34, r2 = _bessel_series(-3 * quarter, z, terms)
-        s_p14, r3 = _bessel_series(quarter, z, terms)
-        s_m14, r4 = _bessel_series(-quarter, z, terms)
+        s_p34, r1 = _bessel_series(3 * quarter, z, 40)
+        s_m34, r2 = _bessel_series(-3 * quarter, z, 40)
+        s_p14, r3 = _bessel_series(quarter, z, 40)
+        s_m14, r4 = _bessel_series(-quarter, z, 40)
         rel_tail = max(r1, r2, r3, r4)
-        if rel_tail > rel_tol:
+        if rel_tail > mp.mpf("1e-13"):
             raise ConvergenceError(
-                f"{terms} series terms leave relative tail {mp.nstr(rel_tail, 3)} "
-                f"at x = {x}; increase terms or shrink |x|"
+                f"40 series terms leave relative tail {mp.nstr(rel_tail, 3)} "
+                f"at x = {x}; shrink |x|"
             )
         numerator = mp.mpf(32) / 3 * s_p34 - sqrt2 * s_m34
         denominator = 4 * sqrt2 * s_p14 + 8 * s_m14

@@ -217,9 +217,10 @@ def test_criterion_9_property_suites():
         for _ in range(500):
             e1, e2 = rand_expr(), rand_expr()
             a = rand_fraction(2, 6)
-            assert (e1.scale(a) + e2).flow_derivative() == e1.flow_derivative().scale(
-                a
-            ) + e2.flow_derivative()
+            c = FlowExpr.constant(a)
+            assert (e1 * c + e2).flow_derivative() == (
+                e1.flow_derivative() * c + e2.flow_derivative()
+            )
             assert (e1 * e2).flow_derivative() == e1.flow_derivative() * e2 + e1 * e2.flow_derivative()
 
         # series consistency for 20 random polynomial problems

@@ -324,7 +324,7 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(f=riccati_flow(), x0=F(1), y0=F(0), degree=1, x1=F(1))
     with pytest.raises(ValueError):
-        ProblemSpec(f=FlowExpr.y(1), x0=F(0), y0=F(0), degree=1, x1=F(1))
+        ProblemSpec(f=FlowExpr.monomial(1, derivs={1: 1}), x0=F(0), y0=F(0), degree=1, x1=F(1))
     with pytest.raises(ValueError, match="degree must be in"):
         ProblemSpec(f=riccati_flow(), x0=F(0), y0=F(0), degree=MAX_DEGREE + 1, x1=F(1))
     assert ProblemSpec(

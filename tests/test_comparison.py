@@ -128,13 +128,6 @@ def test_range_riccati_exact_mode():
     assert sr.range.lo <= RICCATI_Y_AT_02 <= sr.range.hi
 
 
-def test_range_degenerate_interval():
-    qc = QuadraticComparison(alpha=F(1, 25), beta=F(1, 4), x0=F(0), x1=F(0), y0=F(-1))
-    sr = solution_range(qc, WIDTH, EXACT, frozen_flow(qc))
-    assert sr.valid
-    assert sr.range == RatInterval(F(-1), F(-1))
-
-
 def test_range_quadratic():
     sr = solution_range(quadratic_qc(), WIDTH, DecimalRounding.outward(3), quadratic_flow())
     assert sr.valid
@@ -219,5 +212,6 @@ def test_invalid_width_rejected():
 def test_qc_validation():
     with pytest.raises(ComparisonFormError):
         QuadraticComparison(alpha=F(0), beta=F(1), x0=F(0), x1=F(1), y0=F(0))
-    with pytest.raises(ValueError):
-        QuadraticComparison(alpha=F(1), beta=F(1), x0=F(1), x1=F(0), y0=F(0))
+    for x1 in (F(0), F(1)):
+        with pytest.raises(ValueError, match="x1 must exceed x0"):
+            QuadraticComparison(alpha=F(1), beta=F(1), x0=F(1), x1=x1, y0=F(0))

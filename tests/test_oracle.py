@@ -17,7 +17,6 @@ from taylorcert.oracle import (
     ORACLE_DPS,
     _compile_flow,
     _rk4_fixed,
-    integrate_fixed,
     is_quarter_riccati,
     reference_grid,
     reference_solution,
@@ -58,11 +57,24 @@ def test_reference_rejects_backward_evaluation():
         reference_solution(riccati_flow(), 0, -1, F(-1, 10))
 
 
-def test_reference_step_budget():
-    with pytest.raises(ConvergenceError):
-        reference_solution(
-            riccati_flow(), 0, -1, F(1, 5), F(1, 10**20), max_doublings=2
-        )
+def test_reference_step_budget(monkeypatch):
+    # Sweeps that never agree: each call returns a value 1 above the last, so
+    # the loop runs all its doublings (22 for a point, 18 for a grid) and
+    # gives up with the step count of the last sweep.
+    calls = []
+
+    def drifting(flow, x0, y0, x1, steps):
+        calls.append(steps)
+        return mp.mpf(len(calls))
+
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", drifting)
+    with pytest.raises(ConvergenceError, match=f"after {16 * 2**22} steps"):
+        reference_solution(riccati_flow(), 0, -1, F(1, 5), F(1, 10**15))
+    assert calls == [16 * 2**k for k in range(23)]
+    calls.clear()
+    with pytest.raises(ConvergenceError, match=f"after {4 * 2**18} steps"):
+        reference_grid(riccati_flow(), 0, -1, [F(1, 5)], F(1, 10**15))
+    assert calls == [4 * 2**k for k in range(19)]
 
 
 @pytest.mark.parametrize("tol", [F(1, 10**30), F(1, 10**60), F(99, 10**22)])
@@ -94,10 +106,11 @@ def test_observed_convergence_order_is_fourth():
     observed order within [3.8, 4.2]."""
     f = riccati_flow()
     with mp.workdps(ORACLE_DPS):
-        truth = integrate_fixed(f, 0, -1, F(1, 5), 4096)
+        flow, x0, y0, x1 = _compile_flow(f), to_mpf(0), to_mpf(-1), to_mpf(F(1, 5))
+        truth = _rk4_fixed(flow, x0, y0, x1, 4096)
         errors = []
         for steps in (8, 16, 32, 64):
-            errors.append(abs(integrate_fixed(f, 0, -1, F(1, 5), steps) - truth))
+            errors.append(abs(_rk4_fixed(flow, x0, y0, x1, steps) - truth))
         for coarse, fine in zip(errors, errors[1:]):
             order = math.log2(float(coarse / fine))
             assert 3.8 <= order <= 4.2
@@ -166,10 +179,9 @@ def test_riccati_exact_degenerate_at_zero():
 
 
 def test_riccati_exact_insufficient_terms():
-    with pytest.raises(ConvergenceError):
-        riccati_exact(F(3), terms=5)
-    with pytest.raises(ValueError):
-        riccati_exact(F(1, 5), terms=2)
+    # 40 series terms leave a relative tail above 1e-13 at x = 12.
+    with pytest.raises(ConvergenceError, match="40 series terms .* at x = 12; shrink"):
+        riccati_exact(F(12))
 
 
 def test_riccati_exact_limit_toward_zero():

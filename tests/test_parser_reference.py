@@ -98,7 +98,7 @@ class _Parser:
             raise self.error("empty expression", pos)
         while True:
             term = self.parse_term()
-            expr = expr + (term.scale(-1) if sign < 0 else term)
+            expr = expr + (term * FlowExpr.constant(-1) if sign < 0 else term)
             kind, value, pos = self.peek()
             if kind == "end":
                 return expr
