@@ -182,7 +182,10 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
         raise CertificationError("comparison", yrange.diagnostics)
 
     xrange = RatInterval(p.x0, p.x1)
-    chain = odexpr.derivative_chain(p.f, p.degree)
+    try:
+        chain = odexpr.derivative_chain(p.f, p.degree)
+    except odexpr.ExprError as exc:  # only the size budget: p.f is x/y-only
+        raise CertificationError("bounds", str(exc)) from exc
     bounds = chain.bounds(xrange, yrange.range, p.rounding)
     if not p.rounding.is_exact:
         parity_notes.append(

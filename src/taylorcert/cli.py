@@ -31,7 +31,6 @@ from .certify import (
     CertificationError,
     ConvergenceError,
     MAX_DEGREE,
-    MAX_POLY_DEGREE,
     ProblemSpec,
     certify_partial_sum,
     certify_polynomial,
@@ -157,7 +156,10 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def parse_poly_file(text: str) -> list[Fraction]:
-    """Parse a polynomial in x (restricted expression form) to coefficients."""
+    """Parse a polynomial in x (restricted expression form) to coefficients.
+
+    The parser's exponent cap keeps the degree within MAX_POLY_DEGREE (64).
+    """
     stripped = " ".join(line.split("#", 1)[0] for line in text.splitlines())
     expr = _parsed("polynomial file", parse_flow_expr, stripped)
     if expr.order >= 0:
@@ -165,10 +167,6 @@ def parse_poly_file(text: str) -> list[Fraction]:
     coeffs: list[Fraction] = []
     for key, coeff in expr.monomials.items():
         power = key[0] if key else 0
-        if power > MAX_POLY_DEGREE:
-            raise InputError(
-                f"polynomial file: degree {power} exceeds limit {MAX_POLY_DEGREE}"
-            )
         while len(coeffs) <= power:
             coeffs.append(Fraction(0))
         coeffs[power] = coeff

@@ -45,8 +45,14 @@ MonomialKey = tuple[int, ...]
 SparseKey = tuple[tuple[int, int], ...]
 
 
+#: Monomials a derivative chain may hold, D_1 to D_{n+1} together.  It bounds
+#: the chain's work, which grows with the y-degree of f and not only with n.
+MAX_CHAIN_MONOMIALS = 100_000
+
+
 class ExprError(ValueError):
-    """Structural misuse of a FlowExpr (bad exponents, unbound symbols...)."""
+    """Structural misuse of a FlowExpr (bad exponents, unbound symbols...), or
+    a derivative chain over MAX_CHAIN_MONOMIALS."""
 
 
 class ExprParseError(ValueError):
@@ -441,13 +447,23 @@ def _require_xy(f: FlowExpr) -> None:
 
 
 def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
-    """Chain [D_1 ... D_{n+1}] for y' = f(x, y) with f in x and y only."""
+    """Chain [D_1 ... D_{n+1}] for y' = f(x, y) with f in x and y only.
+
+    Stops with ExprError, naming the order and the count, as soon as the
+    chain holds more than MAX_CHAIN_MONOMIALS monomials in all.
+    """
     if n < 0:
         raise ValueError("chain length parameter must be >= 0")
     _require_xy(f)
-    exprs = [f]
+    exprs, total = [f], len(f._num)
     for _ in range(n):
         exprs.append(exprs[-1].flow_derivative())
+        total += len(exprs[-1]._num)
+        if total > MAX_CHAIN_MONOMIALS:
+            raise ExprError(
+                f"derivative chain holds {total} monomials by D_{len(exprs)}, "
+                f"over the limit {MAX_CHAIN_MONOMIALS}"
+            )
     return DerivativeChain(tuple(exprs))
 
 
@@ -520,7 +536,8 @@ def derivative_values(
 #
 # Derivative symbols never appear in user input.  A NUMBER has at most
 # MAX_LITERAL_DIGITS digits, numerator and denominator together, and so does
-# an exponent.
+# an exponent.  In each term, the exponents of x, and those of y, sum to at
+# most _MAX_EXPONENT.
 
 _MAX_EXPONENT = 64
 
@@ -577,7 +594,7 @@ def parse_flow_expr(text: str) -> FlowExpr:
     if not tok:
         raise _error(text, "empty expression", pos)
     i, negative = (1 if tok in ("+", "-") else 0), tok == "-"
-    expr, term = FlowExpr.zero(), None
+    expr, term, sums = FlowExpr.zero(), None, {}
     while True:
         (tok, pos), (op, op_pos), (arg, arg_pos) = toks[i : i + 3]
         i += 1
@@ -600,10 +617,10 @@ def parse_flow_expr(text: str) -> FlowExpr:
                     message = "exponent must be a nonnegative integer"
                     raise _error(text, message, arg_pos)
                 _check_digits(text, len(arg), arg_pos)
-                exp, i = int(arg), i + 2
-                if exp > _MAX_EXPONENT:
-                    message = f"exponent {exp} exceeds limit {_MAX_EXPONENT}"
-                    raise _error(text, message, arg_pos)
+                exp, pos, i = int(arg), arg_pos, i + 2
+            total = sums[tok] = sums.get(tok, 0) + exp
+            if total > _MAX_EXPONENT:
+                raise _error(text, f"exponent {total} exceeds limit {_MAX_EXPONENT}", pos)
             factor = FlowExpr({(exp,) if tok == "x" else (0, exp): 1})
         elif tok[:1].isalpha():
             raise _error(
@@ -624,4 +641,4 @@ def parse_flow_expr(text: str) -> FlowExpr:
             return expr
         if tok not in ("+", "-"):
             raise _error(text, f"expected '+' or '-' before {tok!r}", pos)
-        negative, term = tok == "-", None
+        negative, term, sums = tok == "-", None, {}

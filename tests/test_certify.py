@@ -309,6 +309,17 @@ def test_pipeline_rejects_unsupported_comparison():
     assert info.value.stage == "comparison"
 
 
+def test_pipeline_reports_chain_budget_as_bounds_failure(monkeypatch):
+    monkeypatch.setattr("taylorcert.odexpr.MAX_CHAIN_MONOMIALS", 32)
+    p = ProblemSpec(f=riccati_flow(), x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
+    with pytest.raises(CertificationError) as info:
+        certify_partial_sum(p)
+    assert info.value.stage == "bounds"
+    assert str(info.value) == (
+        "[bounds] derivative chain holds 33 monomials by D_10, over the limit 32"
+    )
+
+
 def test_pipeline_rejects_blowup():
     p = ProblemSpec(
         f=parse_flow_expr("1 + y^2"), x0=F(0), y0=F(0), degree=3, x1=F(2)

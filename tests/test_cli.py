@@ -17,7 +17,8 @@ from taylorcert.cli import (
     report_to_json,
     run,
 )
-from taylorcert.certify import MAX_DEGREE, certify_partial_sum
+from taylorcert import odexpr
+from taylorcert.certify import MAX_DEGREE, MAX_POLY_DEGREE, certify_partial_sum
 from taylorcert.oracle import ConvergenceError
 from taylorcert.ratcore import DecimalRounding
 
@@ -121,6 +122,15 @@ def test_parse_poly_file():
     assert coeffs == [F(1), F(1, 4), F(0), F(0), F(0), F(1, 200)]
     with pytest.raises(InputError, match="only the variable x"):
         parse_poly_file("1 + y")
+
+
+def test_poly_degree_is_capped_by_the_parser():
+    # parse_poly_file has no degree check of its own: the parser's per-term
+    # exponent cap is the polynomial degree cap.
+    assert odexpr._MAX_EXPONENT == MAX_POLY_DEGREE
+    assert len(parse_poly_file("x^32*x^32 + 1")) == MAX_POLY_DEGREE + 1
+    with pytest.raises(InputError, match="column 11: exponent 65 exceeds limit 64"):
+        parse_poly_file("x^32*x^32*x")
 
 
 # -- subcommands and exit codes -------------------------------------------------
@@ -430,6 +440,38 @@ def test_hostile_literals_are_refused_at_once(problem_file, old, new, message):
     problem_file.write_text(text)
     proc = run_child("certify", str(problem_file), "--no-sanity")
     assert (proc.returncode, proc.stderr) == (1, f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("factors", [50, 200])
+def test_repeated_factors_are_refused_at_once(problem_file, factors):
+    # Each term's exponents of x sum to at most 64.  Before that cap, 50
+    # factors x^64 exited 3 on the 4,300-digit limit after 1.6 s, and 200
+    # ran past a 20 s timeout.
+    f = "*".join(["x^64"] * factors) + " + 1/4*y^2"
+    problem_file.write_text(PROBLEM_TEXT.replace("x^2 + 1/4*y^2", f))
+    proc = run_child("certify", str(problem_file), "--no-sanity")
+    assert (proc.returncode, proc.stderr) == (
+        1,
+        "input error: field 'f' (line 2): line 1, column 8: "
+        "exponent 128 exceeds limit 64\n",
+    )
+
+
+def test_wide_chain_stops_at_its_budget(tmp_path):
+    # The y^8 terms vanish at x1, so the comparison stage passes; the chain
+    # then grows with the y-degree.  At degree 100 this ran past a 20 s
+    # timeout before the chain had a monomial budget.
+    prob = tmp_path / "wide.prob"
+    prob.write_text(
+        'f = "x*y^8 - 1/5*y^8 + 1 + y^2"\nx0 = "0"\ny0 = "0"\ndegree = 100\n'
+        'x1 = "1/5"\nr1 = "1/2"\nr2 = "1"\nrounding = "outward:30"\n'
+    )
+    proc = run_child("certify", str(prob), "--no-sanity")
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        "certification failed: [bounds] derivative chain holds 116125 "
+        "monomials by D_37, over the limit 100000\n",
+    )
 
 
 def test_positivity_failure_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The README's library example and the package's public names."""
+"""The README's library example, its FlowExpr operations and the package's
+public names."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,16 @@ def test_readme_library_surface_runs():
     assert type(cert.remainder_bound) is Fraction
     assert cert.remainder_bound < Fraction(1, 10**10)
     assert cert.yrange.range.lo == Fraction(-1)
+
+
+def test_readme_flowexpr_operations_exist():
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"`y\^\(j\)`\. (.*?) run on ints", text).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    assert "flow_derivative" in names
+    dunder = {"+": "__add__", "-": "__sub__", "*": "__mul__"}
+    for name in names:
+        assert callable(getattr(taylorcert.FlowExpr, dunder.get(name, name))), name
 
 
 def test_every_public_name_resolves():

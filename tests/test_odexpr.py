@@ -18,7 +18,9 @@ from conftest import (
     random_polynomial_ivp,
     riccati_flow,
 )
+from taylorcert import odexpr
 from taylorcert.odexpr import (
+    MAX_CHAIN_MONOMIALS,
     DerivativeChain,
     ExprError,
     ExprParseError,
@@ -184,6 +186,19 @@ def test_chain_values_and_coefficients_stay_within_chain():
     for n in (-1, 11):
         with pytest.raises(ValueError):
             chain_values(chain, 0, -1, n)
+
+
+def test_chain_budget_admits_degree_400_and_stops_past_it(monkeypatch):
+    for f in (riccati_flow(), quadratic_flow()):
+        chain = derivative_chain(f, 400)
+        assert 40_000 < sum(len(d.monomials) for d in chain.exprs) < MAX_CHAIN_MONOMIALS
+    # Riccati's D_1 .. D_10 hold 2, 2, 3, 2, 3, 3, 4, 4, 5, 5 monomials.
+    monkeypatch.setattr(odexpr, "MAX_CHAIN_MONOMIALS", 33)
+    assert len(derivative_chain(riccati_flow(), 9)) == 10
+    monkeypatch.setattr(odexpr, "MAX_CHAIN_MONOMIALS", 32)
+    with pytest.raises(ExprError) as info:
+        derivative_chain(riccati_flow(), 20)
+    assert str(info.value) == "derivative chain holds 33 monomials by D_10, over the limit 32"
 
 
 def test_chain_rejects_derivative_symbols():

@@ -2,9 +2,11 @@
 
 `parse_flow_expr` reads the restricted text form with one eager tokenizer
 function and one loop.  The reference below is the `_Tokenizer`/`_Parser`
-pair it replaced, kept verbatim: every drawn string must give the same
-FlowExpr, monomial insertion order included, or the same exception type and
-message.  Literals stay at 100 digits or fewer, within the literal budget.
+pair it replaced, kept verbatim, plus `_CappedParser`, which adds the one
+rule introduced since: in each term, the exponents of each symbol sum to at
+most 64.  Every drawn string must give the same FlowExpr, monomial insertion
+order included, or the same exception type and message.  Literals stay at
+100 digits or fewer, within the literal budget.
 """
 
 from __future__ import annotations
@@ -163,8 +165,40 @@ class _Parser:
         return 1
 
 
+class _CappedParser(_Parser):
+    """The verbatim parser with each symbol's exponents summed over a term.
+
+    A sum above _MAX_EXPONENT is refused at the factor that crosses it: at
+    its exponent, or at the bare symbol.  The message names the sum, so a
+    single exponent above the cap reads as before.
+    """
+
+    def parse_term(self) -> FlowExpr:
+        self.sums: dict[str, int] = {}
+        return super().parse_term()
+
+    def parse_factor(self) -> FlowExpr:
+        kind, value, pos = self.peek()
+        if kind != "name" or value not in ("x", "y"):
+            return super().parse_factor()
+        self.advance()
+        exp = 1
+        if self.peek()[:2] == ("op", "^"):
+            self.advance()
+            kind, digits, pos = self.advance()
+            if kind != "number" or "." in digits:
+                raise self.error("exponent must be a nonnegative integer", pos)
+            exp = int(digits)
+        total = self.sums[value] = self.sums.get(value, 0) + exp
+        if total > _MAX_EXPONENT:
+            raise self.error(f"exponent {total} exceeds limit {_MAX_EXPONENT}", pos)
+        if value == "x":
+            return FlowExpr.monomial(1, x_exp=exp)
+        return FlowExpr.monomial(1, derivs={0: exp})
+
+
 def reference_parse(text: str) -> FlowExpr:
-    return _Parser(text).parse()
+    return _CappedParser(text).parse()
 
 
 def outcome(parse, text: str):
@@ -263,6 +297,12 @@ def test_parser_matches_reference_on_sums(text):
         "-",
         "x*",
         "y^64*x^64",
+        "x^64*x",  # each symbol's exponents sum over a term
+        "x^60*x^5*y",
+        "x^60*x^65",
+        "y^64*y^0*x^64 + x^32*x^32",
+        "x^64*x - x^64*x",
+        "2*x^40*3*y*x^30",
         "²",
         "²/3",
         "٣/٤",
