@@ -537,7 +537,9 @@ def derivative_values(
 # Derivative symbols never appear in user input.  A NUMBER has at most
 # MAX_LITERAL_DIGITS digits, numerator and denominator together, and so does
 # an exponent.  In each term, the exponents of x, and those of y, sum to at
-# most _MAX_EXPONENT.
+# most _MAX_EXPONENT.  A coefficient made of more than one NUMBER (a term's
+# product of constants, or the sum of the terms with one monomial) has at most
+# MAX_LITERAL_DIGITS digits too, in lowest terms.
 
 _MAX_EXPONENT = 64
 
@@ -550,6 +552,19 @@ def _error(text: str, message: str, pos: int) -> ExprParseError:
 def _check_digits(text: str, digits: int, pos: int) -> None:
     if digits > MAX_LITERAL_DIGITS:
         message = f"literal has {digits} digits, limit {MAX_LITERAL_DIGITS}"
+        raise _error(text, message, pos)
+
+
+def _check_coefficient(text: str, q: Fraction, pos: int) -> None:
+    """Refuse q past MAX_LITERAL_DIGITS digits, numerator and denominator
+    together.  Bit lengths come first, since str() refuses ints past 4,300
+    digits: with over 4 * MAX_LITERAL_DIGITS bits, q has over 118 digits."""
+    num, den = abs(q.numerator), q.denominator
+    if (
+        num.bit_length() + den.bit_length() > 4 * MAX_LITERAL_DIGITS
+        or len(str(num)) + len(str(den)) > MAX_LITERAL_DIGITS
+    ):
+        message = f"coefficient has over {MAX_LITERAL_DIGITS} digits in lowest terms"
         raise _error(text, message, pos)
 
 
@@ -594,22 +609,31 @@ def parse_flow_expr(text: str) -> FlowExpr:
     if not tok:
         raise _error(text, "empty expression", pos)
     i, negative = (1 if tok in ("+", "-") else 0), tok == "-"
-    expr, term, sums = FlowExpr.zero(), None, {}
+    expr, term, sums, constant = FlowExpr.zero(), None, {}, None
     while True:
         (tok, pos), (op, op_pos), (arg, arg_pos) = toks[i : i + 3]
         i += 1
-        if tok[:1].isdigit() and op == "/":
-            if "." in tok:
+        if term is None:
+            term_pos = pos
+        if tok[:1].isdigit():
+            if op != "/":
+                _check_digits(text, len(tok) - ("." in tok), pos)
+                value = Fraction(tok)
+            elif "." in tok:
                 raise _error(text, "ratio parts must be integers", op_pos)
-            if not arg[:1].isdigit() or "." in arg:
+            elif not arg[:1].isdigit() or "." in arg:
                 raise _error(text, "expected an integer denominator", arg_pos)
-            _check_digits(text, len(tok) + len(arg), pos)
-            if int(arg) == 0:
-                raise _error(text, "zero denominator", arg_pos)
-            factor, i = FlowExpr.constant(Fraction(int(tok), int(arg))), i + 2
-        elif tok[:1].isdigit():
-            _check_digits(text, len(tok) - ("." in tok), pos)
-            factor = FlowExpr.constant(Fraction(tok))
+            else:
+                _check_digits(text, len(tok) + len(arg), pos)
+                if int(arg) == 0:
+                    raise _error(text, "zero denominator", arg_pos)
+                value, i = Fraction(int(tok), int(arg)), i + 2
+            if constant is None:
+                constant = value
+            else:
+                constant *= value
+                _check_coefficient(text, constant, pos)
+            factor = FlowExpr.constant(value)
         elif tok in ("x", "y"):
             exp = 1
             if op == "^":
@@ -636,9 +660,13 @@ def parse_flow_expr(text: str) -> FlowExpr:
         i += 1
         if tok == "*":
             continue
+        key = next(iter(term._num), None)
+        known = key in expr._num
         expr = expr + (-term if negative else term)
+        if known and key in expr._num:
+            _check_coefficient(text, Fraction(expr._num[key], expr._den), term_pos)
         if not tok:
             return expr
         if tok not in ("+", "-"):
             raise _error(text, f"expected '+' or '-' before {tok!r}", pos)
-        negative, term, sums = tok == "-", None, {}
+        negative, term, sums, constant = tok == "-", None, {}, None

@@ -13,6 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (
+    fzero,
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest as RND,
+)
 
 from .certify import ConvergenceError
 from .odexpr import FlowExpr, _require_xy
@@ -20,6 +31,13 @@ from .ratcore import RationalLike, as_rational
 
 #: Working precision (significant decimal digits) for all oracle arithmetic.
 ORACLE_DPS = 40
+
+#: RK4 steps one reference_solution or reference_grid call may take, all
+#: sweeps of the step doubling together.  Riccati's y(5/2) takes 65,520;
+#: y(3), just before the pole, would take about 2**23 steps per sweep.
+MAX_RK4_STEPS = 100_000
+
+_SIX = from_int(6)
 
 
 @dataclass(frozen=True)
@@ -44,27 +62,40 @@ def to_mpf(q: RationalLike) -> mp.mpf:
 
 
 def _compile_flow(f: FlowExpr):
-    """Turn an x/y-only FlowExpr into a fast mpf-valued callable.  It skips
-    the factors x**0, y**0 and the sum's start mpf(0), which are exact."""
-    terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
+    """Turn an x/y-only FlowExpr into a fast evaluator on raw mpf tuples at the
+    working precision, rounding to nearest as mpf arithmetic does.
 
-    def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
-        total = None
-        for term, e_x, e_y in terms:
-            if e_x:
-                term = term * x**e_x
-            if e_y:
-                term = term * y**e_y
-            total = term if total is None else total + term
-        return mp.mpf(0) if total is None else total
+    `flow(x)` computes each term's x-factor c * x**e_x once and returns the
+    function y -> f(x, y); every operation is the one `mpf` arithmetic would
+    make, in the same order, so the results are bit-identical.  It skips the
+    factors x**0, y**0 and the sum's start 0, which are exact.
+    """
+    prec = mp.mp.prec
+    terms = [(to_mpf(c)._mpf_, *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
 
-    return call
+    def flow(x):
+        factors = [
+            (mpf_mul(c, mpf_pow_int(x, e_x, prec, RND), prec, RND) if e_x else c, e_y)
+            for c, e_x, e_y in terms
+        ]
+
+        def at_y(y):
+            total = None
+            for term, e_y in factors:
+                if e_y:
+                    term = mpf_mul(term, mpf_pow_int(y, e_y, prec, RND), prec, RND)
+                total = term if total is None else mpf_add(total, term, prec, RND)
+            return fzero if total is None else total
+
+        return at_y
+
+    return flow
 
 
 def check_tol(tol: RationalLike) -> None:
     """Reject a tolerance the step doubling can never meet: no difference of two
     sweeps is below one <= 0, nor resolved below half the working digits, so
-    the loop would run every doubling (millions of RK4 steps) before giving up.
+    the loop would spend its whole step budget before giving up.
     """
     tol = as_rational(tol)
     if tol <= 0:
@@ -77,16 +108,32 @@ def check_tol(tol: RationalLike) -> None:
 
 
 def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
-    h = (x1 - x0) / steps
-    x, y = x0, y0
+    """Classical RK4 from (x0, y0) to x1 in equal steps, for a compiled flow.
+
+    Bit-identical to the mpf loop that forms h*k/2, 2*k and x + h at each
+    step: halving and doubling are exact in binary, so (h/2)*k rounds to the
+    same value and a shift doubles, and k4's abscissa x + h is the next
+    step's x.
+    """
+    prec = mp.mp.prec
+    x, y = x0._mpf_, y0._mpf_
+    h = mpf_div(mpf_sub(x1._mpf_, x, prec, RND), from_int(steps), prec, RND)
+    half = mpf_shift(h, -1)
+    at_x = flow(x)
     for _ in range(steps):
-        k1 = flow(x, y)
-        k2 = flow(x + h / 2, y + h * k1 / 2)
-        k3 = flow(x + h / 2, y + h * k2 / 2)
-        k4 = flow(x + h, y + h * k3)
-        y += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        x += h
-    return y
+        at_mid = flow(mpf_add(x, half, prec, RND))
+        x = mpf_add(x, h, prec, RND)
+        at_next = flow(x)
+        k1 = at_x(y)
+        k2 = at_mid(mpf_add(y, mpf_mul(half, k1, prec, RND), prec, RND))
+        k3 = at_mid(mpf_add(y, mpf_mul(half, k2, prec, RND), prec, RND))
+        k4 = at_next(mpf_add(y, mpf_mul(h, k3, prec, RND), prec, RND))
+        total = mpf_add(k1, mpf_shift(k2, 1), prec, RND)
+        total = mpf_add(total, mpf_shift(k3, 1), prec, RND)
+        total = mpf_add(total, k4, prec, RND)
+        y = mpf_add(y, mpf_div(mpf_mul(h, total, prec, RND), _SIX, prec, RND), prec, RND)
+        at_x = at_next
+    return mp.make_mpf(y)
 
 
 def reference_solution(
@@ -104,7 +151,7 @@ def reference_solution(
         raise ValueError("evaluation point precedes x0")
     if x == x0:
         return ReferenceValue(to_mpf(y0), mp.mpf(0), "integrator")
-    (value,), diff = _integrate(f, x0, y0, [x], tol, 16, 22)
+    (value,), diff = _integrate(f, x0, y0, [x], tol, 16)
     return ReferenceValue(value, diff, "integrator")
 
 
@@ -128,7 +175,7 @@ def reference_grid(
         raise ValueError("grid points must be strictly increasing")
     if as_rational(xs[0]) < as_rational(x0):
         raise ValueError("grid starts before x0")
-    return _integrate(f, x0, y0, xs, tol, 4, 18)[0]
+    return _integrate(f, x0, y0, xs, tol, 4)[0]
 
 
 def _integrate(
@@ -138,17 +185,18 @@ def _integrate(
     xs: list[RationalLike],
     tol: RationalLike,
     steps: int,
-    max_doublings: int,
 ) -> tuple[list[mp.mpf], mp.mpf]:
     """RK4 values at increasing points xs >= x0, along one trajectory.
 
     Each segment takes `steps` steps, doubled until two successive sweeps
     agree within tol; returns the last sweep and its largest difference from
-    the one before.
+    the one before.  Raises ConvergenceError rather than start a sweep that
+    would take the sweeps together past MAX_RK4_STEPS steps.
     """
     with mp.workdps(ORACLE_DPS):
         flow, tol_f = _compile_flow(f), to_mpf(tol)
         nodes = [to_mpf(x0)] + [to_mpf(x) for x in xs]
+        segments = sum(b > a for a, b in zip(nodes, nodes[1:]))
 
         def sweep(per_segment: int) -> list[mp.mpf]:
             y, out = to_mpf(y0), []
@@ -158,16 +206,18 @@ def _integrate(
                 out.append(y)
             return out
 
-        prev = sweep(steps)
-        for _ in range(max_doublings):
-            steps *= 2
+        spent, prev = 0, None
+        while spent + steps * segments <= MAX_RK4_STEPS:
             current = sweep(steps)
-            diff = max(abs(c - p) for c, p in zip(current, prev))
-            if diff < tol_f:
-                return current, diff
-            prev = current
+            spent += steps * segments
+            if prev is not None:
+                diff = max(abs(c - p) for c, p in zip(current, prev))
+                if diff < tol_f:
+                    return current, diff
+            prev, steps = current, steps * 2
     raise ConvergenceError(
-        f"integrator did not stabilize within {tol} after {steps} steps"
+        f"integrator did not stabilize within {tol} after {spent} RK4 steps; "
+        f"the next sweep would pass the limit of {MAX_RK4_STEPS}"
     )
 
 

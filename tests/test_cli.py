@@ -19,7 +19,7 @@ from taylorcert.cli import (
 )
 from taylorcert import odexpr
 from taylorcert.certify import MAX_DEGREE, MAX_POLY_DEGREE, certify_partial_sum
-from taylorcert.oracle import ConvergenceError
+from taylorcert.oracle import MAX_RK4_STEPS, ConvergenceError
 from taylorcert.ratcore import DecimalRounding
 
 F = Fraction
@@ -382,14 +382,14 @@ def test_empty_overrides_are_input_errors(problem_file, capsys, flag):
     assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
 
 
-def run_child(*argv: str) -> subprocess.CompletedProcess:
+def run_child(*argv: str, timeout: float = 5) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "taylorcert.cli", *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        timeout=5,
+        timeout=timeout,
     )
 
 
@@ -454,6 +454,36 @@ def test_repeated_factors_are_refused_at_once(problem_file, factors):
         1,
         "input error: field 'f' (line 2): line 1, column 8: "
         "exponent 128 exceeds limit 64\n",
+    )
+
+
+@pytest.mark.parametrize("at", ["3", "9"])
+def test_oracle_stops_at_its_step_budget(problem_file, at):
+    # y(3) lies just before the pole of the riccati solution and y(9) past
+    # it.  Each ran past a 30 s timeout before the step doubling had a budget;
+    # y(3) would need about 2**23 steps per sweep.  Past the pole the values'
+    # exponents grow with every step, so --at 9 spends about 11 s.
+    proc = run_child("oracle", str(problem_file), "--at", at, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        "certification failed: integrator did not stabilize within "
+        "1/1000000000000000 after 65520 RK4 steps; the next sweep would pass "
+        f"the limit of {MAX_RK4_STEPS}\n",
+    )
+
+
+@pytest.mark.parametrize("factors", [50, 200])
+def test_repeated_constants_are_refused_at_once(problem_file, factors):
+    # A term's constant has at most 100 digits.  Before that cap, 50 factors
+    # of 1/99...9 exited 3 on the 4,300-digit limit, and 200 ran past a 30 s
+    # timeout.  The second factor is refused, at column 103.
+    f = "*".join(["1/" + "9" * 99] * factors) + " + y^2"
+    problem_file.write_text(PROBLEM_TEXT.replace("x^2 + 1/4*y^2", f))
+    proc = run_child("certify", str(problem_file), "--no-sanity")
+    assert (proc.returncode, proc.stderr) == (
+        1,
+        "input error: field 'f' (line 2): line 1, column 103: "
+        "coefficient has over 100 digits in lowest terms\n",
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
+from mpmath import iv, libmp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,50 @@ def test_eval_exact_equals_fraction_loop(expr, env):
     value = expr.eval_interval(points)
     assert_same_value(value.lo, reference_eval_exact(expr, points))
     assert value.hi == value.lo
+
+
+def _iv(q: Fraction):
+    return iv.mpf(q.numerator) / q.denominator
+
+
+@st.composite
+def points_in(draw, env):
+    """A rational point of the box: each coordinate an endpoint or between."""
+    return {
+        name: draw(
+            st.one_of(
+                st.sampled_from([box.lo, box.hi]),
+                st.fractions(box.lo, box.hi, max_denominator=1000),
+            )
+        )
+        for name, box in env.items()
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), boxes(), st.data())
+def test_eval_interval_contains_points_and_lies_in_mpmath_iv(expr, env, data):
+    # The exact value at any point of the box lies in the enclosure.  mpmath's
+    # monomial-wise evaluation, rounded outward at 30 digits, encloses the
+    # same monomial ranges, so it contains the exact enclosure.
+    ours = expr.eval_interval(env)
+    saved, iv.dps = iv.dps, 30
+    try:
+        theirs = iv.mpf(0)
+        for key, coeff in expr.monomials.items():
+            term = _iv(coeff)
+            for name, exp in zip(SLOTS, key):
+                if exp:
+                    box = env[name]
+                    term *= iv.mpf([_iv(box.lo).a, _iv(box.hi).b]) ** exp
+            theirs += term
+    finally:
+        iv.dps = saved
+    lo, hi = (F(*libmp.to_rational(end)) for end in theirs._mpi_)
+    assert lo <= ours.lo <= ours.hi <= hi
+    for _ in range(3):
+        value = reference_eval_exact(expr, data.draw(points_in(env)))
+        assert ours.lo <= value <= ours.hi
 
 
 def test_zero_expression_evaluates_to_zero():

@@ -3,7 +3,10 @@
 from fractions import Fraction
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import mpmath as mp
+from mpmath.libmp import fzero
 import pytest
 
 from conftest import (
@@ -14,6 +17,7 @@ from conftest import (
 )
 from taylorcert.oracle import (
     ConvergenceError,
+    MAX_RK4_STEPS,
     ORACLE_DPS,
     _compile_flow,
     _rk4_fixed,
@@ -26,6 +30,44 @@ from taylorcert.oracle import (
 from taylorcert.odexpr import FlowExpr, parse_flow_expr
 
 F = Fraction
+
+
+# -- reference: the mpf-object sweep that the libmp kernel replaced ---------------
+#
+# Verbatim copies of the former `_compile_flow` and `_rk4_fixed`, renamed.
+# The kernel must return the same `_mpf_` tuple for every flow, step count
+# and grid.
+
+
+def reference_compile_flow(f: FlowExpr):
+    """Turn an x/y-only FlowExpr into a fast mpf-valued callable.  It skips
+    the factors x**0, y**0 and the sum's start mpf(0), which are exact."""
+    terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
+
+    def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
+        total = None
+        for term, e_x, e_y in terms:
+            if e_x:
+                term = term * x**e_x
+            if e_y:
+                term = term * y**e_y
+            total = term if total is None else total + term
+        return mp.mpf(0) if total is None else total
+
+    return call
+
+
+def reference_rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
+    h = (x1 - x0) / steps
+    x, y = x0, y0
+    for _ in range(steps):
+        k1 = flow(x, y)
+        k2 = flow(x + h / 2, y + h * k1 / 2)
+        k3 = flow(x + h / 2, y + h * k2 / 2)
+        k4 = flow(x + h, y + h * k3)
+        y += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        x += h
+    return y
 
 
 def _mpf(q: Fraction) -> mp.mpf:
@@ -59,8 +101,8 @@ def test_reference_rejects_backward_evaluation():
 
 def test_reference_step_budget(monkeypatch):
     # Sweeps that never agree: each call returns a value 1 above the last, so
-    # the loop runs all its doublings (22 for a point, 18 for a grid) and
-    # gives up with the step count of the last sweep.
+    # the loop doubles until the next sweep would take the sweeps together
+    # past MAX_RK4_STEPS, and gives up with the steps spent.
     calls = []
 
     def drifting(flow, x0, y0, x1, steps):
@@ -68,13 +110,19 @@ def test_reference_step_budget(monkeypatch):
         return mp.mpf(len(calls))
 
     monkeypatch.setattr("taylorcert.oracle._rk4_fixed", drifting)
-    with pytest.raises(ConvergenceError, match=f"after {16 * 2**22} steps"):
+    point = [16 * 2**k for k in range(12)]
+    assert sum(point) <= MAX_RK4_STEPS < sum(point) + 2 * point[-1]
+    with pytest.raises(ConvergenceError, match=f"after {sum(point)} RK4 steps"):
         reference_solution(riccati_flow(), 0, -1, F(1, 5), F(1, 10**15))
-    assert calls == [16 * 2**k for k in range(23)]
+    assert calls == point
     calls.clear()
-    with pytest.raises(ConvergenceError, match=f"after {4 * 2**18} steps"):
-        reference_grid(riccati_flow(), 0, -1, [F(1, 5)], F(1, 10**15))
-    assert calls == [4 * 2**k for k in range(19)]
+    # Three segments cost three times the steps of one; a point at x0 is free.
+    per_segment = [4 * 2**k for k in range(13)]
+    spent = 3 * sum(per_segment)
+    assert spent <= MAX_RK4_STEPS < spent + 3 * 2 * per_segment[-1]
+    with pytest.raises(ConvergenceError, match=f"after {spent} RK4 steps"):
+        reference_grid(riccati_flow(), 0, -1, [0, F(1, 10), F(1, 5), F(3, 10)], F(1, 10**15))
+    assert calls == [steps for steps in per_segment for _ in range(3)]
 
 
 @pytest.mark.parametrize("tol", [F(1, 10**30), F(1, 10**60), F(99, 10**22)])
@@ -205,19 +253,6 @@ def test_riccati_exact_rejects_negative_argument():
         riccati_exact(F(-1, 10))
 
 
-def _reference_compile_flow(f):
-    """The flow compiler before it skipped x**0, y**0 and the sum's mpf(0)."""
-    terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
-
-    def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
-        total = mp.mpf(0)
-        for c, e_x, e_y in terms:
-            total += c * x**e_x * y**e_y
-        return total
-
-    return call
-
-
 @pytest.mark.parametrize("steps", [16, 512])
 @pytest.mark.parametrize("x1", [None, F(3, 5)])
 @pytest.mark.parametrize(
@@ -235,10 +270,78 @@ def test_compiled_flow_is_bit_identical(f, y0, default_x1, x1, steps):
     with mp.workdps(ORACLE_DPS):
         args = (to_mpf(0), to_mpf(y0), to_mpf(x1 or default_x1), steps)
         got = _rk4_fixed(_compile_flow(f), *args)
-        want = _rk4_fixed(_reference_compile_flow(f), *args)
+        want = reference_rk4_fixed(_unskipped_compile_flow(f), *args)
     assert got._mpf_ == want._mpf_
+
+
+def _unskipped_compile_flow(f):
+    """The mpf flow compiler before it skipped x**0, y**0 and the sum's mpf(0)."""
+    terms = [(to_mpf(c), *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
+
+    def call(x: mp.mpf, y: mp.mpf) -> mp.mpf:
+        total = mp.mpf(0)
+        for c, e_x, e_y in terms:
+            total += c * x**e_x * y**e_y
+        return total
+
+    return call
 
 
 def test_compiled_zero_flow_is_zero():
     with mp.workdps(ORACLE_DPS):
-        assert _compile_flow(FlowExpr.zero())(mp.mpf(1), mp.mpf(2)) == 0
+        flow = _compile_flow(FlowExpr.zero())
+        assert flow(mp.mpf(1)._mpf_)(mp.mpf(2)._mpf_) == fzero
+        assert _rk4_fixed(flow, mp.mpf(0), mp.mpf(2), mp.mpf(1), 4) == 2
+
+
+# -- the libmp kernel against the verbatim mpf sweep ------------------------------
+
+exponents = st.integers(0, 3)
+coefficients = st.fractions(-9, 9, max_denominator=9)
+xy_flows = st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=6).map(
+    FlowExpr
+)
+points = st.fractions(-1, 1, max_denominator=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xy_flows,
+    points,
+    st.fractions(-2, 2, max_denominator=50),
+    st.fractions(F(1, 50), 1, max_denominator=50),
+    st.integers(1, 64),
+)
+def test_kernel_matches_mpf_sweep(f, x0, y0, length, steps):
+    # Constant, x-only and y-only terms all occur; so do zero flows, blow-ups
+    # and steps that do not divide the interval exactly in binary.
+    with mp.workdps(ORACLE_DPS):
+        args = (to_mpf(x0), to_mpf(y0), to_mpf(x0 + length), steps)
+        got = _rk4_fixed(_compile_flow(f), *args)
+        want = reference_rk4_fixed(reference_compile_flow(f), *args)
+    assert got._mpf_ == want._mpf_
+
+
+mild_flows = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(-1, 1, max_denominator=4),
+    min_size=1,
+    max_size=3,
+).map(FlowExpr)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mild_flows,
+    st.fractions(-1, 1, max_denominator=4),
+    st.lists(st.fractions(0, F(1, 4), max_denominator=40), min_size=2, max_size=4, unique=True),
+)
+def test_grid_matches_mpf_sweep(f, y0, offsets):
+    # Several segments share one trajectory; a point at x0 is a zero-length one.
+    xs = sorted(F(1, 3) + d for d in offsets)
+    got = reference_grid(f, F(1, 3), y0, xs, F(1, 10**10))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("taylorcert.oracle._compile_flow", reference_compile_flow)
+        patch.setattr("taylorcert.oracle._rk4_fixed", reference_rk4_fixed)
+        want = reference_grid(f, F(1, 3), y0, xs, F(1, 10**10))
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]

@@ -2,11 +2,13 @@
 
 `parse_flow_expr` reads the restricted text form with one eager tokenizer
 function and one loop.  The reference below is the `_Tokenizer`/`_Parser`
-pair it replaced, kept verbatim, plus `_CappedParser`, which adds the one
-rule introduced since: in each term, the exponents of each symbol sum to at
-most 64.  Every drawn string must give the same FlowExpr, monomial insertion
-order included, or the same exception type and message.  Literals stay at
-100 digits or fewer, within the literal budget.
+pair it replaced, kept verbatim, plus `_CappedParser`, which adds the two
+rules introduced since: in each term, the exponents of each symbol sum to at
+most 64, and a coefficient made of more than one number, a term's product of
+constants or the sum of the terms with one monomial, has at most 100 digits
+in lowest terms.  Every drawn string must give the same FlowExpr, monomial
+insertion order included, or the same exception type and message.  Literals
+stay at 100 digits or fewer, within the literal budget.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 from taylorcert.odexpr import ExprParseError, FlowExpr, parse_flow_expr
 
 _MAX_EXPONENT = 64
+_MAX_COEFFICIENT_DIGITS = 100
 
 
 # -- reference: the tokenizer and parser classes parse_flow_expr replaced ------
@@ -166,19 +169,65 @@ class _Parser:
 
 
 class _CappedParser(_Parser):
-    """The verbatim parser with each symbol's exponents summed over a term.
+    """The verbatim parser with each symbol's exponents summed over a term,
+    and each coefficient's digits counted once a second number joins it.
 
-    A sum above _MAX_EXPONENT is refused at the factor that crosses it: at
-    its exponent, or at the bare symbol.  The message names the sum, so a
-    single exponent above the cap reads as before.
+    An exponent sum above _MAX_EXPONENT is refused at the factor that crosses
+    it: at its exponent, or at the bare symbol.  The message names the sum, so
+    a single exponent above the cap reads as before.  A product of constants
+    past _MAX_COEFFICIENT_DIGITS is refused at the number that crosses it, a
+    sum of terms at the first factor of the term that crosses it.
     """
+
+    def parse(self) -> FlowExpr:
+        coefficients: dict[tuple[int, ...], Fraction] = {}
+        expr, sign = FlowExpr.zero(), 1
+        kind, value, pos = self.peek()
+        if kind == "op" and value in "+-":
+            sign = -1 if value == "-" else 1
+            self.advance()
+        elif kind == "end":
+            raise self.error("empty expression", pos)
+        while True:
+            term_pos = self.peek()[2]
+            term = self.parse_term()
+            expr = expr + (term * FlowExpr.constant(-1) if sign < 0 else term)
+            for key, c in term.monomials.items():
+                if key in coefficients and sign * c + coefficients[key]:
+                    self.check_coefficient(sign * c + coefficients[key], term_pos)
+                coefficients[key] = coefficients.get(key, 0) + sign * c
+                if not coefficients[key]:
+                    del coefficients[key]
+            kind, value, pos = self.peek()
+            if kind == "end":
+                return expr
+            if kind == "op" and value in "+-":
+                sign = -1 if value == "-" else 1
+                self.advance()
+                continue
+            raise self.error(f"expected '+' or '-' before {value!r}", pos)
+
+    def check_coefficient(self, q: Fraction, pos: int) -> None:
+        if len(str(abs(q.numerator))) + len(str(q.denominator)) > _MAX_COEFFICIENT_DIGITS:
+            raise self.error(
+                f"coefficient has over {_MAX_COEFFICIENT_DIGITS} digits in lowest terms",
+                pos,
+            )
 
     def parse_term(self) -> FlowExpr:
         self.sums: dict[str, int] = {}
+        self.constant: Fraction | None = None
         return super().parse_term()
 
     def parse_factor(self) -> FlowExpr:
         kind, value, pos = self.peek()
+        if kind == "number":
+            factor = super().parse_factor()
+            q = factor.monomials.get((), Fraction(0))
+            if self.constant is not None:
+                self.check_coefficient(self.constant * q, pos)
+            self.constant = q if self.constant is None else self.constant * q
+            return factor
         if kind != "name" or value not in ("x", "y"):
             return super().parse_factor()
         self.advance()
@@ -303,6 +352,15 @@ def test_parser_matches_reference_on_sums(text):
         "y^64*y^0*x^64 + x^32*x^32",
         "x^64*x - x^64*x",
         "2*x^40*3*y*x^30",
+        # coefficients made of more than one number: at most 100 digits
+        "1/" + "9" * 99 + "*1/" + "7" * 99 + "*x",
+        "1/" + "9" * 99 + "*x + y + 1/" + "7" * 99 + "*x",
+        "1/" + "9" * 99 + "*x - 1/" + "9" * 99 + "*x + 1/" + "7" * 99 + "*x",
+        "9." + "9" * 98 + "*x",  # one number: 199 digits in lowest terms
+        "9." + "9" * 98 + "*x*1",
+        "2/" + "3" * 49 + "*x*" + "3" * 49 + "/4*y",
+        "1/" + "9" * 49 + "*" + "7" * 51,  # 100 digits in lowest terms
+        "1/" + "9" * 50 + "*" + "7" * 51,  # 101
         "²",
         "²/3",
         "٣/٤",
