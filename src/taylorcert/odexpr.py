@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, perm, prod
+import operator
 from typing import Iterator, Mapping, Sequence
 
 from .ratcore import (
@@ -84,11 +86,16 @@ def _dense(key: SparseKey) -> MonomialKey:
 
 def _normalised(num: dict[SparseKey, int], den: int) -> "FlowExpr":
     """Trusted constructor for internal results, which are not re-validated:
-    drop zero numerators and reduce by one gcd.  den must be positive."""
+    drop zero numerators and reduce by one gcd.  den must be positive.  Takes
+    num over: it is kept as it is when the gcd is 1 and no value is zero."""
     g = gcd(den, *num.values())
     expr = object.__new__(FlowExpr)
-    expr._num = {key: n // g for key, n in num.items() if n}
-    expr._den = den // g
+    if g != 1:
+        expr._num, expr._den = {key: n // g for key, n in num.items() if n}, den // g
+    elif 0 in num.values():
+        expr._num, expr._den = {key: n for key, n in num.items() if n}, den
+    else:
+        expr._num, expr._den = num, den
     return expr
 
 
@@ -209,17 +216,19 @@ class FlowExpr:
         that slot lowered by one and, for y^(j), slot y^(j+1) raised by one.
         """
         num: dict[SparseKey, int] = {}
+        get = num.get
         for key, n in self._num.items():
-            for i, (slot, exp) in enumerate(key):
+            i, size = 0, len(key)
+            for slot, exp in key:
                 head = key[:i] + ((slot, exp - 1),) if exp > 1 else key[:i]
-                tail = key[i + 1 :]
-                if slot:
-                    if tail and tail[0][0] == slot + 1:
-                        tail = ((slot + 1, tail[0][1] + 1),) + tail[1:]
-                    else:
-                        tail = ((slot + 1, 1),) + tail
-                new_key = head + tail
-                num[new_key] = num.get(new_key, 0) + n * exp
+                i += 1  # key[i] is the next slot's factor, if any
+                if not slot:
+                    new_key = head + key[i:]
+                elif i < size and key[i][0] == slot + 1:
+                    new_key = head + ((slot + 1, key[i][1] + 1),) + key[i + 1 :]
+                else:
+                    new_key = head + ((slot + 1, 1),) + key[i:]
+                num[new_key] = get(new_key, 0) + (n if exp == 1 else n * exp)
         return _normalised(num, self._den)
 
     # -- evaluation ------------------------------------------------------
@@ -301,6 +310,9 @@ class _Kernel:
         c = lcm(*(expr._den for expr in exprs))
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
         self.bases = (c, *dens, *extra_bases)
+        # The bits of each field, (2**64 - 1) << 64 i: a componentwise max is
+        # the bitwise or of each field's largest masked value.
+        self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
         self._powers: dict[int, int] = {}
         self._factors: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.slots = {
@@ -351,25 +363,33 @@ class _Kernel:
         get, mul, coeff_vec = self._factors.get, mul_endpoints, self._unit(0)
         scale = self.bases[0] // expr._den
         groups: dict[int, list[int]] = {}
+        group_of = groups.get
         for key, n in expr._num.items():
-            lo = hi = n = n * scale
-            vec = coeff_vec
+            n *= scale
             if key:
-                lo, hi, b_vec = get(key[0]) or self._factor(key[0])
+                first = key[0]
+                lo, hi, vec = get(first) or self._factor(first)
                 lo, hi = (n * lo, n * hi) if n >= 0 else (n * hi, n * lo)
-                vec += b_vec
+                vec += coeff_vec
                 for factor in key[1:]:
                     b_lo, b_hi, b_vec = get(factor) or self._factor(factor)
                     lo, hi = mul(lo, hi, b_lo, b_hi)
                     vec += b_vec
-            group = groups.setdefault(vec, [0, 0])
-            group[0] += lo
-            group[1] += hi
+            else:
+                lo = hi = n
+                vec = coeff_vec
+            group = group_of(vec)
+            if group is None:
+                groups[vec] = [lo, hi]
+            else:
+                group[0] += lo
+                group[1] += hi
         if len(groups) == 1:
             [(vec, (lo, hi))] = groups.items()
             return lo, hi, vec
-        fields = zip(*map(self._exponents, groups))
-        top = sum(max(field) * self._unit(i) for i, field in enumerate(fields))
+        top = 0
+        for field in self._fields:
+            top |= max(map(field.__and__, groups), default=0)
         total_lo = total_hi = 0
         for vec, (lo, hi) in groups.items():
             if vec != top:
@@ -505,18 +525,24 @@ def taylor_coefficients(
     # powers[j][k] = (w^j)^(k)(0); powers[1] is w itself.
     top = max((j for _, j, _ in terms), default=1)
     powers = [[1], w] + [[w[0] ** j] for j in range(2, top + 1)]
+    row = [1]  # binomials C(m, r), r = 0 ... m
     for k in range(n):
         w.append(sum(b * perm(k, i) * powers[j][k - i] for i, j, b in terms if i <= k))
         powers[0].append(0)
-        m = k + 1
-        row = [comb(m, r) for r in range(m + 1)]
         if top >= 2:
-            half = sum(row[r] * w[r] * w[m - r] for r in range((m + 1) // 2))
-            middle = 0 if m % 2 else row[m // 2] * w[m // 2] ** 2
+            m = k + 1
+            row = [1, *map(operator.add, row, row[1:]), 1]
+            h = (m + 1) // 2
+            # C(m, r) w_r, for r <= h if the square is the top power
+            weighted = list(map(operator.mul, row, w if top > 2 else w[: h + 1]))
+            half = sum(map(operator.mul, weighted, w[m : m - h : -1]))
+            middle = 0 if m % 2 else weighted[h] * w[h]
             powers[2].append(2 * half + middle)
-        for lower, power in zip(powers[2:], powers[3:]):
-            power.append(sum(c * w[r] * lower[m - r] for r, c in enumerate(row)))
-    return [Fraction(v, base ** (1 + q * k) * factorial(k)) for k, v in enumerate(w)]
+            for lower, power in zip(powers[2:], powers[3:]):
+                power.append(sum(map(operator.mul, weighted, reversed(lower))))
+    step = base**q  # L^(1 + q k) k! from its predecessor
+    dens = accumulate(range(1, n + 1), lambda den, k: den * step * k, initial=base)
+    return list(map(Fraction, w, dens))
 
 
 def derivative_values(
@@ -539,7 +565,9 @@ def derivative_values(
 # an exponent.  In each term, the exponents of x, and those of y, sum to at
 # most _MAX_EXPONENT.  A coefficient made of more than one NUMBER (a term's
 # product of constants, or the sum of the terms with one monomial) has at most
-# MAX_LITERAL_DIGITS digits too, in lowest terms.
+# MAX_LITERAL_DIGITS digits too, in lowest terms, and so has the common
+# denominator of the terms read so far: coprime denominators of different
+# monomials would otherwise multiply without bound.
 
 _MAX_EXPONENT = 64
 
@@ -555,15 +583,19 @@ def _check_digits(text: str, digits: int, pos: int) -> None:
         raise _error(text, message, pos)
 
 
+def _too_long(*values: int) -> bool:
+    """Whether nonnegative ints have over MAX_LITERAL_DIGITS digits together.
+    Bit lengths come first, since str() refuses ints past 4,300 digits: with
+    over 4 * MAX_LITERAL_DIGITS bits, one or two ints have over 118 digits."""
+    if sum(v.bit_length() for v in values) > 4 * MAX_LITERAL_DIGITS:
+        return True
+    return sum(len(str(v)) for v in values) > MAX_LITERAL_DIGITS
+
+
 def _check_coefficient(text: str, q: Fraction, pos: int) -> None:
     """Refuse q past MAX_LITERAL_DIGITS digits, numerator and denominator
-    together.  Bit lengths come first, since str() refuses ints past 4,300
-    digits: with over 4 * MAX_LITERAL_DIGITS bits, q has over 118 digits."""
-    num, den = abs(q.numerator), q.denominator
-    if (
-        num.bit_length() + den.bit_length() > 4 * MAX_LITERAL_DIGITS
-        or len(str(num)) + len(str(den)) > MAX_LITERAL_DIGITS
-    ):
+    together."""
+    if _too_long(abs(q.numerator), q.denominator):
         message = f"coefficient has over {MAX_LITERAL_DIGITS} digits in lowest terms"
         raise _error(text, message, pos)
 
@@ -663,6 +695,9 @@ def parse_flow_expr(text: str) -> FlowExpr:
         key = next(iter(term._num), None)
         known = key in expr._num
         expr = expr + (-term if negative else term)
+        if _too_long(expr._den):
+            message = f"common denominator has over {MAX_LITERAL_DIGITS} digits"
+            raise _error(text, message, term_pos)
         if known and key in expr._num:
             _check_coefficient(text, Fraction(expr._num[key], expr._den), term_pos)
         if not tok:

@@ -37,6 +37,11 @@ ORACLE_DPS = 40
 #: y(3), just before the pole, would take about 2**23 steps per sweep.
 MAX_RK4_STEPS = 100_000
 
+#: A sweep stops once |y| reaches 2**MAX_Y_EXPONENT: past a pole, y's binary
+#: exponent doubles with every step, and each operation slows with its
+#: length.  No sweep that a finer one agrees with comes near it.
+MAX_Y_EXPONENT = 2**16
+
 _SIX = from_int(6)
 
 
@@ -107,8 +112,9 @@ def check_tol(tol: RationalLike) -> None:
         )
 
 
-def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
-    """Classical RK4 from (x0, y0) to x1 in equal steps, for a compiled flow.
+def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf | None:
+    """Classical RK4 from (x0, y0) to x1 in equal steps, for a compiled flow;
+    None as soon as |y| reaches 2**MAX_Y_EXPONENT.
 
     Bit-identical to the mpf loop that forms h*k/2, 2*k and x + h at each
     step: halving and doubling are exact in binary, so (h/2)*k rounds to the
@@ -132,6 +138,8 @@ def _rk4_fixed(flow, x0: mp.mpf, y0: mp.mpf, x1: mp.mpf, steps: int) -> mp.mpf:
         total = mpf_add(total, mpf_shift(k3, 1), prec, RND)
         total = mpf_add(total, k4, prec, RND)
         y = mpf_add(y, mpf_div(mpf_mul(h, total, prec, RND), _SIX, prec, RND), prec, RND)
+        if y[2] + y[3] > MAX_Y_EXPONENT:  # (sign, mantissa, exponent, bit count)
+            return None
         at_x = at_next
     return mp.make_mpf(y)
 
@@ -190,19 +198,23 @@ def _integrate(
 
     Each segment takes `steps` steps, doubled until two successive sweeps
     agree within tol; returns the last sweep and its largest difference from
-    the one before.  Raises ConvergenceError rather than start a sweep that
-    would take the sweeps together past MAX_RK4_STEPS steps.
+    the one before.  A sweep that `_rk4_fixed` stops agrees with neither
+    neighbour, though its steps all count as spent.  Raises ConvergenceError
+    rather than start a sweep that would take the sweeps together past
+    MAX_RK4_STEPS steps.
     """
     with mp.workdps(ORACLE_DPS):
         flow, tol_f = _compile_flow(f), to_mpf(tol)
         nodes = [to_mpf(x0)] + [to_mpf(x) for x in xs]
         segments = sum(b > a for a, b in zip(nodes, nodes[1:]))
 
-        def sweep(per_segment: int) -> list[mp.mpf]:
+        def sweep(per_segment: int) -> list[mp.mpf] | None:
             y, out = to_mpf(y0), []
             for a, b in zip(nodes, nodes[1:]):
                 if b > a:
                     y = _rk4_fixed(flow, a, y, b, per_segment)
+                    if y is None:
+                        return None
                 out.append(y)
             return out
 
@@ -210,7 +222,7 @@ def _integrate(
         while spent + steps * segments <= MAX_RK4_STEPS:
             current = sweep(steps)
             spent += steps * segments
-            if prev is not None:
+            if prev is not None and current is not None:
                 diff = max(abs(c - p) for c, p in zip(current, prev))
                 if diff < tol_f:
                     return current, diff

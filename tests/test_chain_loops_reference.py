@@ -1,0 +1,226 @@
+"""The flow derivative, its normaliser and the Taylor-mode recurrence against
+verbatim copies of the loops they replaced.
+
+`FlowExpr.flow_derivative` walks each sparse key once and tests the adjacent
+slot in place; `_normalised` skips its divisions when the gcd is 1;
+`taylor_coefficients` updates its binomial row by Pascal's rule and forms the
+Leibniz sums over slices.  The references below are the earlier loops, kept
+verbatim.  A derivative must give the same `_num` items in the same insertion
+order, so `.monomials` keeps its order, and the same `_den`; the coefficient
+lists must be equal.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial, gcd, lcm, perm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import quadratic_flow, riccati_flow
+from taylorcert.odexpr import (
+    FlowExpr,
+    SparseKey,
+    _dense,
+    _normalised,
+    _require_xy,
+    derivative_chain,
+    taylor_coefficients,
+)
+from taylorcert.ratcore import RationalLike, as_rational
+
+F = Fraction
+
+
+# -- references: the loops the rewrite replaced ----------------------------------
+
+
+def reference_normalised(num: dict[SparseKey, int], den: int) -> "FlowExpr":
+    """Trusted constructor for internal results, which are not re-validated:
+    drop zero numerators and reduce by one gcd.  den must be positive."""
+    g = gcd(den, *num.values())
+    expr = object.__new__(FlowExpr)
+    expr._num = {key: n // g for key, n in num.items() if n}
+    expr._den = den // g
+    return expr
+
+
+def reference_flow_derivative(self) -> "FlowExpr":
+    """Total derivative along solutions: d/dx + sum_j y^(j+1) d/dy^(j).
+
+    One pass: each nonzero slot emits one term, e times the monomial with
+    that slot lowered by one and, for y^(j), slot y^(j+1) raised by one.
+    """
+    num: dict[SparseKey, int] = {}
+    for key, n in self._num.items():
+        for i, (slot, exp) in enumerate(key):
+            head = key[:i] + ((slot, exp - 1),) if exp > 1 else key[:i]
+            tail = key[i + 1 :]
+            if slot:
+                if tail and tail[0][0] == slot + 1:
+                    tail = ((slot + 1, tail[0][1] + 1),) + tail[1:]
+                else:
+                    tail = ((slot + 1, 1),) + tail
+            new_key = head + tail
+            num[new_key] = num.get(new_key, 0) + n * exp
+    return reference_normalised(num, self._den)
+
+
+def reference_taylor_coefficients(
+    f: FlowExpr, x0: RationalLike, y0: RationalLike, n: int
+) -> list[Fraction]:
+    """The earlier body, verbatim; the docstring is that of taylor_coefficients."""
+    _require_xy(f)
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    x0, y0 = as_rational(x0), as_rational(y0)
+    shifted: dict[tuple[int, int], Fraction] = {}
+    for key, a in f._num.items():
+        e_x, e_y = (*_dense(key), 0, 0)[:2]
+        for i in range(e_x + 1):
+            term = Fraction(a * comb(e_x, i), f._den) * x0 ** (e_x - i)
+            shifted[i, e_y] = shifted.get((i, e_y), 0) + term
+    shifted = {ij: b for ij, b in shifted.items() if b}
+    base = lcm(y0.denominator, *(b.denominator for b in shifted.values()))
+    q = max((-(-j // (i + 1)) for i, j in shifted), default=0)
+    terms = [
+        (i, j, b.numerator * (base ** (1 + q * (i + 1) - j) // b.denominator))
+        for (i, j), b in shifted.items()
+    ]
+    w = [y0.numerator * (base // y0.denominator)]
+    # powers[j][k] = (w^j)^(k)(0); powers[1] is w itself.
+    top = max((j for _, j, _ in terms), default=1)
+    powers = [[1], w] + [[w[0] ** j] for j in range(2, top + 1)]
+    for k in range(n):
+        w.append(sum(b * perm(k, i) * powers[j][k - i] for i, j, b in terms if i <= k))
+        powers[0].append(0)
+        m = k + 1
+        row = [comb(m, r) for r in range(m + 1)]
+        if top >= 2:
+            half = sum(row[r] * w[r] * w[m - r] for r in range((m + 1) // 2))
+            middle = 0 if m % 2 else row[m // 2] * w[m // 2] ** 2
+            powers[2].append(2 * half + middle)
+        for lower, power in zip(powers[2:], powers[3:]):
+            power.append(sum(c * w[r] * lower[m - r] for r, c in enumerate(row)))
+    return [Fraction(v, base ** (1 + q * k) * factorial(k)) for k, v in enumerate(w)]
+
+
+def fields(expr: FlowExpr):
+    return list(expr._num.items()), expr._den
+
+
+# -- strategies ------------------------------------------------------------------
+
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+
+
+@st.composite
+def monomial_keys(draw, max_exp):
+    """Dense keys over x, y, y', y''."""
+    return tuple(draw(st.integers(0, max_exp)) for _ in range(4))
+
+
+@st.composite
+def polynomials(draw):
+    """Polynomials in x, y, y', y'' with exponents up to 4.  Each drawn
+    cancelling block M * (y y'' - y'^2 / 2) or M * (x y' - y), M a monomial,
+    has a derivative in which two emitted terms cancel: the flow derivatives
+    of the blocks' factors are y y''' and x y''."""
+    table: dict[tuple[int, ...], Fraction] = {}
+
+    def add(m, factor, coeff):
+        key = tuple(a + b for a, b in zip(m, factor))
+        table[key] = table.get(key, 0) + coeff
+
+    for _ in range(draw(st.integers(0, 6))):
+        add(draw(monomial_keys(4)), (0, 0, 0, 0), draw(coefficients))
+    for _ in range(draw(st.integers(0, 2))):
+        m, c = draw(monomial_keys(2)), draw(coefficients)
+        if draw(st.booleans()):
+            add(m, (0, 1, 0, 1), c)
+            add(m, (0, 0, 2, 0), -c / 2)
+        else:
+            add(m, (1, 0, 1, 0), c)
+            add(m, (0, 1, 0, 0), -c)
+    return FlowExpr(table)
+
+
+@st.composite
+def xy_flows(draw):
+    """Flows in x and y with y-degree up to 4."""
+    table = {}
+    for _ in range(draw(st.integers(1, 5))):
+        table[draw(st.integers(0, 3)), draw(st.integers(0, 4))] = draw(coefficients)
+    return FlowExpr(table)
+
+
+points = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+)
+
+
+# -- the flow derivative and its normaliser --------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+def test_flow_derivative_equals_verbatim_loop(expr):
+    assert fields(expr.flow_derivative()) == fields(reference_flow_derivative(expr))
+
+
+def test_cancelling_blocks_cancel():
+    y_block = FlowExpr({(0, 1, 0, 1): 1, (0, 0, 2): F(-1, 2)})
+    x_block = FlowExpr({(1, 0, 1): 3, (0, 1): -3})
+    assert y_block.flow_derivative() == FlowExpr({(0, 1, 0, 0, 1): 1})
+    assert x_block.flow_derivative() == FlowExpr({(1, 0, 0, 1): 3})
+    for expr in (y_block, x_block):
+        assert fields(expr.flow_derivative()) == fields(reference_flow_derivative(expr))
+
+
+def test_chains_equal_verbatim_loop():
+    quartic = FlowExpr({(2, 3): F(2, 3), (0, 4): 5, (): 1})
+    for f in (riccati_flow(), quadratic_flow(), quartic):
+        exprs = derivative_chain(f, 12).exprs
+        want = [f]
+        for _ in range(12):
+            want.append(reference_flow_derivative(want[-1]))
+        assert [fields(e) for e in exprs] == [fields(e) for e in want]
+
+
+sparse_keys = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=3, unique_by=lambda p: p[0]
+).map(lambda pairs: tuple(sorted(pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(sparse_keys, st.integers(-60, 60), max_size=8),
+    st.integers(1, 720),
+)
+def test_normalised_equals_verbatim_loop(num, den):
+    want = fields(reference_normalised(dict(num), den))
+    assert fields(_normalised(dict(num), den)) == want
+
+
+# -- the Taylor-mode recurrence --------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(xy_flows(), points, points, st.integers(0, 30))
+def test_taylor_coefficients_equal_verbatim_loop(f, x0, y0, n):
+    got = taylor_coefficients(f, x0, y0, n)
+    want = reference_taylor_coefficients(f, x0, y0, n)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_benchmark_flows_equal_verbatim_loop():
+    for f, y0, n in [
+        (riccati_flow(), -1, 60),
+        (quadratic_flow(), 1, 28),
+        (FlowExpr({(): 1, (1, 2): 1, (0, 3): 1}), 0, 20),
+        (FlowExpr({(3, 2): 1, (1,): 2, (0, 4): 1}), 0, 20),
+    ]:
+        want = reference_taylor_coefficients(f, 0, y0, n)
+        assert taylor_coefficients(f, 0, y0, n) == want

@@ -462,8 +462,10 @@ def test_oracle_stops_at_its_step_budget(problem_file, at):
     # y(3) lies just before the pole of the riccati solution and y(9) past
     # it.  Each ran past a 30 s timeout before the step doubling had a budget;
     # y(3) would need about 2**23 steps per sweep.  Past the pole the values'
-    # exponents grow with every step, so --at 9 spends about 11 s.
-    proc = run_child("oracle", str(problem_file), "--at", at, timeout=60)
+    # exponents grow with every step: --at 9 spent about 10 s until a sweep
+    # stopped once |y| reached 2**(2**16), and now takes about 1.3 s.
+    timeout = 5 if at == "9" else 60
+    proc = run_child("oracle", str(problem_file), "--at", at, timeout=timeout)
     assert (proc.returncode, proc.stderr) == (
         2,
         "certification failed: integrator did not stabilize within "
@@ -484,6 +486,31 @@ def test_repeated_constants_are_refused_at_once(problem_file, factors):
         1,
         "input error: field 'f' (line 2): line 1, column 103: "
         "coefficient has over 100 digits in lowest terms\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "f, column",
+    [
+        # Forty coprime 99-digit denominators made f's denominator 12,934
+        # bits long: certify exited 3 on the 4,300-digit limit after 1.6 s.
+        (" + ".join(f"1/{10**98 + 2 * k + 1}*x^{k}" for k in range(1, 41)) + " + y^2", 109),
+        (f"1/{10**59 + 7}*x + 1/{10**59 + 9}*y^2", 68),
+    ],
+    ids=["forty-terms", "two-60-digit"],
+)
+@pytest.mark.parametrize(
+    "argv", [["certify", "--no-sanity"], ["coeffs"]], ids=["certify", "coeffs"]
+)
+def test_long_common_denominator_is_refused_at_once(tmp_path, f, column, argv):
+    # The term that takes the common denominator past 100 digits is refused.
+    prob = tmp_path / "denominators.prob"
+    prob.write_text(f'f = "{f}"\nx0 = "0"\ny0 = "0"\ndegree = 9\nx1 = "1/5"\n')
+    proc = run_child(argv[0], str(prob), *argv[1:])
+    assert (proc.returncode, proc.stderr) == (
+        1,
+        f"input error: field 'f' (line 1): line 1, column {column}: "
+        "common denominator has over 100 digits\n",
     )
 
 

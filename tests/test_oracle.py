@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from conftest import (
 from taylorcert.oracle import (
     ConvergenceError,
     MAX_RK4_STEPS,
+    MAX_Y_EXPONENT,
     ORACLE_DPS,
     _compile_flow,
     _rk4_fixed,
@@ -314,12 +316,58 @@ points = st.fractions(-1, 1, max_denominator=50)
 )
 def test_kernel_matches_mpf_sweep(f, x0, y0, length, steps):
     # Constant, x-only and y-only terms all occur; so do zero flows, blow-ups
-    # and steps that do not divide the interval exactly in binary.
+    # and steps that do not divide the interval exactly in binary.  The
+    # kernel gives up, returning None, exactly when a step's y reaches
+    # 2**MAX_Y_EXPONENT; the reference's steps are the y of every fourth call
+    # of its flow, k1's, and the value it returns.
+    ys = []
+
+    def recording(x, y):
+        ys.append(y)
+        return compiled(x, y)
+
     with mp.workdps(ORACLE_DPS):
+        compiled = reference_compile_flow(f)
         args = (to_mpf(x0), to_mpf(y0), to_mpf(x0 + length), steps)
         got = _rk4_fixed(_compile_flow(f), *args)
-        want = reference_rk4_fixed(reference_compile_flow(f), *args)
-    assert got._mpf_ == want._mpf_
+        want = reference_rk4_fixed(recording, *args)
+    _, _, exp, bits = zip(*(y._mpf_ for y in [*ys[4::4], want]))
+    if max(map(operator.add, exp, bits)) > MAX_Y_EXPONENT:
+        assert got is None
+    else:
+        assert got._mpf_ == want._mpf_
+
+
+def test_a_stopped_sweep_agrees_with_no_neighbour(monkeypatch):
+    # y' = y^2 from y(0) = 1 has its pole at x = 1: a sweep across it stops
+    # within 64 steps, one that ends before it does not.
+    f = parse_flow_expr("y^2")
+    with mp.workdps(ORACLE_DPS):
+        flow = _compile_flow(f)
+        assert _rk4_fixed(flow, mp.mpf(0), mp.mpf(1), mp.mpf(0.5), 16) is not None
+        assert _rk4_fixed(flow, mp.mpf(0), mp.mpf(1), mp.mpf(2), 64) is None
+    # Stopping the first sweep leaves the doubling as it was: the 32-step
+    # sweep is compared with nothing, and the loop ends where it ended.
+    sweeps = []
+
+    def counted(flow, x0, y0, x1, steps):
+        sweeps.append(steps)
+        return original(flow, x0, y0, x1, steps)
+
+    def first_stops(flow, x0, y0, x1, steps):
+        sweeps.append(steps)
+        return None if len(sweeps) == 1 else original(flow, x0, y0, x1, steps)
+
+    original = _rk4_fixed
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", counted)
+    want = reference_solution(f, 0, 1, F(1, 2), F(1, 10**12))
+    want_sweeps = sweeps[:]
+    sweeps.clear()
+    monkeypatch.setattr("taylorcert.oracle._rk4_fixed", first_stops)
+    got = reference_solution(f, 0, 1, F(1, 2), F(1, 10**12))
+    assert sweeps == want_sweeps == [16 * 2**k for k in range(len(sweeps))]
+    assert len(sweeps) > 2
+    assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
 
 mild_flows = st.dictionaries(

@@ -2,11 +2,12 @@
 
 `parse_flow_expr` reads the restricted text form with one eager tokenizer
 function and one loop.  The reference below is the `_Tokenizer`/`_Parser`
-pair it replaced, kept verbatim, plus `_CappedParser`, which adds the two
+pair it replaced, kept verbatim, plus `_CappedParser`, which adds the three
 rules introduced since: in each term, the exponents of each symbol sum to at
-most 64, and a coefficient made of more than one number, a term's product of
+most 64; a coefficient made of more than one number, a term's product of
 constants or the sum of the terms with one monomial, has at most 100 digits
-in lowest terms.  Every drawn string must give the same FlowExpr, monomial
+in lowest terms; and so has the common denominator of the terms read so
+far.  Every drawn string must give the same FlowExpr, monomial
 insertion order included, or the same exception type and message.  Literals
 stay at 100 digits or fewer, within the literal budget.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,7 +178,8 @@ class _CappedParser(_Parser):
     it: at its exponent, or at the bare symbol.  The message names the sum, so
     a single exponent above the cap reads as before.  A product of constants
     past _MAX_COEFFICIENT_DIGITS is refused at the number that crosses it, a
-    sum of terms at the first factor of the term that crosses it.
+    sum of terms at the first factor of the term that crosses it, and so is a
+    common denominator of the monomials past as many digits.
     """
 
     def parse(self) -> FlowExpr:
@@ -192,6 +195,12 @@ class _CappedParser(_Parser):
             term_pos = self.peek()[2]
             term = self.parse_term()
             expr = expr + (term * FlowExpr.constant(-1) if sign < 0 else term)
+            den = lcm(*(c.denominator for c in expr.monomials.values()))
+            if len(str(den)) > _MAX_COEFFICIENT_DIGITS:
+                raise self.error(
+                    f"common denominator has over {_MAX_COEFFICIENT_DIGITS} digits",
+                    term_pos,
+                )
             for key, c in term.monomials.items():
                 if key in coefficients and sign * c + coefficients[key]:
                     self.check_coefficient(sign * c + coefficients[key], term_pos)
@@ -361,6 +370,11 @@ def test_parser_matches_reference_on_sums(text):
         "2/" + "3" * 49 + "*x*" + "3" * 49 + "/4*y",
         "1/" + "9" * 49 + "*" + "7" * 51,  # 100 digits in lowest terms
         "1/" + "9" * 50 + "*" + "7" * 51,  # 101
+        # the common denominator of the terms: at most 100 digits
+        "1/" + "9" * 50 + "*x + 1/" + "3" * 51 + "*y",  # 100 digits
+        "1/" + "9" * 50 + "*x + 1/" + "7" * 51 + "*y",  # 101
+        "1/" + "9" * 50 + "*x + 1/" + "7" * 51 + "*y - 1/" + "7" * 51 + "*y",
+        "y + 1/" + "9" * 50 + "*x - 1/" + "9" * 50 + "*x + 1/" + "7" * 51 + "*x^2",
         "²",
         "²/3",
         "٣/٤",
