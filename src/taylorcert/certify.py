@@ -2,11 +2,12 @@
 
 The pipeline: exact coefficients from the Taylor-mode recurrence, a
 guaranteed convergence-radius bound, a certified solution range on [x0, x1],
-sequential interval bounds for every solution derivative up to order n+1 from
-the derivative chain, and finally the degree-n remainder in Lagrange form,
-|R_n(x)| <= sup|y^(n+1)| * dx^(n+1) / (n+1)!.  A centralized variant shifts
-the partial sum by the midpoint of the signed remainder range, halving the
-worst-case error.
+sequential interval bounds for every solution derivative up to order n+1
+(`odexpr.derivative_bounds`: the interval Leibniz recurrence for
+f = a(x) + b*y^2, the derivative chain otherwise), and finally the degree-n
+remainder in Lagrange form, |R_n(x)| <= sup|y^(n+1)| * dx^(n+1) / (n+1)!.
+A centralized variant shifts the partial sum by the midpoint of the signed
+remainder range, halving the worst-case error.
 """
 
 from __future__ import annotations
@@ -183,10 +184,11 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
 
     xrange = RatInterval(p.x0, p.x1)
     try:
-        chain = odexpr.derivative_chain(p.f, p.degree)
-    except odexpr.ExprError as exc:  # only the size budget: p.f is x/y-only
+        bounds = odexpr.derivative_bounds(
+            p.f, p.degree, xrange, yrange.range, p.rounding
+        )
+    except odexpr.ExprError as exc:  # only the chain's budget: p.f is x/y-only
         raise CertificationError("bounds", str(exc)) from exc
-    bounds = chain.bounds(xrange, yrange.range, p.rounding)
     if not p.rounding.is_exact:
         parity_notes.append(
             f"bounds rounded outward to {p.rounding.places} decimals at every "

@@ -10,7 +10,9 @@ integer P_k and c the lcm of f's denominators.  Iterating it from f yields
 expressions for every higher solution derivative: the DerivativeChain, whose
 interval evaluation bounds each derivative over a box.
 
-A certificate builds its DerivativeChain once, one single-pass flow
+A certificate takes its bounds from `derivative_bounds`.  For f = a(x) + b*y^2
+with constant b it runs the interval Leibniz recurrence and builds no chain;
+any other f gets its DerivativeChain built once, one single-pass flow
 derivative per step, for DerivativeChain.bounds alone.  Exact Taylor
 coefficients need no chain: `taylor_coefficients` runs a Taylor-mode
 recurrence on integers, and `derivative_values` multiplies its c_k by k!.
@@ -255,7 +257,7 @@ class FlowExpr:
             b = self._symbol_value(env, slot)
             boxes[slot] = b if isinstance(b, RatInterval) else RatInterval.point(b)
         kernel = _Kernel([self], boxes)
-        return kernel.interval(*kernel.enclose(self))
+        return kernel.interval(*kernel.total(kernel.groups(self)))
 
     def subs_x(self, value: RationalLike) -> "FlowExpr":
         """Substitute x := value exactly, leaving derivative symbols symbolic."""
@@ -295,21 +297,23 @@ class _Kernel:
     for top >= vec.  No field overflows: power() would be uncomputable long
     before, as any base >= 2 to the 2**64 has 2**64 bits.  bases[0] is c, the
     lcm of the expressions' denominators; then come the denominators of the
-    boxes bound to slots, and any extra bases the caller adds.  Powers and
-    monomial factors are cached for the life of the kernel, so a slot's
-    binding must not change once set.  No step needs a gcd or a division:
-    only `interval` reduces; `enclose` says how sums are formed.
+    boxes bound to slots and, under outward:P rounding of the bounds that
+    `bind` stores, 10**P.  Powers and monomial factors are cached for the
+    life of the kernel, so a slot's binding must not change once set.  No
+    step needs a gcd or a division: only `interval` reduces; `groups` and
+    `total` say how sums are formed.
     """
 
     def __init__(
         self,
         exprs: Sequence[FlowExpr],
         boxes: Mapping[int, RatInterval],
-        extra_bases: Sequence[int] = (),
+        rounding: DecimalRounding = DecimalRounding.exact(),
     ):
         c = lcm(*(expr._den for expr in exprs))
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
-        self.bases = (c, *dens, *extra_bases)
+        extra = () if rounding.is_exact else (10**rounding.places,)
+        self.bases, self.rounding = (c, *dens, *extra), rounding
         # The bits of each field, (2**64 - 1) << 64 i: a componentwise max is
         # the bitwise or of each field's largest masked value.
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
@@ -349,16 +353,14 @@ class _Kernel:
         binding = self._factors[factor] = lo, hi, exp * vec
         return binding
 
-    def enclose(self, expr: FlowExpr) -> tuple[int, int, int]:
-        """Binding of the monomial-wise enclosure of an expression.
+    def groups(self, expr: FlowExpr) -> dict[int, list[int]]:
+        """The expression's monomial enclosures, summed per vector; `total`
+        adds them up.
 
         One pass over the monomials.  A coefficient num / den enters as
         n = num * (c // den), which the first factor scales by its sign case;
         only later factors call `mul_endpoints`.  Each (slot, exponent)
-        factor's binding is formed once per kernel.  Monomials are summed per
-        vector; with two or more vectors, each group sum is lifted once to
-        their componentwise maximum.  Integer sums are exact, so lifting a
-        sum equals summing the lifted monomials.  No monomials sum to (0, 0, 0).
+        factor's binding is formed once per kernel.
         """
         get, mul, coeff_vec = self._factors.get, mul_endpoints, self._unit(0)
         scale = self.bases[0] // expr._den
@@ -384,6 +386,15 @@ class _Kernel:
             else:
                 group[0] += lo
                 group[1] += hi
+        return groups
+
+    def total(self, groups: Mapping[int, list[int]]) -> tuple[int, int, int]:
+        """Binding of the sum of groups, each a vector's [lo, hi].
+
+        With two or more vectors, each group sum is lifted once to their
+        componentwise maximum.  Integer sums are exact, so lifting a sum
+        equals summing the lifted terms.  No groups sum to (0, 0, 0).
+        """
         if len(groups) == 1:
             [(vec, (lo, hi))] = groups.items()
             return lo, hi, vec
@@ -398,6 +409,26 @@ class _Kernel:
             total_lo += lo
             total_hi += hi
         return total_lo, total_hi, top
+
+    def bind(self, slot: int, groups: Mapping[int, list[int]]) -> RatInterval:
+        """Bind the rounded total of groups to slot, as a derivative bound,
+        and return it reduced.
+
+        An exact bound is bound as the numerators and vector of its
+        unreduced sum [lo, hi] / den.  Under outward:P, lo and hi are floored
+        and ceiled straight to numerators over 10**P, the last base
+        (`DecimalRounding.scaled_floor`), which are bound as they are; only
+        the two rounded endpoints become Fractions.  A bound is never made a
+        base of its own: D_k multiplies y^(i) by y^(k-2-i), so the common
+        denominator would become the product of every earlier one.
+        """
+        lo, hi, vec = self.total(groups)
+        if not self.rounding.is_exact:
+            den, rounding = self.power(vec), self.rounding
+            lo, hi = rounding.scaled_floor(lo, den), -rounding.scaled_floor(-hi, den)
+            vec = self._unit(len(self.bases) - 1)
+        self.slots[slot] = lo, hi, vec
+        return self.interval(lo, hi, vec)
 
     def interval(self, lo: int, hi: int, vec: int) -> RatInterval:
         """The reduced RatInterval of a binding; lo <= hi always holds here."""
@@ -433,28 +464,13 @@ class DerivativeChain:
         D_k is evaluated monomial-wise with x over xrange, y over yrange and
         each symbol below y^(k) over its own bound, found before it.  Each
         bound goes through `rounding` before it is stored and fed to the next
-        order.
-
-        All orders share one kernel.  An exact bound re-enters as the
-        numerators and vector of its unreduced sum [lo, hi] / den.  Under
-        outward:P, lo and hi are floored and ceiled straight to numerators
-        over 10**P (`DecimalRounding.scaled_floor`), which re-enter as they
-        are; only the two rounded endpoints become Fractions.  A bound is
-        never made a base of its own: D_k multiplies y^(i) by y^(k-2-i), so
-        the common denominator would become the product of every earlier one.
+        order (`_Kernel.bind`).  All orders share one kernel.
         """
-        extra = () if rounding.is_exact else (10**rounding.places,)
-        kernel = _Kernel(self.exprs, {0: xrange, 1: yrange}, extra)
-        bounds = []
-        for slot, expr in enumerate(self.exprs, start=2):
-            lo, hi, vec = kernel.enclose(expr)
-            if extra:
-                den = kernel.power(vec)
-                lo, hi = rounding.scaled_floor(lo, den), -rounding.scaled_floor(-hi, den)
-                vec = kernel._unit(len(kernel.bases) - 1)
-            bounds.append(kernel.interval(lo, hi, vec))
-            kernel.slots[slot] = (lo, hi, vec)
-        return bounds
+        kernel = _Kernel(self.exprs, {0: xrange, 1: yrange}, rounding)
+        return [
+            kernel.bind(slot, kernel.groups(expr))
+            for slot, expr in enumerate(self.exprs, start=2)
+        ]
 
 
 def _require_xy(f: FlowExpr) -> None:
@@ -485,6 +501,64 @@ def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
                 f"over the limit {MAX_CHAIN_MONOMIALS}"
             )
     return DerivativeChain(tuple(exprs))
+
+
+#: The sparse key of y^2.
+_Y_SQUARED = ((1, 2),)
+
+
+def derivative_bounds(
+    f: FlowExpr,
+    n: int,
+    xrange: RatInterval,
+    yrange: RatInterval,
+    rounding: DecimalRounding = DecimalRounding.exact(),
+) -> list[RatInterval]:
+    """Sequential interval bounds for y^(1) ... y^(n+1) over a box, equal to
+    `derivative_chain(f, n).bounds(xrange, yrange, rounding)`.
+
+    For f = a(x) + b*y^2 with constant b, D_{k+1} is the Leibniz sum
+    a^(k)(x) + b*sum_i C(k, i) y^(i) y^(k-i), so the bounds come without a
+    chain, on its kernel, from the interval Taylor recurrence (Moore,
+    *Interval Analysis*, 1966) with Y_0 = yrange and Y_{k+1} = a^(k)(X) +
+    b*(2*sum_{i<k/2} C(k, i) Y_i Y_{k-i} + C(k, k/2) Y_{k/2}^2).  Each product
+    encloses one monomial of D_{k+1}, and a scalar distributes exactly over
+    interval sums, so each bound is the chain's.  Any other f goes through
+    the chain and its monomial budget.
+    """
+    if any(key and key[-1][0] and key != _Y_SQUARED for key in f._num):
+        return derivative_chain(f, n).bounds(xrange, yrange, rounding)
+    if n < 0:
+        raise ValueError("chain length parameter must be >= 0")
+    b = f._num.get(_Y_SQUARED, 0)
+    a = _normalised({key: v for key, v in f._num.items() if key != _Y_SQUARED}, f._den)
+    kernel = _Kernel([f], {0: xrange, 1: yrange}, rounding)
+    Y, coeff_vec, mul = kernel.slots, kernel._unit(0), mul_endpoints  # Y[j+1]: y^(j)
+    bounds, row = [], [1]  # row[i] = C(k, i)
+    for k in range(n + 1):
+        groups = kernel.groups(a)
+        group_of = groups.get
+        for i in range((k + 2) // 2 if b else 0):
+            lo, hi, vec = Y[i + 1]
+            if 2 * i < k:
+                o_lo, o_hi, o_vec = Y[k - i + 1]
+                lo, hi = mul(lo, hi, o_lo, o_hi)
+                scale = 2 * b * row[i]
+            else:
+                lo, hi = pow_endpoints(lo, hi, 2)
+                o_vec, scale = vec, b * row[i]
+            lo, hi = (scale * lo, scale * hi) if b > 0 else (scale * hi, scale * lo)
+            vec += o_vec + coeff_vec
+            group = group_of(vec)
+            if group is None:
+                groups[vec] = [lo, hi]
+            else:
+                group[0] += lo
+                group[1] += hi
+        bounds.append(kernel.bind(k + 2, groups))
+        a = a.partial(0)
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    return bounds
 
 
 def taylor_coefficients(

@@ -310,13 +310,16 @@ def test_pipeline_rejects_unsupported_comparison():
 
 
 def test_pipeline_reports_chain_budget_as_bounds_failure(monkeypatch):
+    # Outside the form a(x) + b*y^2 the bounds come from the chain, and its
+    # budget applies.
     monkeypatch.setattr("taylorcert.odexpr.MAX_CHAIN_MONOMIALS", 32)
-    p = ProblemSpec(f=riccati_flow(), x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
+    f = parse_flow_expr("1/4 + x*y^2")
+    p = ProblemSpec(f=f, x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
     with pytest.raises(CertificationError) as info:
         certify_partial_sum(p)
     assert info.value.stage == "bounds"
     assert str(info.value) == (
-        "[bounds] derivative chain holds 33 monomials by D_10, over the limit 32"
+        "[bounds] derivative chain holds 37 monomials by D_8, over the limit 32"
     )
 
 

@@ -1,11 +1,14 @@
-"""Work counts: the derivative chain is built once per certificate, and only
-for its bounds.
+"""Work counts: a certificate builds no derivative chain for f = a(x) + b*y^2,
+and builds it once, for its bounds alone, for any other flow.
 
 A counter on FlowExpr.flow_derivative counts chain steps, and a counter on
-DerivativeChain.bounds counts evaluation passes.  A degree-n certificate
-needs D_1 .. D_{n+1}, which is n steps, and bounds them in one pass.  The
-coefficients come from the Taylor-mode recurrence, so the coeffs subcommand
-builds and evaluates no chain at all.
+DerivativeChain.bounds counts evaluation passes.  The riccati flow is of the
+form a(x) + b*y^2, so its bounds come from the interval recurrence of
+`odexpr.derivative_bounds`: no steps and no passes.  `1/4 + x*y^2` is not (its
+y^2 coefficient depends on x): a degree-n certificate needs D_1 .. D_{n+1},
+which is n steps, and bounds them in one pass.  The coefficients come from the
+Taylor-mode recurrence, so the coeffs subcommand builds and evaluates no
+chain at all.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from taylorcert.odexpr import (
     DerivativeChain,
     FlowExpr,
     derivative_values,
+    parse_flow_expr,
     taylor_coefficients,
 )
 
@@ -60,9 +64,19 @@ def test_certificate_builds_chain_once(
 ):
     p = replace(riccati_problem, degree=degree)
     cert = certify_partial_sum(p)
-    assert len(flow_derivative_calls) == degree
-    assert bounds_passes == [degree + 1]
+    assert not flow_derivative_calls
+    assert not bounds_passes
     assert list(cert.coefficients) == taylor_coefficients(p.f, p.x0, p.y0, p.degree)
+
+
+def test_certificate_outside_the_form_builds_chain_once(
+    riccati_problem, flow_derivative_calls, bounds_passes
+):
+    p = replace(riccati_problem, f=parse_flow_expr("1/4 + x*y^2"), degree=12)
+    cert = certify_partial_sum(p)
+    assert len(flow_derivative_calls) == 12
+    assert bounds_passes == [13]
+    assert len(cert.derivative_bounds) == 13
 
 
 @pytest.mark.parametrize("degree", [0, 1, 9])

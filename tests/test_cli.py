@@ -3,6 +3,7 @@
 from fractions import Fraction
 import json
 import os
+import re
 from pathlib import Path
 import subprocess
 import sys
@@ -529,6 +530,21 @@ def test_wide_chain_stops_at_its_budget(tmp_path):
         "certification failed: [bounds] derivative chain holds 116125 "
         "monomials by D_37, over the limit 100000\n",
     )
+
+
+@pytest.mark.parametrize("name", ["riccati", "quadratic"])
+def test_outward_certificate_at_the_degree_cap(tmp_path, name):
+    # Both flows take the derivative-bound recurrence, which has no monomial
+    # budget: its work at MAX_DEGREE is bounded by the O(n^2) interval
+    # products alone (under 1 s each on a 2-core host).
+    text = (PROBLEMS / f"{name}.prob").read_text()
+    prob = tmp_path / f"{name}.prob"
+    prob.write_text(re.sub(r"degree = \d+", f"degree = {MAX_DEGREE}", text))
+    proc = run_child(
+        "certify", str(prob), "--no-sanity", "--rounding", "outward:30", timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert f"degree {MAX_DEGREE}" in proc.stdout
 
 
 def test_positivity_failure_exit_code(tmp_path, capsys):
