@@ -109,6 +109,8 @@ def parse_problem(text: str) -> ProblemSpec:
 
     degree_text, degree_line = entries["degree"]
     try:
+        if "_" in degree_text:  # int() reads "1_0" as 10; as_rational refuses it
+            raise ValueError(degree_text)
         degree = int(degree_text)
     except ValueError as exc:
         raise InputError(

@@ -298,7 +298,12 @@ class _Kernel:
     before, as any base >= 2 to the 2**64 has 2**64 bits.  bases[0] is c, the
     lcm of the expressions' denominators; then come the denominators of the
     boxes bound to slots and, under outward:P rounding of the bounds that
-    `bind` stores, 10**P.  Powers and monomial factors are cached for the
+    `bind` stores, 10**P.  Under outward:P the y box (slot 1) is bound over
+    10**P when that base is a multiple of its denominators, so that y and
+    the stored bounds share one vector and the products of an order fall in
+    few groups; its own base then goes unused.  The x box keeps its own base,
+    where the numerators of its powers stay small (over 10**P, those of x^e
+    would grow by 10**(P e)).  Powers and monomial factors are cached for the
     life of the kernel, so a slot's binding must not change once set.  No
     step needs a gcd or a division: only `interval` reduces; `groups` and
     `total` say how sums are formed.
@@ -319,10 +324,11 @@ class _Kernel:
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
         self._powers: dict[int, int] = {}
         self._factors: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self.slots = {
-            slot: self.numerators(box, index)
-            for index, (slot, box) in enumerate(boxes.items(), start=1)
-        }
+        self.slots = {}
+        for index, (slot, box) in enumerate(boxes.items(), start=1):
+            if slot == 1 and extra and extra[0] % self.bases[index] == 0:
+                index = len(self.bases) - 1
+            self.slots[slot] = self.numerators(box, index)
 
     @staticmethod
     def _unit(index: int) -> int:
@@ -536,7 +542,9 @@ def derivative_bounds(
     Y, coeff_vec, mul = kernel.slots, kernel._unit(0), mul_endpoints  # Y[j+1]: y^(j)
     bounds, row = [], [1]  # row[i] = C(k, i)
     for k in range(n + 1):
-        groups = kernel.groups(a)
+        groups = {}
+        if a._num:  # a^(k), then a^(k+1) for the next order
+            groups, a = kernel.groups(a), a.partial(0)
         group_of = groups.get
         for i in range((k + 2) // 2 if b else 0):
             lo, hi, vec = Y[i + 1]
@@ -556,7 +564,6 @@ def derivative_bounds(
                 group[0] += lo
                 group[1] += hi
         bounds.append(kernel.bind(k + 2, groups))
-        a = a.partial(0)
         row = [1, *map(operator.add, row, row[1:]), 1]
     return bounds
 

@@ -253,7 +253,7 @@ class DecimalRounding:
         text = text.strip()
         if text == "exact":
             return cls.exact()
-        if text.startswith("outward:"):
+        if text.startswith("outward:") and "_" not in text:
             return cls.outward(int(text.split(":", 1)[1]))
         raise ValueError(f"rounding must be 'exact' or 'outward:D', got {text!r}")
 

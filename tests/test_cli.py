@@ -92,6 +92,10 @@ def test_parse_problem_rounding_modes():
         ('x1 = "0"', "x1"),
         ("degree = -2", "degree"),
         ("degree = nine", "degree"),
+        # int() reads "1_0" as 10; underscore forms are refused, as in
+        # every rational field.
+        ("degree = 1_0", "field 'degree' must be an integer"),
+        ('rounding = "outward:1_0"', "rounding must be 'exact' or 'outward:D'"),
         ('r1 = "-1"', "r1"),
         ('rounding = "sideways"', "rounding"),
         ("bogus = 3", "unknown key"),
@@ -303,6 +307,14 @@ def test_outward_places_over_cap_are_input_errors(problem_file, capsys, places):
     problem_file.write_text(PROBLEM_TEXT)
     assert run(["bounds", str(problem_file), "--rounding", f"outward:{places}"]) == 1
     assert capsys.readouterr().err == f"input error: --rounding: {message}"
+
+
+def test_rounding_flag_refuses_underscore_places(problem_file, capsys):
+    assert run(["bounds", str(problem_file), "--rounding", "outward:1_0"]) == 1
+    assert capsys.readouterr().err == (
+        "input error: --rounding: rounding must be 'exact' or 'outward:D', "
+        "got 'outward:1_0'\n"
+    )
 
 
 def test_outward_places_at_cap_certify_degree_60(problem_file, tmp_path, capsys):

@@ -3,6 +3,10 @@
 For f = a(x) + b*y^2 with constant b, the bounds come from the interval
 Leibniz recurrence and must equal `derivative_chain(f, n).bounds(...)`
 exactly, in every rounding mode; the chain stays in `src/` as the reference.
+Both run on `odexpr._Kernel`, so the bounds must also equal the `Fraction`
+loop `reference_bounds` of test_integer_kernel.py, which shares no code with
+the kernel: under outward:P a y box whose denominators divide 10**P shares
+the kernel's 10**P base, and any other y box keeps a base of its own.
 Each bound must also contain the exact derivative at (x0, y0), and any other
 flow must go through the chain.
 """
@@ -26,6 +30,7 @@ from taylorcert.odexpr import (
     parse_flow_expr,
 )
 from taylorcert.ratcore import DecimalRounding, RatInterval
+from test_integer_kernel import assert_same_interval, reference_bounds
 
 F = Fraction
 
@@ -78,8 +83,41 @@ def test_benchmark_certificates_equal_chain(flow, y0, x1, n, rounding):
     qc = comparison.extract_comparison(f, F(0), x1, y0)
     yrange = comparison.solution_range(qc, F(1, 10**12), rounding, f).range
     xrange = RatInterval(F(0), x1)
+    chain = derivative_chain(f, n)
     bounds = derivative_bounds(f, n, xrange, yrange, rounding)
-    assert bounds == derivative_chain(f, n).bounds(xrange, yrange, rounding)
+    assert bounds == chain.bounds(xrange, yrange, rounding)
+    want = reference_bounds(chain, xrange, yrange, rounding)
+    for got, w in zip(bounds, want, strict=True):
+        assert_same_interval(got, w)
+
+
+@st.composite
+def reference_boxes(draw):
+    """(f, n, xrange, yrange) for a(x) + b*y^2 with b = 0 or a = 0 as often
+    as both nonzero, degrees n past deg a, and y endpoints whose denominators
+    (at most 12) divide 10**P for some P and not for others."""
+    a = {(e,): draw(rationals) for e in range(draw(st.integers(0, 3)) + 1)}
+    b = draw(rationals)
+    a, b = draw(st.sampled_from([(a, b), ({}, b), (a, 0)]))
+    xrange = RatInterval(*sorted((draw(rationals), draw(rationals))))
+    yrange = RatInterval(*sorted((draw(rationals), draw(rationals))))
+    return FlowExpr({**a, (0, 2): b}), draw(st.integers(0, 12)), xrange, yrange
+
+
+# Degrees up to 12 keep the reference's Fraction endpoints small enough for
+# a quick run.
+@settings(max_examples=200, deadline=None)
+@given(
+    reference_boxes(),
+    st.sampled_from(["exact", "outward:0", "outward:2", "outward:30"]),
+)
+def test_recurrence_equals_fraction_loop(case, rounding):
+    f, n, xrange, yrange = case
+    rounding = DecimalRounding.parse(rounding)
+    bounds = derivative_bounds(f, n, xrange, yrange, rounding)
+    want = reference_bounds(derivative_chain(f, n), xrange, yrange, rounding)
+    for got, w in zip(bounds, want, strict=True):
+        assert_same_interval(got, w)
 
 
 @pytest.mark.parametrize("text", ["1/4 + x*y^2", "1 + y", "y^3 + x", "x*y^2"])

@@ -406,6 +406,51 @@ def test_bounds_lift_once_per_vector(power_calls):
 
 
 @pytest.fixture
+def total_groups(monkeypatch):
+    calls = []
+    original = _Kernel.total
+
+    def counted(self, groups):
+        calls.append(len(groups))
+        return original(self, groups)
+
+    monkeypatch.setattr(_Kernel, "total", counted)
+    return calls
+
+
+def test_recurrence_sums_one_group_per_order(total_groups):
+    # Under outward:30 the y box [-1, m / (2 * 10**29)] is bound over the
+    # 10**30 base that every stored bound shares, so once a^(k) of
+    # a = x^2 is zero (k >= 3) each order's products fall in one vector;
+    # with y over a base of its own every order summed two groups.
+    rounding = DecimalRounding.outward(30)
+    bounds = odexpr.derivative_bounds(
+        riccati_flow(), 60, BENCH_XRANGE, BENCH_YRANGE, rounding
+    )
+    assert len(bounds) == len(total_groups) == 61
+    assert total_groups[:3] == [2, 2, 2]
+    assert total_groups[3:] == [1] * 58
+
+
+def test_x_box_and_other_y_boxes_keep_their_own_bases():
+    # x never shares 10**P: the degree-100 chain bounds of x^64 * y^2 + 1
+    # on this box ran over four times as slow with x over 10**P.  A y box
+    # shares it only when 10**P is a multiple of both its denominators.
+    f, unit = riccati_flow(), _Kernel._unit
+    rounding = DecimalRounding.outward(30)
+    shared = _Kernel([f], {0: BENCH_XRANGE, 1: BENCH_YRANGE}, rounding)
+    assert shared.bases == (4, 5, 2 * 10**29, 10**30)
+    assert shared.slots[0] == (0, 1, unit(1))
+    assert shared.slots[1] == (-(10**30), 5 * BENCH_YRANGE.hi.numerator, unit(3))
+    own = _Kernel([f], {0: BENCH_XRANGE, 1: RatInterval(F(-1, 3), F(1, 7))}, rounding)
+    assert own.bases == (4, 5, 21, 10**30)
+    assert own.slots[1] == (-7, 3, unit(2))
+    exact = _Kernel([f], {0: BENCH_XRANGE, 1: BENCH_YRANGE})
+    assert exact.bases == (4, 5, 2 * 10**29)
+    assert exact.slots[1][2] == unit(2)
+
+
+@pytest.fixture
 def mul_endpoints_calls(monkeypatch):
     calls = []
     original = odexpr.mul_endpoints

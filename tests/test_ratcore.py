@@ -381,6 +381,9 @@ def test_rounding_parse():
     assert DecimalRounding.parse("outward:2") == DecimalRounding.outward(2)
     with pytest.raises(ValueError):
         DecimalRounding.parse("inward:2")
+    # int() would read "1_0" as 10.
+    with pytest.raises(ValueError, match="rounding must be 'exact' or 'outward:D'"):
+        DecimalRounding.parse("outward:1_0")
 
 
 def test_rounding_has_one_field():
