@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__, comparison
-from .cauchy import RadiusCertificate
+from .cauchy import RadiusCertificate, radius_for_problem
 from .certify import (
     Certificate,
     CertificationError,
@@ -62,6 +62,15 @@ def _parsed(label: str, parse, value):
         return parse(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{label}: {exc}") from exc
+
+
+def _file(label: str, path: str, access):
+    """access(Path(path)), with the OSError it raises turned into an
+    InputError that starts with label and path."""
+    try:
+        return access(Path(path))
+    except OSError as exc:
+        raise InputError(f"{label} {path}: {exc}") from exc
 
 
 def _strip_quotes(value: str) -> str:
@@ -109,7 +118,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     degree_text, degree_line = entries["degree"]
     try:
-        if "_" in degree_text:  # int() reads "1_0" as 10; as_rational refuses it
+        if "_" in degree_text or not degree_text.isascii():  # int() takes "1_0", "٣"
             raise ValueError(degree_text)
         degree = int(degree_text)
     except ValueError as exc:
@@ -342,11 +351,7 @@ def _sanity_section(cert: Certificate) -> dict:
 
 
 def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read problem file {path}: {exc}") from exc
-    spec = parse_problem(text)
+    spec = parse_problem(_file("cannot read problem file", path, Path.read_text))
     overrides = {}
     if getattr(args, "rounding", None) is not None:
         rounding = _parsed("--rounding", DecimalRounding.parse, args.rounding)
@@ -367,7 +372,8 @@ def _with_radius(p: ProblemSpec) -> ProblemSpec:
 
 def _write_json(args: argparse.Namespace, doc: dict) -> None:
     if getattr(args, "json", None):
-        Path(args.json).write_text(report_to_json(doc))
+        text = report_to_json(doc)
+        _file("cannot write JSON report", args.json, lambda file: file.write_text(text))
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
@@ -392,8 +398,6 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    from .cauchy import radius_for_problem
-
     p = _with_radius(_load_problem(args.problem, args))
     rc = radius_for_problem(p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width)
     print(
@@ -445,10 +449,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_check_poly(args: argparse.Namespace) -> int:
     p = _load_problem(args.problem, args)
-    try:
-        poly_text = Path(args.poly).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read polynomial file {args.poly}: {exc}") from exc
+    poly_text = _file("cannot read polynomial file", args.poly, Path.read_text)
     coeffs = parse_poly_file(poly_text)
     cert = certify_partial_sum(_with_radius(p))
     bound = certify_polynomial(p, coeffs, cert)

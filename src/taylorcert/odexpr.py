@@ -324,31 +324,26 @@ class _Kernel:
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
         self._powers: dict[int, int] = {}
         self._factors: dict[tuple[int, int], tuple[int, int, int]] = {}
+        # Each box binds over bases[index], which its denominators divide.
         self.slots = {}
         for index, (slot, box) in enumerate(boxes.items(), start=1):
             if slot == 1 and extra and extra[0] % self.bases[index] == 0:
                 index = len(self.bases) - 1
-            self.slots[slot] = self.numerators(box, index)
+            den = self.bases[index]
+            lo, hi = (q.numerator * (den // q.denominator) for q in (box.lo, box.hi))
+            self.slots[slot] = lo, hi, self._unit(index)
 
     @staticmethod
     def _unit(index: int) -> int:
         return 1 << 64 * index
 
-    def _exponents(self, vec: int) -> list[int]:
-        return [(vec >> 64 * i) & ((1 << 64) - 1) for i in range(len(self.bases))]
-
     def power(self, vec: int) -> int:
         """prod(bases[i] ** e_i) of a packed vector, cached."""
         value = self._powers.get(vec)
         if value is None:
-            value = self._powers[vec] = prod(map(pow, self.bases, self._exponents(vec)))
+            exps = ((vec >> 64 * i) & ((1 << 64) - 1) for i in range(len(self.bases)))
+            value = self._powers[vec] = prod(map(pow, self.bases, exps))
         return value
-
-    def numerators(self, box: RatInterval, index: int) -> tuple[int, int, int]:
-        """Binding of box over bases[index], which its denominators divide."""
-        den = self.bases[index]
-        lo, hi = (q.numerator * (den // q.denominator) for q in (box.lo, box.hi))
-        return lo, hi, self._unit(index)
 
     def _factor(self, factor: tuple[int, int]) -> tuple[int, int, int]:
         """Binding of one (slot, exponent) factor, cached."""
@@ -641,9 +636,10 @@ def derivative_values(
 # factor := NUMBER | 'x' ['^' INT] | 'y' ['^' INT]
 # NUMBER := INT | INT '/' INT | DECIMAL          (parsed exactly)
 #
-# Derivative symbols never appear in user input.  A NUMBER has at most
-# MAX_LITERAL_DIGITS digits, numerator and denominator together, and so does
-# an exponent.  In each term, the exponents of x, and those of y, sum to at
+# Derivative symbols never appear in user input.  ratcore.as_rational, the one
+# literal reader, reads each NUMBER and exponent: at most MAX_LITERAL_DIGITS
+# ASCII digits, numerator and denominator together ("²" and "٣" are refused at
+# their literal).  In each term, the exponents of x, and those of y, sum to at
 # most _MAX_EXPONENT.  A coefficient made of more than one NUMBER (a term's
 # product of constants, or the sum of the terms with one monomial) has at most
 # MAX_LITERAL_DIGITS digits too, in lowest terms, and so has the common
@@ -658,10 +654,15 @@ def _error(text: str, message: str, pos: int) -> ExprParseError:
     return ExprParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _check_digits(text: str, digits: int, pos: int) -> None:
-    if digits > MAX_LITERAL_DIGITS:
-        message = f"literal has {digits} digits, limit {MAX_LITERAL_DIGITS}"
-        raise _error(text, message, pos)
+def _literal(text: str, literal: str, pos: int, den_pos: int = 0) -> Fraction:
+    """as_rational(literal), its ValueError raised at pos and a zero
+    denominator at den_pos."""
+    try:
+        return as_rational(literal)
+    except ZeroDivisionError:
+        raise _error(text, "zero denominator", den_pos) from None
+    except ValueError as exc:
+        raise _error(text, str(exc), pos) from None
 
 
 def _too_long(*values: int) -> bool:
@@ -730,17 +731,13 @@ def parse_flow_expr(text: str) -> FlowExpr:
             term_pos = pos
         if tok[:1].isdigit():
             if op != "/":
-                _check_digits(text, len(tok) - ("." in tok), pos)
-                value = Fraction(tok)
+                value = _literal(text, tok, pos)
             elif "." in tok:
                 raise _error(text, "ratio parts must be integers", op_pos)
             elif not arg[:1].isdigit() or "." in arg:
                 raise _error(text, "expected an integer denominator", arg_pos)
             else:
-                _check_digits(text, len(tok) + len(arg), pos)
-                if int(arg) == 0:
-                    raise _error(text, "zero denominator", arg_pos)
-                value, i = Fraction(int(tok), int(arg)), i + 2
+                value, i = _literal(text, f"{tok}/{arg}", pos, arg_pos), i + 2
             if constant is None:
                 constant = value
             else:
@@ -753,8 +750,7 @@ def parse_flow_expr(text: str) -> FlowExpr:
                 if not arg[:1].isdigit() or "." in arg:
                     message = "exponent must be a nonnegative integer"
                     raise _error(text, message, arg_pos)
-                _check_digits(text, len(arg), arg_pos)
-                exp, pos, i = int(arg), arg_pos, i + 2
+                exp, pos, i = _literal(text, arg, arg_pos).numerator, arg_pos, i + 2
             total = sums[tok] = sums.get(tok, 0) + exp
             if total > _MAX_EXPONENT:
                 raise _error(text, f"exponent {total} exceeds limit {_MAX_EXPONENT}", pos)

@@ -50,9 +50,9 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce int/str/Fraction to an exact Fraction; floats are rejected.
 
     Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25", parsed
-    exactly), of at most MAX_LITERAL_DIGITS digits: exponent ("1e-3") and
+    exactly), of at most MAX_LITERAL_DIGITS ASCII digits: exponent ("1e-3") and
     underscore ("1_000") forms, which would let a short string stand for a
-    huge number, are rejected.
+    huge number, and other digits ("٣", which Fraction reads as 3) are refused.
     """
     if isinstance(value, bool):
         raise TypeError("cannot convert bool to exact rational")
@@ -68,7 +68,7 @@ def as_rational(value: RationalLike) -> Fraction:
         if digits > MAX_LITERAL_DIGITS:
             message = f"literal has {digits} digits, limit {MAX_LITERAL_DIGITS}"
             raise ValueError(message)
-        if any(ch in "eE_" for ch in text):
+        if not text.isascii() or any(ch in "eE_" for ch in text):
             raise ValueError(f"expected an integer, p/q or decimal, got {text!r}")
         return Fraction(text)
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
@@ -253,7 +253,7 @@ class DecimalRounding:
         text = text.strip()
         if text == "exact":
             return cls.exact()
-        if text.startswith("outward:") and "_" not in text:
+        if text.startswith("outward:") and "_" not in text and text.isascii():
             return cls.outward(int(text.split(":", 1)[1]))
         raise ValueError(f"rounding must be 'exact' or 'outward:D', got {text!r}")
 

@@ -568,6 +568,15 @@ def test_positivity_failure_exit_code(tmp_path, capsys):
     assert "certification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["certify", "--no-sanity"], ["coeffs"]])
+def test_unwritable_json_path_is_an_input_error(problem_file, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    assert run([argv[0], str(problem_file), *argv[1:], "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write JSON report {out}: ")
+    assert not out.exists()
+
+
 def test_json_determinism(problem_file, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["certify", str(problem_file), "--no-sanity", "--json", str(a)]) == 0
