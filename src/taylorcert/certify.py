@@ -150,6 +150,18 @@ def poly_eval(coeffs: Sequence[Fraction], x: RationalLike) -> Fraction:
     return acc
 
 
+def _comparison_stage(
+    p: ProblemSpec,
+) -> tuple[comparison.QuadraticComparison, comparison.SolutionRange]:
+    """f frozen at x1 as alpha + beta*y^2, and the solution range it gives,
+    which may be invalid; a flow of another form raises CertificationError."""
+    try:
+        qc = comparison.extract_comparison(p.f, p.x0, p.x1, p.y0)
+    except comparison.ComparisonFormError as exc:
+        raise CertificationError("comparison", str(exc)) from exc
+    return qc, comparison.solution_range(qc, p.enclosure_width, p.rounding, p.f)
+
+
 def certify_partial_sum(p: ProblemSpec) -> Certificate:
     """Run the full pipeline and assemble the certificate.
 
@@ -174,11 +186,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
             f"certified solution range instead"
         )
 
-    try:
-        qc = comparison.extract_comparison(p.f, p.x0, p.x1, p.y0)
-    except comparison.ComparisonFormError as exc:
-        raise CertificationError("comparison", str(exc)) from exc
-    yrange = comparison.solution_range(qc, p.enclosure_width, p.rounding, p.f)
+    _, yrange = _comparison_stage(p)
     if not yrange.valid:
         raise CertificationError("comparison", yrange.diagnostics)
 

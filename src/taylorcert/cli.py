@@ -32,6 +32,7 @@ from .certify import (
     ConvergenceError,
     MAX_DEGREE,
     ProblemSpec,
+    _comparison_stage,
     certify_partial_sum,
     certify_polynomial,
     poly_eval,
@@ -64,12 +65,13 @@ def _parsed(label: str, parse, value):
         raise InputError(f"{label}: {exc}") from exc
 
 
-def _file(label: str, path: str, access):
-    """access(Path(path)), with the OSError it raises turned into an
-    InputError that starts with label and path."""
+def _file(label: str, path: str, access=lambda file: file.read_text(encoding="utf-8")):
+    """access(Path(path)), by default the file's text read as UTF-8, with the
+    OSError or UnicodeDecodeError it raises turned into an InputError that
+    starts with label and path."""
     try:
         return access(Path(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{label} {path}: {exc}") from exc
 
 
@@ -175,13 +177,8 @@ def parse_poly_file(text: str) -> list[Fraction]:
     expr = _parsed("polynomial file", parse_flow_expr, stripped)
     if expr.order >= 0:
         raise InputError("polynomial file: only the variable x is allowed")
-    coeffs: list[Fraction] = []
-    for key, coeff in expr.monomials.items():
-        power = key[0] if key else 0
-        while len(coeffs) <= power:
-            coeffs.append(Fraction(0))
-        coeffs[power] = coeff
-    return coeffs or [Fraction(0)]
+    powers = {i: c for i, _, c in expr.xy_terms()}
+    return [powers.get(k, Fraction(0)) for k in range(1 + max(powers, default=0))]
 
 
 # -- report document -------------------------------------------------------
@@ -351,7 +348,7 @@ def _sanity_section(cert: Certificate) -> dict:
 
 
 def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
-    spec = parse_problem(_file("cannot read problem file", path, Path.read_text))
+    spec = parse_problem(_file("cannot read problem file", path))
     overrides = {}
     if getattr(args, "rounding", None) is not None:
         rounding = _parsed("--rounding", DecimalRounding.parse, args.rounding)
@@ -411,11 +408,7 @@ def _cmd_radius(args: argparse.Namespace) -> int:
 
 def _cmd_range(args: argparse.Namespace) -> int:
     p = _load_problem(args.problem, args)
-    try:
-        qc = comparison.extract_comparison(p.f, p.x0, p.x1, p.y0)
-    except comparison.ComparisonFormError as exc:
-        raise CertificationError("comparison", str(exc)) from exc
-    sr = comparison.solution_range(qc, p.enclosure_width, p.rounding, p.f)
+    qc, sr = _comparison_stage(p)
     _write_json(args, {"problem": _problem_json(p), "solution_range": _range_json(sr)})
     if not sr.valid:
         raise CertificationError("comparison", sr.diagnostics)
@@ -449,8 +442,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_check_poly(args: argparse.Namespace) -> int:
     p = _load_problem(args.problem, args)
-    poly_text = _file("cannot read polynomial file", args.poly, Path.read_text)
-    coeffs = parse_poly_file(poly_text)
+    coeffs = parse_poly_file(_file("cannot read polynomial file", args.poly))
     cert = certify_partial_sum(_with_radius(p))
     bound = certify_polynomial(p, coeffs, cert)
     print(f"polynomial degree {len(coeffs) - 1} checked against degree-{p.degree} "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .odexpr import FlowExpr, _require_xy
+from .odexpr import FlowExpr
 from .ratcore import (
     DecimalRounding,
     EnclosureError,
@@ -83,22 +83,20 @@ def extract_comparison(
     """Freeze x := x1 in f and extract alpha + beta * y^2.
 
     A right-hand side with a derivative symbol raises ExprError.  Any
-    residual monomial (x powers are gone after substitution) that is not the
-    constant or the pure y^2 term is rejected by name, as are nonpositive
-    alpha or beta.
+    y power left after freezing, other than the constant and the y^2 term,
+    is rejected by name (the first by first appearance in f), as are
+    nonpositive alpha or beta.
     """
-    _require_xy(f)
+    terms = f.xy_terms()
     x0, x1, y0 = as_rational(x0), as_rational(x1), as_rational(y0)
-    frozen = f.subs_x(x1)
-    alpha = beta = Fraction(0)
-    for key, coeff in frozen.monomials.items():
-        if key == ():
-            alpha = coeff
-        elif key == (0, 2):
-            beta = coeff
-        else:
+    frozen: dict[int, Fraction] = {}
+    for i, j, c in terms:
+        frozen[j] = frozen.get(j, 0) + c * x1**i
+    alpha, beta = frozen.pop(0, Fraction(0)), frozen.pop(2, Fraction(0))
+    for j, coeff in frozen.items():
+        if coeff:
             raise ComparisonFormError(
-                f"unsupported monomial {coeff}*{FlowExpr({key: 1})} "
+                f"unsupported monomial {coeff}*{FlowExpr({(0, j): 1})} "
                 f"after freezing x = {x1}"
             )
     if alpha <= 0:

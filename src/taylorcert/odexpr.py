@@ -134,17 +134,6 @@ class FlowExpr:
     def constant(cls, value: RationalLike) -> "FlowExpr":
         return cls({(): as_rational(value)})
 
-    @classmethod
-    def monomial(
-        cls, coeff: RationalLike, x_exp: int = 0, derivs: Mapping[int, int] | None = None
-    ) -> "FlowExpr":
-        """Build c * x^x_exp * prod_j y^(j) ** derivs[j]."""
-        derivs = derivs or {}
-        if any(order < 0 for order in derivs):
-            raise ExprError(f"negative derivative order in {dict(derivs)}")
-        orders = range(max(derivs, default=-1) + 1)
-        return cls({(x_exp, *(derivs.get(j, 0) for j in orders)): coeff})
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -156,6 +145,15 @@ class FlowExpr:
     def order(self) -> int:
         """Highest derivative symbol mentioned; -1 if none (x-only)."""
         return max((key[-1][0] for key in self._num if key), default=0) - 1
+
+    def xy_terms(self) -> list[tuple[int, int, Fraction]]:
+        """(i, j, c) for each monomial c * x^i * y^j, in `.monomials` order.
+
+        The one view of the terms outside this module; a derivative symbol
+        raises ExprError.
+        """
+        _require_xy(self)
+        return [(*(*key, 0, 0)[:2], c) for key, c in self.monomials.items()]
 
     def is_zero(self) -> bool:
         return not self._num
@@ -258,17 +256,6 @@ class FlowExpr:
             boxes[slot] = b if isinstance(b, RatInterval) else RatInterval.point(b)
         kernel = _Kernel([self], boxes)
         return kernel.interval(*kernel.total(kernel.groups(self)))
-
-    def subs_x(self, value: RationalLike) -> "FlowExpr":
-        """Substitute x := value exactly, leaving derivative symbols symbolic."""
-        v = as_rational(value)
-        x_exps = [dict(key).get(0, 0) for key in self._num]
-        top = max(x_exps, default=0)
-        num: dict[SparseKey, int] = {}
-        for (key, n), e in zip(self._num.items(), x_exps):
-            key = key[1:] if e else key
-            num[key] = num.get(key, 0) + n * v.numerator**e * v.denominator ** (top - e)
-        return _normalised(num, self._den * v.denominator**top)
 
     # -- display ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ from mpmath.libmp import (
 )
 
 from .certify import ConvergenceError
-from .odexpr import FlowExpr, _require_xy
+from .odexpr import FlowExpr, _require_xy, parse_flow_expr
 from .ratcore import RationalLike, as_rational
 
 #: Working precision (significant decimal digits) for all oracle arithmetic.
@@ -76,7 +76,7 @@ def _compile_flow(f: FlowExpr):
     factors x**0, y**0 and the sum's start 0, which are exact.
     """
     prec = mp.mp.prec
-    terms = [(to_mpf(c)._mpf_, *(*key, 0, 0)[:2]) for key, c in f.monomials.items()]
+    terms = [(to_mpf(c)._mpf_, e_x, e_y) for e_x, e_y, c in f.xy_terms()]
 
     def flow(x):
         factors = [
@@ -235,9 +235,7 @@ def _integrate(
 
 def is_quarter_riccati(f: FlowExpr, x0: RationalLike, y0: RationalLike) -> bool:
     """True when the problem is exactly y' = x^2 + y^2/4, y(0) = -1."""
-    target = FlowExpr.monomial(1, x_exp=2) + FlowExpr.monomial(
-        Fraction(1, 4), derivs={0: 2}
-    )
+    target = parse_flow_expr("x^2 + 1/4*y^2")
     return f == target and as_rational(x0) == 0 and as_rational(y0) == -1
 
 

@@ -577,6 +577,33 @@ def test_unwritable_json_path_is_an_input_error(problem_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["certify", "check-poly"])
+def test_file_that_is_not_utf8_is_an_input_error(problem_file, tmp_path, command):
+    # Both reads once raised an uncaught UnicodeDecodeError (exit 3).  The
+    # child runs in the C locale without UTF-8 mode, whose preferred encoding
+    # is ASCII: the files are still read as UTF-8.
+    binary = tmp_path / "bin.prob"
+    binary.write_bytes(b"\xff\xfe")
+    if command == "certify":
+        argv, label = ["certify", str(binary), "--no-sanity"], "problem"
+    else:
+        argv = ["check-poly", str(problem_file), "--poly", str(binary)]
+        label = "polynomial"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "taylorcert.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path, "LC_ALL": "C"},
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"input error: cannot read {label} file {binary}: 'utf-8' codec can't "
+        "decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_json_determinism(problem_file, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["certify", str(problem_file), "--no-sanity", "--json", str(a)]) == 0

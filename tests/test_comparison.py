@@ -46,7 +46,7 @@ EXACT = DecimalRounding.exact()
 
 def frozen_flow(qc: QuadraticComparison) -> FlowExpr:
     """alpha + beta*y^2 itself: positive, and constant in x."""
-    return FlowExpr.constant(qc.alpha) + FlowExpr.monomial(qc.beta, derivs={0: 2})
+    return FlowExpr.constant(qc.alpha) + FlowExpr({(0, 2): qc.beta})
 
 
 # -- extraction ----------------------------------------------------------------

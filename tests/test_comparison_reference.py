@@ -117,7 +117,7 @@ def reference_solution_range(qc, width, rounding, flow):
 
 
 def frozen_flow(qc: QuadraticComparison) -> FlowExpr:
-    return FlowExpr.constant(qc.alpha) + FlowExpr.monomial(qc.beta, derivs={0: 2})
+    return FlowExpr.constant(qc.alpha) + FlowExpr({(0, 2): qc.beta})
 
 
 def pole(alpha: Fraction, beta: Fraction, y0: Fraction) -> float:

@@ -2,16 +2,18 @@
 
 `parse_flow_expr` reads the restricted text form with one eager tokenizer
 function and one loop.  The reference below is the `_Tokenizer`/`_Parser`
-pair it replaced, kept verbatim, plus `_CappedParser`, which adds the three
-rules introduced since: in each term, the exponents of each symbol sum to at
-most 64; a coefficient made of more than one number, a term's product of
-constants or the sum of the terms with one monomial, has at most 100 digits
-in lowest terms; and so has the common denominator of the terms read so
-far.  Every drawn string must give the same FlowExpr, monomial
-insertion order included, or the same exception type and message.  Literals
-stay at 100 digits or fewer, within the literal budget, and their digits are
-ASCII: the reference reads "٣" as 3 and fails on "²" with a bare ValueError,
-where `parse_flow_expr` refuses both at the literal (tests/test_literals.py).
+pair it replaced, kept verbatim but for its `x^e` and `y^e` factors, which
+the dense-key constructor builds now that `FlowExpr.monomial` is gone, plus
+`_CappedParser`, which adds the three rules introduced since: in each term,
+the exponents of each symbol sum to at most 64; a coefficient made of more
+than one number, a term's product of constants or the sum of the terms with
+one monomial, has at most 100 digits in lowest terms; and so has the common
+denominator of the terms read so far.  Every drawn string must give the same
+FlowExpr, monomial insertion order included, or the same exception type and
+message.  Literals stay at 100 digits or fewer, within the literal budget,
+and their digits are ASCII: the reference reads "٣" as 3 and fails on "²"
+with a bare ValueError, where `parse_flow_expr` refuses both at the literal
+(tests/test_literals.py).
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ class _Parser:
                 )
             exp = self.parse_exponent()
             if value == "x":
-                return FlowExpr.monomial(1, x_exp=exp)
-            return FlowExpr.monomial(1, derivs={0: exp})
+                return FlowExpr({(exp,): 1})
+            return FlowExpr({(0, exp): 1})
         raise self.error(f"expected a factor, found {value!r}", pos)
 
     def parse_number(self, text: str, pos: int) -> Fraction:
@@ -253,8 +255,8 @@ class _CappedParser(_Parser):
         if total > _MAX_EXPONENT:
             raise self.error(f"exponent {total} exceeds limit {_MAX_EXPONENT}", pos)
         if value == "x":
-            return FlowExpr.monomial(1, x_exp=exp)
-        return FlowExpr.monomial(1, derivs={0: exp})
+            return FlowExpr({(exp,): 1})
+        return FlowExpr({(0, exp): 1})
 
 
 def reference_parse(text: str) -> FlowExpr:
