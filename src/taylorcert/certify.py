@@ -195,7 +195,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
         bounds = odexpr.derivative_bounds(
             p.f, p.degree, xrange, yrange.range, p.rounding
         )
-    except odexpr.ExprError as exc:  # only the chain's budget: p.f is x/y-only
+    except odexpr.ExprError as exc:  # only a budget: p.f is x/y-only
         raise CertificationError("bounds", str(exc)) from exc
     if not p.rounding.is_exact:
         parity_notes.append(

@@ -53,10 +53,15 @@ SparseKey = tuple[tuple[int, int], ...]
 #: the chain's work, which grows with the y-degree of f and not only with n.
 MAX_CHAIN_MONOMIALS = 100_000
 
+#: Bits a stored derivative bound's numerators and denominator may each have.
+#: It bounds the work of exact mode, whose endpoints grow with every order.
+MAX_BOUND_BITS = 2**15
+
 
 class ExprError(ValueError):
-    """Structural misuse of a FlowExpr (bad exponents, unbound symbols...), or
-    a derivative chain over MAX_CHAIN_MONOMIALS."""
+    """Structural misuse of a FlowExpr (bad exponents, unbound symbols...), a
+    derivative chain over MAX_CHAIN_MONOMIALS or a derivative bound over
+    MAX_BOUND_BITS."""
 
 
 class ExprParseError(ValueError):
@@ -292,8 +297,9 @@ class _Kernel:
     where the numerators of its powers stay small (over 10**P, those of x^e
     would grow by 10**(P e)).  Powers and monomial factors are cached for the
     life of the kernel, so a slot's binding must not change once set.  No
-    step needs a gcd or a division: only `interval` reduces; `groups` and
-    `total` say how sums are formed.
+    step needs a gcd or a division: only `bind` and `interval` reduce;
+    `groups` and `total` say how sums are formed.  Stored bounds have at
+    most MAX_BOUND_BITS bits per numerator and denominator (`bind`).
     """
 
     def __init__(
@@ -306,6 +312,7 @@ class _Kernel:
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
         extra = () if rounding.is_exact else (10**rounding.places,)
         self.bases, self.rounding = (c, *dens, *extra), rounding
+        self._decimal_vec = self._unit(len(self.bases) - 1)  # 10**P, if extra
         # The bits of each field, (2**64 - 1) << 64 i: a componentwise max is
         # the bitwise or of each field's largest masked value.
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
@@ -406,17 +413,27 @@ class _Kernel:
         unreduced sum [lo, hi] / den.  Under outward:P, lo and hi are floored
         and ceiled straight to numerators over 10**P, the last base
         (`DecimalRounding.scaled_floor`), which are bound as they are; only
-        the two rounded endpoints become Fractions.  A bound is never made a
-        base of its own: D_k multiplies y^(i) by y^(k-2-i), so the common
-        denominator would become the product of every earlier one.
+        the two rounded endpoints become Fractions.  One `power` lookup per
+        bound: the denominator of a rounded one is 10**P itself.  A bound is
+        never made a base of its own: D_k multiplies y^(i) by y^(k-2-i), so
+        the common denominator would become the product of every earlier
+        one.  A bound whose numerators or denominator pass MAX_BOUND_BITS
+        bits raises ExprError, naming its order.
         """
         lo, hi, vec = self.total(groups)
+        den = self.power(vec)
         if not self.rounding.is_exact:
-            den, rounding = self.power(vec), self.rounding
-            lo, hi = rounding.scaled_floor(lo, den), -rounding.scaled_floor(-hi, den)
-            vec = self._unit(len(self.bases) - 1)
+            floor = self.rounding.scaled_floor
+            lo, hi, vec = floor(lo, den), -floor(-hi, den), self._decimal_vec
+            den = self.bases[-1]
+        bits = max(lo.bit_length(), hi.bit_length(), den.bit_length())
+        if bits > MAX_BOUND_BITS:
+            raise ExprError(
+                f"derivative bound of order {slot - 1} has {bits} bits, "
+                f"over the limit {MAX_BOUND_BITS}"
+            )
         self.slots[slot] = lo, hi, vec
-        return self.interval(lo, hi, vec)
+        return _ordered(Fraction(lo, den), Fraction(hi, den))
 
     def interval(self, lo: int, hi: int, vec: int) -> RatInterval:
         """The reduced RatInterval of a binding; lo <= hi always holds here."""
@@ -511,8 +528,16 @@ def derivative_bounds(
     *Interval Analysis*, 1966) with Y_0 = yrange and Y_{k+1} = a^(k)(X) +
     b*(2*sum_{i<k/2} C(k, i) Y_i Y_{k-i} + C(k, k/2) Y_{k/2}^2).  Each product
     encloses one monomial of D_{k+1}, and a scalar distributes exactly over
-    interval sums, so each bound is the chain's.  Any other f goes through
-    the chain and its monomial budget.
+    interval sums, so each bound is the chain's.  The stored bounds are kept
+    as three lists (lower and upper numerators, vectors).  Each order adds
+    C(k, i) times the product of each pair i < k - i into one running sum
+    while the pair's vector is that of the pair i = 0, as every pair's is
+    when y shares the 10**P base of the stored bounds; the sum is scaled by
+    2b once, its endpoints swapped when b < 0.  A pair of another vector (in
+    exact mode, about a quarter of riccati's), a^(k) and the middle square
+    go to the kernel's groups.  Integer sums are exact, so the bounds are
+    those of one group entry per product.  Any other f goes through the
+    chain and its monomial budget.
     """
     if any(key and key[-1][0] and key != _Y_SQUARED for key in f._num):
         return derivative_chain(f, n).bounds(xrange, yrange, rounding)
@@ -521,33 +546,50 @@ def derivative_bounds(
     b = f._num.get(_Y_SQUARED, 0)
     a = _normalised({key: v for key, v in f._num.items() if key != _Y_SQUARED}, f._den)
     kernel = _Kernel([f], {0: xrange, 1: yrange}, rounding)
-    Y, coeff_vec, mul = kernel.slots, kernel._unit(0), mul_endpoints  # Y[j+1]: y^(j)
+    # los[j], his[j], vecs[j]: the binding of Y_j.
+    los, his, vecs = ([part] for part in kernel.slots[1])
+    coeff_vec, mul = kernel._unit(0), mul_endpoints
     bounds, row = [], [1]  # row[i] = C(k, i)
     for k in range(n + 1):
         groups = {}
         if a._num:  # a^(k), then a^(k+1) for the next order
             groups, a = kernel.groups(a), a.partial(0)
-        group_of = groups.get
-        for i in range((k + 2) // 2 if b else 0):
-            lo, hi, vec = Y[i + 1]
-            if 2 * i < k:
-                o_lo, o_hi, o_vec = Y[k - i + 1]
-                lo, hi = mul(lo, hi, o_lo, o_hi)
-                scale = 2 * b * row[i]
-            else:
-                lo, hi = pow_endpoints(lo, hi, 2)
-                o_vec, scale = vec, b * row[i]
-            lo, hi = (scale * lo, scale * hi) if b > 0 else (scale * hi, scale * lo)
-            vec += o_vec + coeff_vec
-            group = group_of(vec)
-            if group is None:
-                groups[vec] = [lo, hi]
-            else:
-                group[0] += lo
-                group[1] += hi
+        if b:
+            pair_vec, sum_lo, sum_hi = vecs[0] + vecs[k], 0, 0
+            for i in range((k + 1) // 2):  # the pairs i < k - i
+                lo, hi = mul(los[i], his[i], los[k - i], his[k - i])
+                vec = vecs[i] + vecs[k - i]
+                if vec == pair_vec:
+                    sum_lo += row[i] * lo
+                    sum_hi += row[i] * hi
+                else:
+                    _add_scaled(groups, vec + coeff_vec, 2 * b * row[i], lo, hi)
+            if k:
+                _add_scaled(groups, pair_vec + coeff_vec, 2 * b, sum_lo, sum_hi)
+            if k % 2 == 0:
+                h = k // 2
+                lo, hi = pow_endpoints(los[h], his[h], 2)
+                _add_scaled(groups, 2 * vecs[h] + coeff_vec, b * row[h], lo, hi)
         bounds.append(kernel.bind(k + 2, groups))
+        lo, hi, vec = kernel.slots[k + 2]
+        los.append(lo)
+        his.append(hi)
+        vecs.append(vec)
         row = [1, *map(operator.add, row, row[1:]), 1]
     return bounds
+
+
+def _add_scaled(
+    groups: dict[int, list[int]], vec: int, scale: int, lo: int, hi: int
+) -> None:
+    """Add scale * [lo, hi], scale nonzero, to the group of vec."""
+    lo, hi = (scale * lo, scale * hi) if scale > 0 else (scale * hi, scale * lo)
+    group = groups.get(vec)
+    if group is None:
+        groups[vec] = [lo, hi]
+    else:
+        group[0] += lo
+        group[1] += hi
 
 
 def taylor_coefficients(

@@ -323,6 +323,26 @@ def test_pipeline_reports_chain_budget_as_bounds_failure(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "text, budget, message",
+    [
+        ("x^2 + 1/4*y^2", 1024, "order 15 has 1058 bits, over the limit 1024"),
+        ("1/4 + x*y^2", 4096, "order 7 has 4130 bits, over the limit 4096"),
+    ],
+)
+def test_pipeline_reports_bit_budget_as_bounds_failure(
+    monkeypatch, text, budget, message
+):
+    # The recurrence and the chain store their bounds through one kernel, and
+    # its bit budget applies to both.
+    monkeypatch.setattr("taylorcert.odexpr.MAX_BOUND_BITS", budget)
+    p = ProblemSpec(f=parse_flow_expr(text), x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
+    with pytest.raises(CertificationError) as info:
+        certify_partial_sum(p)
+    assert info.value.stage == "bounds"
+    assert str(info.value) == f"[bounds] derivative bound of {message}"
+
+
 def test_pipeline_rejects_blowup():
     p = ProblemSpec(
         f=parse_flow_expr("1 + y^2"), x0=F(0), y0=F(0), degree=3, x1=F(2)

@@ -4,31 +4,44 @@ verbatim copies of the loops they replaced.
 `FlowExpr.flow_derivative` walks each sparse key once and tests the adjacent
 slot in place; `_normalised` skips its divisions when the gcd is 1;
 `taylor_coefficients` updates its binomial row by Pascal's rule and forms the
-Leibniz sums over slices.  The references below are the earlier loops, kept
-verbatim.  A derivative must give the same `_num` items in the same insertion
-order, so `.monomials` keeps its order, and the same `_den`; the coefficient
-lists must be equal.
+Leibniz sums over slices; `derivative_bounds` sums each order's pairs in one
+running sum and `_Kernel.bind` looks up the power of a vector once.  The
+references below are the earlier loops, kept verbatim.  A derivative must give
+the same `_num` items in the same insertion order, so `.monomials` keeps its
+order, and the same `_den`; the coefficient lists and the bounds must be
+equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quadratic_flow, riccati_flow
+from taylorcert import comparison
 from taylorcert.odexpr import (
     FlowExpr,
     SparseKey,
+    _Kernel,
     _dense,
     _normalised,
     _require_xy,
+    derivative_bounds,
     derivative_chain,
     taylor_coefficients,
 )
-from taylorcert.ratcore import RationalLike, as_rational
+from taylorcert.ratcore import (
+    DecimalRounding,
+    RatInterval,
+    RationalLike,
+    as_rational,
+    mul_endpoints,
+    pow_endpoints,
+)
 
 F = Fraction
 
@@ -104,6 +117,79 @@ def reference_taylor_coefficients(
         for lower, power in zip(powers[2:], powers[3:]):
             power.append(sum(c * w[r] * lower[m - r] for r, c in enumerate(row)))
     return [Fraction(v, base ** (1 + q * k) * factorial(k)) for k, v in enumerate(w)]
+
+
+class ReferenceKernel(_Kernel):
+    """The kernel with the earlier `bind`, kept verbatim."""
+
+    def bind(self, slot: int, groups) -> RatInterval:
+        """Bind the rounded total of groups to slot, as a derivative bound,
+        and return it reduced.
+
+        An exact bound is bound as the numerators and vector of its
+        unreduced sum [lo, hi] / den.  Under outward:P, lo and hi are floored
+        and ceiled straight to numerators over 10**P, the last base
+        (`DecimalRounding.scaled_floor`), which are bound as they are; only
+        the two rounded endpoints become Fractions.  A bound is never made a
+        base of its own: D_k multiplies y^(i) by y^(k-2-i), so the common
+        denominator would become the product of every earlier one.
+        """
+        lo, hi, vec = self.total(groups)
+        if not self.rounding.is_exact:
+            den, rounding = self.power(vec), self.rounding
+            lo, hi = rounding.scaled_floor(lo, den), -rounding.scaled_floor(-hi, den)
+            vec = self._unit(len(self.bases) - 1)
+        self.slots[slot] = lo, hi, vec
+        return self.interval(lo, hi, vec)
+
+
+#: The sparse key of y^2.
+_Y_SQUARED = ((1, 2),)
+
+
+def reference_derivative_bounds(
+    f: FlowExpr,
+    n: int,
+    xrange: RatInterval,
+    yrange: RatInterval,
+    rounding: DecimalRounding = DecimalRounding.exact(),
+) -> list[RatInterval]:
+    """The earlier `derivative_bounds`, verbatim but for its kernel, which is
+    `ReferenceKernel`: one group lookup per Leibniz pair."""
+    if any(key and key[-1][0] and key != _Y_SQUARED for key in f._num):
+        return derivative_chain(f, n).bounds(xrange, yrange, rounding)
+    if n < 0:
+        raise ValueError("chain length parameter must be >= 0")
+    b = f._num.get(_Y_SQUARED, 0)
+    a = _normalised({key: v for key, v in f._num.items() if key != _Y_SQUARED}, f._den)
+    kernel = ReferenceKernel([f], {0: xrange, 1: yrange}, rounding)
+    Y, coeff_vec, mul = kernel.slots, kernel._unit(0), mul_endpoints  # Y[j+1]: y^(j)
+    bounds, row = [], [1]  # row[i] = C(k, i)
+    for k in range(n + 1):
+        groups = {}
+        if a._num:  # a^(k), then a^(k+1) for the next order
+            groups, a = kernel.groups(a), a.partial(0)
+        group_of = groups.get
+        for i in range((k + 2) // 2 if b else 0):
+            lo, hi, vec = Y[i + 1]
+            if 2 * i < k:
+                o_lo, o_hi, o_vec = Y[k - i + 1]
+                lo, hi = mul(lo, hi, o_lo, o_hi)
+                scale = 2 * b * row[i]
+            else:
+                lo, hi = pow_endpoints(lo, hi, 2)
+                o_vec, scale = vec, b * row[i]
+            lo, hi = (scale * lo, scale * hi) if b > 0 else (scale * hi, scale * lo)
+            vec += o_vec + coeff_vec
+            group = group_of(vec)
+            if group is None:
+                groups[vec] = [lo, hi]
+            else:
+                group[0] += lo
+                group[1] += hi
+        bounds.append(kernel.bind(k + 2, groups))
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    return bounds
 
 
 def fields(expr: FlowExpr):
@@ -224,3 +310,64 @@ def test_benchmark_flows_equal_verbatim_loop():
     ]:
         want = reference_taylor_coefficients(f, 0, y0, n)
         assert taylor_coefficients(f, 0, y0, n) == want
+
+
+# -- the interval Leibniz recurrence ---------------------------------------------
+
+# Denominators that divide 10**P for P >= 3 (and some for P = 0 or 2), and
+# denominators that divide no power of ten.
+y_dens = st.sampled_from([1, 2, 4, 5, 8, 10, 20, 25, 3, 6, 7, 9, 12])
+
+
+@st.composite
+def leibniz_boxes(draw):
+    """(f, n, xrange, yrange) for f = a(x) + b*y^2: b of either sign or zero,
+    a zero, a constant or several powers of x, and a y box that is >= 0,
+    <= 0 or straddles zero."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    kind = draw(st.sampled_from(["zero", "constant", "powers"]))
+    if kind == "zero":
+        a = {}
+    elif kind == "constant":
+        a = {(): draw(small)}
+    else:
+        exps = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4, unique=True))
+        a = {(e,): draw(small) for e in [0, *exps]}
+    b = draw(st.one_of(small, st.just(F(0))))
+    den = draw(y_dens)
+    ends = sorted(F(draw(st.integers(0, 3 * den)), den) for _ in range(2))
+    side = draw(st.sampled_from(["nonnegative", "nonpositive", "straddling"]))
+    if side == "nonpositive":
+        ends = [-ends[1], -ends[0]]
+    elif side == "straddling":
+        ends = [-ends[0] - F(1, den), ends[1] + F(1, draw(y_dens))]
+    x0 = draw(st.fractions(min_value=-1, max_value=1, max_denominator=7))
+    dx = draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
+    f = FlowExpr({**a, (0, 2): b})
+    return f, draw(st.integers(0, 40)), RatInterval(x0, x0 + dx), RatInterval(*ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leibniz_boxes(),
+    st.sampled_from(["exact", "outward:0", "outward:2", "outward:30"]),
+)
+def test_derivative_bounds_equal_verbatim_recurrence(case, rounding):
+    f, n, xrange, yrange = case
+    rounding = DecimalRounding.parse(rounding)
+    want = reference_derivative_bounds(f, n, xrange, yrange, rounding)
+    assert derivative_bounds(f, n, xrange, yrange, rounding) == want
+
+
+def test_benchmark_bounds_equal_verbatim_recurrence():
+    # The y ranges of the benchmark certificates: riccati's [-1, U] and
+    # quadratic's [1, U], U with a 10**30 denominator under outward:30 and
+    # a long one in exact mode.
+    for flow, y0, x1, n in [(riccati_flow, -1, F(1, 5), 60), (quadratic_flow, 1, F(2, 5), 28)]:
+        f = flow()
+        qc = comparison.extract_comparison(f, F(0), x1, F(y0))
+        for rounding in (DecimalRounding.exact(), DecimalRounding(30)):
+            yrange = comparison.solution_range(qc, F(1, 10**12), rounding, f).range
+            xrange = RatInterval(F(0), x1)
+            want = reference_derivative_bounds(f, n, xrange, yrange, rounding)
+            assert derivative_bounds(f, n, xrange, yrange, rounding) == want

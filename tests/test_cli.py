@@ -559,6 +559,21 @@ def test_outward_certificate_at_the_degree_cap(tmp_path, name):
     assert f"degree {MAX_DEGREE}" in proc.stdout
 
 
+def test_exact_bounds_stop_at_their_bit_budget(tmp_path):
+    # Exact endpoints grow about 500 bits per order on this flow; at
+    # MAX_DEGREE the certificate ran past a 100 s timeout before the stored
+    # bounds had a bit budget.  It now stops in well under a second.
+    text = (PROBLEMS / "quadratic.prob").read_text()
+    prob = tmp_path / "quadratic.prob"
+    prob.write_text(re.sub(r"degree = \d+", f"degree = {MAX_DEGREE}", text))
+    proc = run_child("certify", str(prob), "--no-sanity", timeout=20)
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        "certification failed: [bounds] derivative bound of order 67 has "
+        f"33113 bits, over the limit {odexpr.MAX_BOUND_BITS}\n",
+    )
+
+
 def test_positivity_failure_exit_code(tmp_path, capsys):
     # alpha > 0, beta > 0, but f straddles zero on the certified y-range
     prob = tmp_path / "pos.prob"

@@ -395,11 +395,17 @@ def test_outward_bounds_build_two_fractions_per_order(fractions_built):
 def test_bounds_lift_once_per_vector(power_calls):
     # The monomials of an order are summed per exponent vector and each
     # group sum is lifted once; lifting each of riccati-60's 964 monomials
-    # took over 16 power calls per order.
+    # took over 16 power calls per order.  Binding a bound looks up one
+    # power: under outward:30 a second lookup for the 10**30 denominator of
+    # the rounded bound made 127 calls over the 61 orders.
+    rounding = DecimalRounding.outward(30)
     chain = riccati_chain(60)
     power_calls.clear()
-    bounds = chain.bounds(BENCH_XRANGE, BENCH_YRANGE, DecimalRounding.outward(30))
-    assert len(power_calls) <= 5 * len(bounds)
+    bounds = chain.bounds(BENCH_XRANGE, BENCH_YRANGE, rounding)
+    assert len(power_calls) <= len(bounds) + 5
+    power_calls.clear()
+    odexpr.derivative_bounds(riccati_flow(), 60, BENCH_XRANGE, BENCH_YRANGE, rounding)
+    assert len(power_calls) <= len(bounds) + 5
     power_calls.clear()
     chain.bounds(BENCH_XRANGE, BENCH_YRANGE)
     assert len(power_calls) <= 2 * len(bounds)
