@@ -5,10 +5,11 @@ The rigorous path works entirely in exact rational arithmetic: coefficients
 come from a Taylor-mode recurrence on integers, a guaranteed convergence
 radius from a magnitude bound over a box, the solution range from an
 integral-inequality comparison bound, and the Lagrange remainder from
-sequential interval bounds on every solution derivative: an interval Leibniz
-recurrence for f = a(x) + b*y^2, the symbolic derivative chain otherwise.  A
-separate, explicitly non-rigorous oracle provides high-precision reference
-values for validation.
+sequential interval bounds on every solution derivative from an interval
+Leibniz recurrence, for every flow.  The symbolic derivative chain
+(`derivative_chain`) is kept as the reference those recurrences are tested
+against.  A separate, explicitly non-rigorous oracle provides high-precision
+reference values for validation.
 """
 
 __version__ = "1.0.0"

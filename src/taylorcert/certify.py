@@ -3,9 +3,9 @@
 The pipeline: exact coefficients from the Taylor-mode recurrence, a
 guaranteed convergence-radius bound, a certified solution range on [x0, x1],
 sequential interval bounds for every solution derivative up to order n+1
-(`odexpr.derivative_bounds`: the interval Leibniz recurrence for
-f = a(x) + b*y^2, the derivative chain otherwise), and finally the degree-n
-remainder in Lagrange form, |R_n(x)| <= sup|y^(n+1)| * dx^(n+1) / (n+1)!.
+(`odexpr.derivative_bounds`: the interval Leibniz recurrence, for every flow;
+no derivative chain is built), and finally the degree-n remainder in
+Lagrange form, |R_n(x)| <= sup|y^(n+1)| * dx^(n+1) / (n+1)!.
 A centralized variant shifts the partial sum by the midpoint of the signed
 remainder range, halving the worst-case error.
 """
@@ -110,6 +110,7 @@ class Certificate:
 
 #: Sequential interval bounds for y^(1) ... y^(len(chain)) over a box:
 #: bound_derivatives(chain, xrange, yrange, rounding) is chain.bounds(...).
+#: The pipeline does not use it; it is the chain's reference evaluation.
 bound_derivatives = DerivativeChain.bounds
 
 
@@ -150,6 +151,15 @@ def poly_eval(coeffs: Sequence[Fraction], x: RationalLike) -> Fraction:
     return acc
 
 
+def _coefficient_stage(p: ProblemSpec) -> list[Fraction]:
+    """The exact Taylor coefficients c_0 ... c_n; a coefficient past
+    odexpr.MAX_COEFF_BITS raises CertificationError."""
+    try:
+        return odexpr.taylor_coefficients(p.f, p.x0, p.y0, p.degree)
+    except odexpr.ExprError as exc:  # only a budget: p.f is x/y-only
+        raise CertificationError("coefficients", str(exc)) from exc
+
+
 def _comparison_stage(
     p: ProblemSpec,
 ) -> tuple[comparison.QuadraticComparison, comparison.SolutionRange]:
@@ -173,7 +183,7 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
     warnings: list[str] = list(p.notes)
     parity_notes: list[str] = []
 
-    coefficients = odexpr.taylor_coefficients(p.f, p.x0, p.y0, p.degree)
+    coefficients = _coefficient_stage(p)
 
     radius = cauchy.radius_for_problem(
         p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width

@@ -32,12 +32,13 @@ from .certify import (
     ConvergenceError,
     MAX_DEGREE,
     ProblemSpec,
+    _coefficient_stage,
     _comparison_stage,
     certify_partial_sum,
     certify_polynomial,
     poly_eval,
 )
-from .odexpr import parse_flow_expr, taylor_coefficients
+from .odexpr import parse_flow_expr
 from .ratcore import (
     DEFAULT_ENCLOSURE_WIDTH,
     DecimalRounding,
@@ -375,7 +376,7 @@ def _write_json(args: argparse.Namespace, doc: dict) -> None:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     p = _load_problem(args.problem, args)
-    coeffs = taylor_coefficients(p.f, p.x0, p.y0, p.degree)
+    coeffs = _coefficient_stage(p)
     derivs = [c * factorial(k) for k, c in enumerate(coeffs)][1:]
     print(f"Taylor coefficients of y' = {p.f}, y({p.x0}) = {p.y0}, degree {p.degree}")
     for k, c in enumerate(coeffs):

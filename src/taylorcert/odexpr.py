@@ -2,20 +2,21 @@
 
 A FlowExpr is a finite sum of monomials c * x^i * y^j * (y')^k * ... with
 exact rational coefficients, stored as integer numerators over one common
-denominator.  The central operation is the total derivative along solutions
-of y' = f(x, y): x differentiates to 1 and each derivative symbol y^(j)
-differentiates to the next symbol y^(j+1), never getting substituted by f.
+denominator.  Its total derivative along solutions of y' = f(x, y)
+(`flow_derivative`) differentiates x to 1 and each derivative symbol y^(j)
+to the next symbol y^(j+1), never substituting f.
 It multiplies numerators by integer exponents only, so D_k = P_k / c with
 integer P_k and c the lcm of f's denominators.  Iterating it from f yields
 expressions for every higher solution derivative: the DerivativeChain, whose
 interval evaluation bounds each derivative over a box.
 
-A certificate takes its bounds from `derivative_bounds`.  For f = a(x) + b*y^2
-with constant b it runs the interval Leibniz recurrence and builds no chain;
-any other f gets its DerivativeChain built once, one single-pass flow
-derivative per step, for DerivativeChain.bounds alone.  Exact Taylor
-coefficients need no chain: `taylor_coefficients` runs a Taylor-mode
-recurrence on integers, and `derivative_values` multiplies its c_k by k!.
+No certificate builds the chain; it stays as the reference the recurrences
+are tested against.  A certificate takes its bounds from `derivative_bounds`,
+the interval Leibniz recurrence for every flow f = sum_j c_j(x) y^j, which
+forms only the powers of y that f mentions, each from two smaller ones.
+Exact Taylor coefficients come from `taylor_coefficients`, a Taylor-mode
+recurrence on integers over the same powers, and `derivative_values`
+multiplies its c_k by k!.
 
 Evaluation runs on integers too, in the fraction-free manner of Bareiss
 (*Math. Comp.* 22, 1968; see `_Kernel`): only each result is reduced, and
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, factorial, gcd, lcm, perm, prod
 import operator
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ratcore import (
     MAX_LITERAL_DIGITS,
@@ -57,11 +57,22 @@ MAX_CHAIN_MONOMIALS = 100_000
 #: It bounds the work of exact mode, whose endpoints grow with every order.
 MAX_BOUND_BITS = 2**15
 
+#: Bits a scaled Taylor coefficient's numerator and denominator may each have
+#: (`taylor_coefficients`).  It bounds the recurrence's work on flows of high
+#: y-degree, and keeps every coefficient printable.
+MAX_COEFF_BITS = 2**13
+
 
 class ExprError(ValueError):
     """Structural misuse of a FlowExpr (bad exponents, unbound symbols...), a
-    derivative chain over MAX_CHAIN_MONOMIALS or a derivative bound over
-    MAX_BOUND_BITS."""
+    derivative chain over MAX_CHAIN_MONOMIALS, a derivative bound over
+    MAX_BOUND_BITS or a Taylor coefficient over MAX_COEFF_BITS."""
+
+
+def _check_bits(bits: int, limit: int, what: str, order: int) -> None:
+    """Raise ExprError, naming what and its order, when bits pass limit."""
+    if bits > limit:
+        raise ExprError(f"{what} of order {order} has {bits} bits, over the limit {limit}")
 
 
 class ExprParseError(ValueError):
@@ -289,17 +300,18 @@ class _Kernel:
     for top >= vec.  No field overflows: power() would be uncomputable long
     before, as any base >= 2 to the 2**64 has 2**64 bits.  bases[0] is c, the
     lcm of the expressions' denominators; then come the denominators of the
-    boxes bound to slots and, under outward:P rounding of the bounds that
-    `bind` stores, 10**P.  Under outward:P the y box (slot 1) is bound over
-    10**P when that base is a multiple of its denominators, so that y and
-    the stored bounds share one vector and the products of an order fall in
-    few groups; its own base then goes unused.  The x box keeps its own base,
-    where the numerators of its powers stay small (over 10**P, those of x^e
-    would grow by 10**(P e)).  Powers and monomial factors are cached for the
-    life of the kernel, so a slot's binding must not change once set.  No
-    step needs a gcd or a division: only `bind` and `interval` reduce;
-    `groups` and `total` say how sums are formed.  Stored bounds have at
-    most MAX_BOUND_BITS bits per numerator and denominator (`bind`).
+    boxes bound to slots and, under outward:P rounding (`outward`) of the
+    bounds that `bind` stores, 10**P.  Under outward:P the y box (slot 1) is
+    bound over 10**P when that base is a multiple of its denominators, so
+    that y and the stored bounds share one vector and the products of an
+    order fall in few groups; its own base then goes unused.  The x box keeps
+    its own base, where the numerators of its powers stay small (over 10**P,
+    those of x^e would grow by 10**(P e)).  Powers and monomial factors are
+    cached for the life of the kernel, so a slot's binding must not change
+    once set.  No step needs a gcd or a division: only `bind` and `interval`
+    reduce, and `outward` rounds; `groups` and `total` say how sums are
+    formed.  Stored bounds have at most MAX_BOUND_BITS bits per numerator and
+    denominator (`bind`).
     """
 
     def __init__(
@@ -423,17 +435,18 @@ class _Kernel:
         lo, hi, vec = self.total(groups)
         den = self.power(vec)
         if not self.rounding.is_exact:
-            floor = self.rounding.scaled_floor
-            lo, hi, vec = floor(lo, den), -floor(-hi, den), self._decimal_vec
-            den = self.bases[-1]
+            (lo, hi, vec), den = self.outward(lo, hi, den), self.bases[-1]
         bits = max(lo.bit_length(), hi.bit_length(), den.bit_length())
-        if bits > MAX_BOUND_BITS:
-            raise ExprError(
-                f"derivative bound of order {slot - 1} has {bits} bits, "
-                f"over the limit {MAX_BOUND_BITS}"
-            )
+        _check_bits(bits, MAX_BOUND_BITS, "derivative bound", slot - 1)
         self.slots[slot] = lo, hi, vec
         return _ordered(Fraction(lo, den), Fraction(hi, den))
+
+    def outward(self, lo: int, hi: int, den: int) -> tuple[int, int, int]:
+        """The binding of [lo, hi] / den rounded under outward:P: lo and hi
+        floored and ceiled straight to numerators over 10**P, the last base
+        (`DecimalRounding.scaled_floor`)."""
+        floor = self.rounding.scaled_floor
+        return floor(lo, den), -floor(-hi, den), self._decimal_vec
 
     def interval(self, lo: int, hi: int, vec: int) -> RatInterval:
         """The reduced RatInterval of a binding; lo <= hi always holds here."""
@@ -508,8 +521,14 @@ def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
     return DerivativeChain(tuple(exprs))
 
 
-#: The sparse key of y^2.
-_Y_SQUARED = ((1, 2),)
+def _powers(exponents: Iterable[int]) -> list[int]:
+    """Ascending exponents j >= 2 of the powers y^j that forming y^e, for each
+    e in exponents, takes: y^j is formed as y^(j//2) times y^(j - j//2)."""
+    needed = {j for j in exponents if j >= 2}
+    for j in range(max(needed, default=0), 1, -1):  # each half is below j
+        if j in needed:
+            needed |= {j // 2, j - j // 2} - {1}
+    return sorted(needed)
 
 
 def derivative_bounds(
@@ -519,64 +538,104 @@ def derivative_bounds(
     yrange: RatInterval,
     rounding: DecimalRounding = DecimalRounding.exact(),
 ) -> list[RatInterval]:
-    """Sequential interval bounds for y^(1) ... y^(n+1) over a box, equal to
-    `derivative_chain(f, n).bounds(xrange, yrange, rounding)`.
+    """Sequential interval bounds for y^(1) ... y^(n+1) over a box, from the
+    interval Taylor recurrence (Moore, *Interval Analysis*, 1966; Lohner,
+    1987) on the chain's kernel.
 
-    For f = a(x) + b*y^2 with constant b, D_{k+1} is the Leibniz sum
-    a^(k)(x) + b*sum_i C(k, i) y^(i) y^(k-i), so the bounds come without a
-    chain, on its kernel, from the interval Taylor recurrence (Moore,
-    *Interval Analysis*, 1966) with Y_0 = yrange and Y_{k+1} = a^(k)(X) +
-    b*(2*sum_{i<k/2} C(k, i) Y_i Y_{k-i} + C(k, k/2) Y_{k/2}^2).  Each product
-    encloses one monomial of D_{k+1}, and a scalar distributes exactly over
-    interval sums, so each bound is the chain's.  The stored bounds are kept
-    as three lists (lower and upper numerators, vectors).  Each order adds
-    C(k, i) times the product of each pair i < k - i into one running sum
-    while the pair's vector is that of the pair i = 0, as every pair's is
-    when y shares the 10**P base of the stored bounds; the sum is scaled by
-    2b once, its endpoints swapped when b < 0.  A pair of another vector (in
-    exact mode, about a quarter of riccati's), a^(k) and the middle square
-    go to the kernel's groups.  Integer sums are exact, so the bounds are
-    those of one group entry per product.  Any other f goes through the
-    chain and its monomial budget.
+    Write f = sum_j c_j(x) y^j.  By the Leibniz rule D_{k+1} = sum_j sum_r
+    C(k, r) c_j^(r)(x) (y^j)^(k-r), so with Y_0 = yrange and P_1 = Y,
+    Y_{k+1} = sum_j sum_r C(k, r) c_j^(r)(X) P_j^(k-r), with c_j^(r)(X)
+    enclosed monomial by monomial over xrange, and P_j^(m) enclosing
+    (y^j)^(m) for each power f mentions and each power those are formed from
+    (`_powers`).  P_j^(0) is the power of yrange itself; past order 0, y^(2m)
+    is the Leibniz sum of y^m times itself, symmetric (`_leibniz`), and
+    y^(2m+1) that of y^m times y^(m+1).  Each bound is rounded by
+    `_Kernel.bind` before the next order uses it.  Under outward:P each P_j
+    above the square is rounded the same way (`_Kernel.outward`), which more
+    than halves the work on the y^64 file at degree 400; the square stays
+    exact.
+    The work is O(n^2) interval products per power, and no chain is built.
+
+    For f = a(x) + b*y^2 with constant b, each product encloses one monomial
+    of the chain's D_{k+1}, and a scalar distributes exactly over interval
+    sums, so each bound equals `derivative_chain(f, n).bounds(xrange, yrange,
+    rounding)`.  For any f of y-degree 2 at most, each bound lies inside the
+    chain's (subdistributivity).  From y^3 on, a product of two enclosures of
+    one straddling factor can be wider than the chain's power of it.
     """
-    if any(key and key[-1][0] and key != _Y_SQUARED for key in f._num):
-        return derivative_chain(f, n).bounds(xrange, yrange, rounding)
+    _require_xy(f)
     if n < 0:
         raise ValueError("chain length parameter must be >= 0")
-    b = f._num.get(_Y_SQUARED, 0)
-    a = _normalised({key: v for key, v in f._num.items() if key != _Y_SQUARED}, f._den)
     kernel = _Kernel([f], {0: xrange, 1: yrange}, rounding)
-    # los[j], his[j], vecs[j]: the binding of Y_j.
-    los, his, vecs = ([part] for part in kernel.slots[1])
-    coeff_vec, mul = kernel._unit(0), mul_endpoints
-    bounds, row = [], [1]  # row[i] = C(k, i)
+    # (j, r, lo, hi, vec): the binding of the r-th x-derivative of the
+    # monomial c*x^i of c_j(x), for each monomial c*x^i*y^j of f and r <= i
+    factors = []
+    for key, num in f._num.items():
+        i, j = (*_dense(key), 0, 0)[:2]
+        for r in range(i + 1):
+            c = _normalised({((0, i - r),) if i > r else (): num * perm(i, r)}, f._den)
+            [(vec, (lo, hi))] = kernel.groups(c).items()
+            factors.append((j, r, lo, hi, vec))
+    # powers[j]: the bindings of P_j^(0) ... P_j^(k); P_0^(m) is 0 for m > 0
+    plan, (y_lo, y_hi, y_vec) = _powers(factor[0] for factor in factors), kernel.slots[1]
+    powers = {0: [(1, 1, 0)], 1: [kernel.slots[1]]}
+    powers.update((j, [(*pow_endpoints(y_lo, y_hi, j), j * y_vec)]) for j in plan)
+    mul, bounds, row = mul_endpoints, [], [1]  # row[r] = C(k, r)
     for k in range(n + 1):
+        for j in plan if k else ():
+            binding = _leibniz(kernel, row, powers[j // 2], powers[j - j // 2])
+            if j > 2 and not rounding.is_exact:
+                binding = kernel.outward(binding[0], binding[1], kernel.power(binding[2]))
+            powers[j].append(binding)
         groups = {}
-        if a._num:  # a^(k), then a^(k+1) for the next order
-            groups, a = kernel.groups(a), a.partial(0)
-        if b:
-            pair_vec, sum_lo, sum_hi = vecs[0] + vecs[k], 0, 0
-            for i in range((k + 1) // 2):  # the pairs i < k - i
-                lo, hi = mul(los[i], his[i], los[k - i], his[k - i])
-                vec = vecs[i] + vecs[k - i]
-                if vec == pair_vec:
-                    sum_lo += row[i] * lo
-                    sum_hi += row[i] * hi
-                else:
-                    _add_scaled(groups, vec + coeff_vec, 2 * b * row[i], lo, hi)
-            if k:
-                _add_scaled(groups, pair_vec + coeff_vec, 2 * b, sum_lo, sum_hi)
-            if k % 2 == 0:
-                h = k // 2
-                lo, hi = pow_endpoints(los[h], his[h], 2)
-                _add_scaled(groups, 2 * vecs[h] + coeff_vec, b * row[h], lo, hi)
+        for j, r, c_lo, c_hi, c_vec in factors:
+            if r == k or j and r < k:
+                lo, hi, vec = powers[j][k - r]
+                if c_lo != c_hi:  # else a constant, which scales
+                    lo, hi, c_lo = *mul(c_lo, c_hi, lo, hi), 1
+                _add_scaled(groups, c_vec + vec, row[r] * c_lo, lo, hi)
         bounds.append(kernel.bind(k + 2, groups))
-        lo, hi, vec = kernel.slots[k + 2]
-        los.append(lo)
-        his.append(hi)
-        vecs.append(vec)
+        powers[1].append(kernel.slots[k + 2])
         row = [1, *map(operator.add, row, row[1:]), 1]
     return bounds
+
+
+def _leibniz(kernel: _Kernel, row: list[int], u: list, v: list) -> tuple[int, int, int]:
+    """Binding of sum_l C(k, l) U_l V_{k-l}, an enclosure of the k-th
+    derivative of U*V for the row C(k, .), k >= 1, from the bindings of the
+    derivatives of U and of V.  For u is v it is the square's symmetric sum,
+    2 sum_{l<k/2} C(k, l) U_l U_{k-l} + C(k, k/2) U_{k/2}^2.
+
+    One pass: each product whose vector is that of the first term goes into
+    one running sum, doubled once for a square, and so does the middle
+    square; a product of another vector (in exact mode, about a quarter of
+    riccati's) goes to the kernel's groups.  Integer sums are exact, so the
+    sum is that of one group entry per product.
+    """
+    k, square = len(row) - 1, u is v
+    twice = 2 if square else 1
+    run_vec, run_lo, run_hi, groups = u[0][2] + v[k][2], 0, 0, {}
+    for l in range((k + 1) // 2 if square else k + 1):
+        (u_lo, u_hi, u_vec), (v_lo, v_hi, v_vec) = u[l], v[k - l]
+        lo, hi = mul_endpoints(u_lo, u_hi, v_lo, v_hi)
+        if u_vec + v_vec == run_vec:
+            run_lo += row[l] * lo
+            run_hi += row[l] * hi
+        else:
+            _add_scaled(groups, u_vec + v_vec, twice * row[l], lo, hi)
+    run_lo, run_hi = twice * run_lo, twice * run_hi
+    if square and k % 2 == 0:
+        u_lo, u_hi, u_vec = u[k // 2]
+        lo, hi = pow_endpoints(u_lo, u_hi, 2)
+        if 2 * u_vec == run_vec:
+            run_lo += row[k // 2] * lo
+            run_hi += row[k // 2] * hi
+        else:
+            _add_scaled(groups, 2 * u_vec, row[k // 2], lo, hi)
+    if not groups:
+        return run_lo, run_hi, run_vec
+    _add_scaled(groups, run_vec, 1, run_lo, run_hi)
+    return kernel.total(groups)
 
 
 def _add_scaled(
@@ -599,15 +658,18 @@ def taylor_coefficients(
 
     A Taylor-mode recurrence (Corliss & Chang, *ACM TOMS* 8, 1982; Jorba &
     Zou, *Exp. Math.* 14, 2005) on integers.  f(x0 + t, y) is expanded once
-    into sum b_ij t^i y^j.  Let L be the lcm of the denominators of the b_ij
-    and y0, and q = max ceil(j / (i + 1)).  Then w(s) = L y(x0 + L^q s)
-    solves w' = sum a_ij s^i w^j with a_ij = b_ij L^(1 + q(i+1) - j), so its
+    into sum b_ij t^i y^j.  Let d be the denominator of y0, p = max
+    ceil((j - 1) / (i + 1)) (at least 0), and h the lcm of the denominators
+    of the b_ij times d^p.  Then w(s) = d y(x0 + h s) solves
+    w' = sum a_ij s^i w^j with a_ij = b_ij h^(i+1) d^(1-j), so its
     coefficients and initial value are integers, and so is every
-    w^(k)(0) = L^(1 + q k) y^(k)(x0).  Each (w^j)^(k)(0) follows by the
-    Leibniz rule with integer binomials (for w^2, symmetric in r: twice the
+    w^(k)(0) = d h^k y^(k)(x0).  Each (w^j)^(k)(0) that f needs follows by
+    the Leibniz rule with integer binomials from two smaller powers, as in
+    `derivative_bounds` (`_powers`; for a square, symmetric in r: twice the
     terms r < k/2, plus the middle one when k is even), and
     w^(k+1)(0) = sum a_ij k!/(k-i)! (w^j)^(k-i)(0).  Each coefficient is
-    reduced once: c_k = w^(k)(0) / (L^(1 + q k) k!).
+    reduced once: c_k = w^(k)(0) / (d h^k k!).  Past MAX_COEFF_BITS bits in
+    w^(k)(0) or in d h^k k!, ExprError names the order.
     """
     _require_xy(f)
     if n < 0:
@@ -620,34 +682,37 @@ def taylor_coefficients(
             term = Fraction(a * comb(e_x, i), f._den) * x0 ** (e_x - i)
             shifted[i, e_y] = shifted.get((i, e_y), 0) + term
     shifted = {ij: b for ij, b in shifted.items() if b}
-    base = lcm(y0.denominator, *(b.denominator for b in shifted.values()))
-    q = max((-(-j // (i + 1)) for i, j in shifted), default=0)
+    d, lcd = y0.denominator, lcm(*(b.denominator for b in shifted.values()))
+    p = max([0, *(-(-(j - 1) // (i + 1)) for i, j in shifted)])
+    h, w, dens, plan = lcd * d**p, [y0.numerator], [d], _powers(j for _, j in shifted)
     terms = [
-        (i, j, b.numerator * (base ** (1 + q * (i + 1) - j) // b.denominator))
+        (i, j, b.numerator * lcd ** (i + 1) // b.denominator * d ** (p * (i + 1) + 1 - j))
         for (i, j), b in shifted.items()
     ]
-    w = [y0.numerator * (base // y0.denominator)]
     # powers[j][k] = (w^j)^(k)(0); powers[1] is w itself.
-    top = max((j for _, j, _ in terms), default=1)
-    powers = [[1], w] + [[w[0] ** j] for j in range(2, top + 1)]
+    powers = {0: [1] + [0] * n, 1: w, **{j: [w[0] ** j] for j in plan}}
     row = [1]  # binomials C(m, r), r = 0 ... m
     for k in range(n):
         w.append(sum(b * perm(k, i) * powers[j][k - i] for i, j, b in terms if i <= k))
-        powers[0].append(0)
-        if top >= 2:
-            m = k + 1
-            row = [1, *map(operator.add, row, row[1:]), 1]
-            h = (m + 1) // 2
-            # C(m, r) w_r, for r <= h if the square is the top power
-            weighted = list(map(operator.mul, row, w if top > 2 else w[: h + 1]))
-            half = sum(map(operator.mul, weighted, w[m : m - h : -1]))
-            middle = 0 if m % 2 else weighted[h] * w[h]
-            powers[2].append(2 * half + middle)
-            for lower, power in zip(powers[2:], powers[3:]):
-                power.append(sum(map(operator.mul, weighted, reversed(lower))))
-    step = base**q  # L^(1 + q k) k! from its predecessor
-    dens = accumulate(range(1, n + 1), lambda den, k: den * step * k, initial=base)
+        dens.append(dens[-1] * h * (k + 1))
+        bits = max(w[-1].bit_length(), dens[-1].bit_length())
+        _check_bits(bits, MAX_COEFF_BITS, "Taylor coefficient", k + 1)
+        row = [1, *map(operator.add, row, row[1:]), 1]
+        for j in plan:
+            powers[j].append(_leibniz_sum(row, powers[j // 2], powers[j - j // 2]))
     return list(map(Fraction, w, dens))
+
+
+def _leibniz_sum(row: Sequence[int], u: Sequence[int], v: Sequence[int]) -> int:
+    """sum_r C(m, r) u_r v_{m-r}, the m-th derivative of u*v from those of u
+    and of v, for the row C(m, .), m >= 1.  For u is v, twice the terms
+    r < m/2, plus the middle one when m is even."""
+    m = len(row) - 1
+    if u is not v:
+        return sum(map(operator.mul, map(operator.mul, row, u), v[m::-1]))
+    h = (m + 1) // 2
+    half = sum(map(operator.mul, map(operator.mul, row[:h], u), u[m : m - h : -1]))
+    return 2 * half + (0 if m % 2 else row[h] * u[h] * u[h])
 
 
 def derivative_values(

@@ -309,20 +309,6 @@ def test_pipeline_rejects_unsupported_comparison():
     assert info.value.stage == "comparison"
 
 
-def test_pipeline_reports_chain_budget_as_bounds_failure(monkeypatch):
-    # Outside the form a(x) + b*y^2 the bounds come from the chain, and its
-    # budget applies.
-    monkeypatch.setattr("taylorcert.odexpr.MAX_CHAIN_MONOMIALS", 32)
-    f = parse_flow_expr("1/4 + x*y^2")
-    p = ProblemSpec(f=f, x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
-    with pytest.raises(CertificationError) as info:
-        certify_partial_sum(p)
-    assert info.value.stage == "bounds"
-    assert str(info.value) == (
-        "[bounds] derivative chain holds 37 monomials by D_8, over the limit 32"
-    )
-
-
 @pytest.mark.parametrize(
     "text, budget, message",
     [
@@ -333,8 +319,8 @@ def test_pipeline_reports_chain_budget_as_bounds_failure(monkeypatch):
 def test_pipeline_reports_bit_budget_as_bounds_failure(
     monkeypatch, text, budget, message
 ):
-    # The recurrence and the chain store their bounds through one kernel, and
-    # its bit budget applies to both.
+    # Both flows take the recurrence, riccati's of the form a(x) + b*y^2 and
+    # `1/4 + x*y^2` outside it; each stored bound meets the one bit budget.
     monkeypatch.setattr("taylorcert.odexpr.MAX_BOUND_BITS", budget)
     p = ProblemSpec(f=parse_flow_expr(text), x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
     with pytest.raises(CertificationError) as info:

@@ -1,19 +1,18 @@
-"""Work counts: a certificate builds no derivative chain for f = a(x) + b*y^2,
-and builds it once, for its bounds alone, for any other flow.
+"""Work counts: no certificate builds or evaluates a derivative chain.
 
 A counter on FlowExpr.flow_derivative counts chain steps, and a counter on
-DerivativeChain.bounds counts evaluation passes.  The riccati flow is of the
-form a(x) + b*y^2, so its bounds come from the interval recurrence of
-`odexpr.derivative_bounds`: no steps and no passes.  `1/4 + x*y^2` is not (its
-y^2 coefficient depends on x): a degree-n certificate needs D_1 .. D_{n+1},
-which is n steps, and bounds them in one pass.  The coefficients come from the
-Taylor-mode recurrence, so the coeffs subcommand builds and evaluates no
-chain at all.
+DerivativeChain.bounds counts evaluation passes.  Every flow's bounds come
+from the interval recurrence of `odexpr.derivative_bounds`, so a certificate
+takes no steps and no passes, whether its flow is of the form a(x) + b*y^2
+(riccati) or not (`1/4 + x*y^2`, whose y^2 coefficient depends on x, and
+flows of y-degree 3 and 8).  The coefficients come from the Taylor-mode
+recurrence, so the coeffs subcommand builds and evaluates no chain at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from taylorcert.odexpr import (
     parse_flow_expr,
     taylor_coefficients,
 )
+from taylorcert.ratcore import DecimalRounding
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -69,13 +69,27 @@ def test_certificate_builds_chain_once(
     assert list(cert.coefficients) == taylor_coefficients(p.f, p.x0, p.y0, p.degree)
 
 
-def test_certificate_outside_the_form_builds_chain_once(
-    riccati_problem, flow_derivative_calls, bounds_passes
+@pytest.mark.parametrize(
+    "text, y0",
+    [
+        ("1/4 + x*y^2", -1),
+        ("x*y^3 - 1/5*y^3 + 1 + y^2", 0),
+        ("x^2*y^3 - 1/25*y^3 + 1 + y^2 + x", 0),
+        ("x*y^8 - 1/5*y^8 + 1 + y^2", 0),
+    ],
+    ids=["1/4 + x*y^2", "y^3", "x^2*y^3", "y^8"],
+)
+@pytest.mark.parametrize("rounding", ["exact", "outward:30"])
+def test_no_certificate_builds_a_chain(
+    riccati_problem, flow_derivative_calls, bounds_passes, text, y0, rounding
 ):
-    p = replace(riccati_problem, f=parse_flow_expr("1/4 + x*y^2"), degree=12)
+    p = replace(
+        riccati_problem, f=parse_flow_expr(text), y0=Fraction(y0), degree=12,
+        rounding=DecimalRounding.parse(rounding),
+    )
     cert = certify_partial_sum(p)
-    assert len(flow_derivative_calls) == 12
-    assert bounds_passes == [13]
+    assert not flow_derivative_calls
+    assert not bounds_passes
     assert len(cert.derivative_bounds) == 13
 
 

@@ -527,29 +527,37 @@ def test_long_common_denominator_is_refused_at_once(tmp_path, f, column, argv):
     )
 
 
-def test_wide_chain_stops_at_its_budget(tmp_path):
-    # The y^8 terms vanish at x1, so the comparison stage passes; the chain
-    # then grows with the y-degree.  At degree 100 this ran past a 20 s
-    # timeout before the chain had a monomial budget.
+def wide_problem(j: int, y0: str = "0", degree: int = 100) -> str:
+    """x*y^j - 1/5*y^j + 1 + y^2: the y^j terms vanish at x1, so the
+    comparison stage passes, and the flow is outside a(x) + b*y^2."""
+    return (
+        f'f = "x*y^{j} - 1/5*y^{j} + 1 + y^2"\nx0 = "0"\ny0 = "{y0}"\n'
+        f'degree = {degree}\nx1 = "1/5"\nr1 = "1/2"\nr2 = "1"\nrounding = "outward:30"\n'
+    )
+
+
+def test_wide_flow_certifies_at_degree_100(tmp_path):
+    # At degree 100 this ran past a 20 s timeout before the derivative chain
+    # had a monomial budget, and then stopped at D_37 on that budget; the
+    # recurrence builds no chain.
     prob = tmp_path / "wide.prob"
-    prob.write_text(
-        'f = "x*y^8 - 1/5*y^8 + 1 + y^2"\nx0 = "0"\ny0 = "0"\ndegree = 100\n'
-        'x1 = "1/5"\nr1 = "1/2"\nr2 = "1"\nrounding = "outward:30"\n'
-    )
-    proc = run_child("certify", str(prob), "--no-sanity")
-    assert (proc.returncode, proc.stderr) == (
-        2,
-        "certification failed: [bounds] derivative chain holds 116125 "
-        "monomials by D_37, over the limit 100000\n",
-    )
+    prob.write_text(wide_problem(8))
+    proc = run_child("certify", str(prob), "--no-sanity", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "degree 100" in proc.stdout
 
 
-@pytest.mark.parametrize("name", ["riccati", "quadratic"])
+@pytest.mark.parametrize("name", ["riccati", "quadratic", "y8", "y64"])
 def test_outward_certificate_at_the_degree_cap(tmp_path, name):
-    # Both flows take the derivative-bound recurrence, which has no monomial
+    # Every flow takes the derivative-bound recurrence, which has no monomial
     # budget: its work at MAX_DEGREE is bounded by the O(n^2) interval
-    # products alone (under 1 s each on a 2-core host).
-    text = (PROBLEMS / f"{name}.prob").read_text()
+    # products per power of y alone (under 1 s each for riccati and
+    # quadratic, and about 2 s and 3 s for the y^8 and y^64 files, on a
+    # 2-core host).
+    if name in ("riccati", "quadratic"):
+        text = (PROBLEMS / f"{name}.prob").read_text()
+    else:
+        text = wide_problem(int(name[1:]))
     prob = tmp_path / f"{name}.prob"
     prob.write_text(re.sub(r"degree = \d+", f"degree = {MAX_DEGREE}", text))
     proc = run_child(
@@ -557,6 +565,30 @@ def test_outward_certificate_at_the_degree_cap(tmp_path, name):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert f"degree {MAX_DEGREE}" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "y0, returncode, stderr",
+    [
+        ("0", 0, ""),
+        (
+            "1/2",
+            2,
+            "certification failed: [coefficients] Taylor coefficient of order 114 "
+            f"has 8229 bits, over the limit {odexpr.MAX_COEFF_BITS}\n",
+        ),
+    ],
+    ids=["y0=0", "y0=1/2"],
+)
+def test_coefficients_at_the_degree_cap_are_bounded(tmp_path, y0, returncode, stderr):
+    # With y0 = 0 `coeffs` ran past 60 s while every power w^2 ... w^64 was
+    # formed over a scale that grew 149 bits per order.  With y0 = 1/2 the
+    # exact coefficients' own denominators grow about 63 bits per order, so
+    # they stop at their bit budget.
+    prob = tmp_path / "wide.prob"
+    prob.write_text(wide_problem(64, y0, MAX_DEGREE))
+    proc = run_child("coeffs", str(prob), timeout=60)
+    assert (proc.returncode, proc.stderr) == (returncode, stderr)
 
 
 def test_exact_bounds_stop_at_their_bit_budget(tmp_path):

@@ -1,14 +1,16 @@
 """`odexpr.derivative_bounds` against the derivative chain it replaces.
 
-For f = a(x) + b*y^2 with constant b, the bounds come from the interval
-Leibniz recurrence and must equal `derivative_chain(f, n).bounds(...)`
+Every flow takes the interval Leibniz recurrence.  For f = a(x) + b*y^2 with
+constant b each bound must equal `derivative_chain(f, n).bounds(...)`
 exactly, in every rounding mode; the chain stays in `src/` as the reference.
 Both run on `odexpr._Kernel`, so the bounds must also equal the `Fraction`
 loop `reference_bounds` of test_integer_kernel.py, which shares no code with
 the kernel: under outward:P a y box whose denominators divide 10**P shares
 the kernel's 10**P base, and any other y box keeps a base of its own.
-Each bound must also contain the exact derivative at (x0, y0), and any other
-flow must go through the chain.
+For any flow of y-degree 2 at most each bound must lie inside the chain's
+(subdistributivity); from y^3 on nothing is claimed about width.  Each bound
+must contain the exact derivative at (x0, y0), and a certificate's
+remainder must contain the integrator's error of the partial sum.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 import pytest
 
 from conftest import quadratic_flow, riccati_flow
-from taylorcert import comparison
+from taylorcert import comparison, oracle
+from taylorcert.certify import (
+    ProblemSpec,
+    certify_partial_sum,
+    lagrange_remainder,
+    poly_eval,
+)
 from taylorcert.odexpr import (
-    DerivativeChain,
     FlowExpr,
     derivative_bounds,
     derivative_chain,
@@ -41,26 +49,46 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 @st.composite
 def boxes(draw):
-    """(f, n, x0, y0, xrange, yrange) with x0 != 0, y0 inside yrange, and
-    yrange straddling zero or negative as often as positive."""
-    a = {(e,): draw(rationals) for e in range(draw(st.integers(0, 4)) + 1)}
-    f = FlowExpr({**a, (0, 2): draw(rationals)})
+    """(f, n, x0, y0, xrange, yrange): f = a(x) + b*y^2 as often as a flow of
+    x-degree 3 and y-degree 4 at most; x0 != 0, y0 inside yrange, and yrange
+    straddling zero or negative as often as positive."""
+    if draw(st.booleans()):
+        a = {(e,): draw(rationals) for e in range(draw(st.integers(0, 4)) + 1)}
+        f, n = FlowExpr({**a, (0, 2): draw(rationals)}), draw(st.integers(0, 30))
+    else:
+        keys = st.tuples(st.integers(0, 3), st.integers(0, 4))
+        keys = draw(st.lists(keys, min_size=1, max_size=6))
+        f, n = FlowExpr({key: draw(rationals) for key in keys}), draw(st.integers(0, 12))
     x0 = draw(rationals.filter(bool))
     y0 = draw(rationals)
     below, above, dx = (draw(st.fractions(0, 2, max_denominator=9)) for _ in range(3))
     xrange = RatInterval(x0, x0 + dx)
     yrange = RatInterval(y0 - below, y0 + above)
-    return f, draw(st.integers(0, 30)), x0, y0, xrange, yrange
+    return f, n, x0, y0, xrange, yrange
 
 
-@settings(max_examples=150, deadline=None)
+def y_degree(f: FlowExpr) -> int:
+    return max((j for _, j, _ in f.xy_terms()), default=0)
+
+
+def is_form(f: FlowExpr) -> bool:
+    """Whether f is a(x) + b*y^2 with constant b."""
+    return all(j == 0 or (i, j) == (0, 2) for i, j, _ in f.xy_terms())
+
+
+@settings(max_examples=300, deadline=None)
 @given(boxes(), st.sampled_from(ROUNDINGS))
 def test_recurrence_equals_chain_and_contains_exact_values(case, rounding):
     f, n, x0, y0, xrange, yrange = case
     bounds = derivative_bounds(f, n, xrange, yrange, rounding)
-    assert bounds == derivative_chain(f, n).bounds(xrange, yrange, rounding)
-    for bound, value in zip(bounds, derivative_values(f, x0, y0, n + 1)):
+    chain = derivative_chain(f, n).bounds(xrange, yrange, rounding)
+    for bound, value in zip(bounds, derivative_values(f, x0, y0, n + 1), strict=True):
         assert bound.lo <= value <= bound.hi
+    if is_form(f):
+        assert bounds == chain
+    elif y_degree(f) <= 2:
+        for bound, wide in zip(bounds, chain, strict=True):
+            assert wide.lo <= bound.lo and bound.hi <= wide.hi
 
 
 CERTIFICATES = [
@@ -120,16 +148,35 @@ def test_recurrence_equals_fraction_loop(case, rounding):
         assert_same_interval(got, w)
 
 
-@pytest.mark.parametrize("text", ["1/4 + x*y^2", "1 + y", "y^3 + x", "x*y^2"])
-def test_other_flows_take_the_chain(monkeypatch, text):
-    passes = []
-    original = DerivativeChain.bounds
+# Flows outside a(x) + b*y^2 whose y^3 and y^8 terms vanish at x1, so that
+# the comparison stage passes: the integrator's y(x1) must lie within
+# p_n(x1) +- remainder.  Only a flow of y-degree 2 at most is sure to get a
+# remainder no larger than the chain's.
+WIDE_FLOWS = [
+    ("1/4 + x*y^2", F(-1)),
+    ("x*y^3 - 1/5*y^3 + 1 + y^2", F(0)),
+    ("x*y^3 - 1/5*y^3 + 1 + y^2", F(1, 2)),
+    ("x^2*y^3 - 1/25*y^3 + 1 + y^2 + x", F(0)),
+    ("x*y^8 - 1/5*y^8 + 1 + y^2", F(0)),
+    ("x*y^8 - 1/5*y^8 + 1 + y^2", F(1, 2)),
+]
 
-    def counted(self, *args):
-        passes.append(len(self))
-        return original(self, *args)
 
-    monkeypatch.setattr(DerivativeChain, "bounds", counted)
-    box = RatInterval(F(1, 3), F(1, 2)), RatInterval(F(-1), F(1, 4))
-    derivative_bounds(parse_flow_expr(text), 5, *box, DecimalRounding(30))
-    assert passes == [6]
+@pytest.mark.parametrize("rounding", ["exact", "outward:30"])
+@pytest.mark.parametrize("text, y0", WIDE_FLOWS)
+def test_certificate_contains_the_integrator_value(text, y0, rounding):
+    p = ProblemSpec(
+        f=parse_flow_expr(text), x0=F(0), y0=y0, degree=12, x1=F(1, 5),
+        r1=F(1, 2), rounding=DecimalRounding.parse(rounding),
+    )
+    cert = certify_partial_sum(p)
+    p_n = poly_eval(cert.coefficients, p.x1)
+    with mp.workdps(30):
+        y1 = oracle.reference_solution(p.f, p.x0, p.y0, p.x1).value
+        error = abs(y1 - oracle.to_mpf(p_n))
+        assert error <= oracle.to_mpf(cert.remainder_bound)
+    xrange = RatInterval(p.x0, p.x1)
+    chain = derivative_chain(p.f, p.degree).bounds(xrange, cert.yrange.range, p.rounding)
+    chain_remainder, _ = lagrange_remainder(chain[-1], p.dx, p.degree)
+    if y_degree(p.f) <= 2:
+        assert cert.remainder_bound <= chain_remainder
