@@ -66,10 +66,10 @@ def _parsed(label: str, parse, value):
         raise InputError(f"{label}: {exc}") from exc
 
 
-def _file(label: str, path: str, access=lambda file: file.read_text(encoding="utf-8")):
-    """access(Path(path)), by default the file's text read as UTF-8, with the
-    OSError or UnicodeDecodeError it raises turned into an InputError that
-    starts with label and path."""
+def _file(label: str, path: str, access=lambda file: file.read_text(encoding="utf-8-sig")):
+    """access(Path(path)), by default the file's text read as UTF-8 without a
+    leading byte-order mark, with the OSError or UnicodeDecodeError it raises
+    turned into an InputError that starts with label and path."""
     try:
         return access(Path(path))
     except (OSError, UnicodeDecodeError) as exc:
@@ -350,16 +350,19 @@ def _sanity_section(cert: Certificate) -> dict:
 
 def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
     spec = parse_problem(_file("cannot read problem file", path))
-    overrides = {}
     if getattr(args, "rounding", None) is not None:
-        rounding = _parsed("--rounding", DecimalRounding.parse, args.rounding)
-        overrides["rounding"] = rounding
+        spec = _parsed(
+            "--rounding",
+            lambda v: replace(spec, rounding=DecimalRounding.parse(v)),
+            args.rounding,
+        )
     if getattr(args, "width", None) is not None:
-        width = _parsed("--width", as_rational, args.width)
-        if width <= 0:
-            raise InputError("--width: enclosure width must be positive")
-        overrides["enclosure_width"] = width
-    return replace(spec, **overrides)
+        spec = _parsed(
+            "--width",
+            lambda v: replace(spec, enclosure_width=as_rational(v)),
+            args.width,
+        )
+    return spec
 
 
 def _with_radius(p: ProblemSpec) -> ProblemSpec:

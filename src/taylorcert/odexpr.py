@@ -104,16 +104,10 @@ def _dense(key: SparseKey) -> MonomialKey:
 
 def _normalised(num: dict[SparseKey, int], den: int) -> "FlowExpr":
     """Trusted constructor for internal results, which are not re-validated:
-    drop zero numerators and reduce by one gcd.  den must be positive.  Takes
-    num over: it is kept as it is when the gcd is 1 and no value is zero."""
+    drop zero numerators and reduce by one gcd.  den must be positive."""
     g = gcd(den, *num.values())
     expr = object.__new__(FlowExpr)
-    if g != 1:
-        expr._num, expr._den = {key: n // g for key, n in num.items() if n}, den // g
-    elif 0 in num.values():
-        expr._num, expr._den = {key: n for key, n in num.items() if n}, den
-    else:
-        expr._num, expr._den = num, den
+    expr._num, expr._den = {key: n // g for key, n in num.items() if n}, den // g
     return expr
 
 
@@ -306,12 +300,11 @@ class _Kernel:
     that y and the stored bounds share one vector and the products of an
     order fall in few groups; its own base then goes unused.  The x box keeps
     its own base, where the numerators of its powers stay small (over 10**P,
-    those of x^e would grow by 10**(P e)).  Powers and monomial factors are
-    cached for the life of the kernel, so a slot's binding must not change
-    once set.  No step needs a gcd or a division: only `bind` and `interval`
-    reduce, and `outward` rounds; `groups` and `total` say how sums are
-    formed.  Stored bounds have at most MAX_BOUND_BITS bits per numerator and
-    denominator (`bind`).
+    those of x^e would grow by 10**(P e)).  The power of each vector is
+    cached for the life of the kernel.  No step needs a gcd or a division:
+    only `bind` and `interval` reduce, and `outward` rounds; `groups` and
+    `total` say how sums are formed.  Stored bounds have at most
+    MAX_BOUND_BITS bits per numerator and denominator (`bind`).
     """
 
     def __init__(
@@ -329,7 +322,6 @@ class _Kernel:
         # the bitwise or of each field's largest masked value.
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
         self._powers: dict[int, int] = {}
-        self._factors: dict[tuple[int, int], tuple[int, int, int]] = {}
         # Each box binds over bases[index], which its denominators divide.
         self.slots = {}
         for index, (slot, box) in enumerate(boxes.items(), start=1):
@@ -351,48 +343,25 @@ class _Kernel:
             value = self._powers[vec] = prod(map(pow, self.bases, exps))
         return value
 
-    def _factor(self, factor: tuple[int, int]) -> tuple[int, int, int]:
-        """Binding of one (slot, exponent) factor, cached."""
-        slot, exp = factor
-        lo, hi, vec = self.slots[slot]
-        if exp > 1:
-            lo, hi = pow_endpoints(lo, hi, exp)
-        binding = self._factors[factor] = lo, hi, exp * vec
-        return binding
-
     def groups(self, expr: FlowExpr) -> dict[int, list[int]]:
         """The expression's monomial enclosures, summed per vector; `total`
         adds them up.
 
-        One pass over the monomials.  A coefficient num / den enters as
-        n = num * (c // den), which the first factor scales by its sign case;
-        only later factors call `mul_endpoints`.  Each (slot, exponent)
-        factor's binding is formed once per kernel.
+        A coefficient num / den enters as n = num * (c // den) on the
+        coefficient vector, and each (slot, exponent) factor multiplies in
+        the slot's binding, powered first above exponent 1.
         """
-        get, mul, coeff_vec = self._factors.get, mul_endpoints, self._unit(0)
-        scale = self.bases[0] // expr._den
-        groups: dict[int, list[int]] = {}
-        group_of = groups.get
+        scale, groups = self.bases[0] // expr._den, {}
         for key, n in expr._num.items():
-            n *= scale
-            if key:
-                first = key[0]
-                lo, hi, vec = get(first) or self._factor(first)
-                lo, hi = (n * lo, n * hi) if n >= 0 else (n * hi, n * lo)
-                vec += coeff_vec
-                for factor in key[1:]:
-                    b_lo, b_hi, b_vec = get(factor) or self._factor(factor)
-                    lo, hi = mul(lo, hi, b_lo, b_hi)
-                    vec += b_vec
-            else:
-                lo = hi = n
-                vec = coeff_vec
-            group = group_of(vec)
-            if group is None:
-                groups[vec] = [lo, hi]
-            else:
-                group[0] += lo
-                group[1] += hi
+            lo = hi = n * scale
+            vec = self._unit(0)
+            for slot, exp in key:
+                b_lo, b_hi, b_vec = self.slots[slot]
+                if exp > 1:
+                    b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
+                lo, hi = mul_endpoints(lo, hi, b_lo, b_hi)
+                vec += exp * b_vec
+            _add_scaled(groups, vec, 1, lo, hi)
         return groups
 
     def total(self, groups: Mapping[int, list[int]]) -> tuple[int, int, int]:
@@ -565,7 +534,7 @@ def derivative_bounds(
     """
     _require_xy(f)
     if n < 0:
-        raise ValueError("chain length parameter must be >= 0")
+        raise ValueError(f"degree must be >= 0, got {n}")
     kernel = _Kernel([f], {0: xrange, 1: yrange}, rounding)
     # (j, r, lo, hi, vec): the binding of the r-th x-derivative of the
     # monomial c*x^i of c_j(x), for each monomial c*x^i*y^j of f and r <= i

@@ -353,20 +353,25 @@ def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
 
 
 def _tan_point_enclosure(t: Fraction, width: Fraction) -> RatInterval:
+    """sin(t) / cos(t) for 0 <= t < 3/2, from series of the given width; the
+    cosine series is refined by 16 until its lower end is positive, which
+    ends because cos t > 1/15 there."""
     cos_enc = _trig_series(t, 0, width)
-    if cos_enc.lo <= 0:
-        raise EnclosureError(f"cosine enclosure at {t} not bounded away from 0")
+    while cos_enc.lo <= 0:
+        width /= 16
+        cos_enc = _trig_series(t, 0, width)
     return _trig_series(t, 1, width) / cos_enc
 
 
 def enclose_tan(
     theta: RatInterval, width: RationalLike = DEFAULT_ENCLOSURE_WIDTH
 ) -> RatInterval:
-    """Certified enclosure of tan over an interval theta inside [0, pi/2).
+    """Certified enclosure of tan over an interval theta inside [0, 3/2).
 
     tan is increasing there, so the image is [tan(theta.lo), tan(theta.hi)];
     each endpoint is enclosed by certified sine/cosine series divided outward.
     The result width is at most `width` plus the spread tan(hi) - tan(lo).
+    A theta outside [0, 3/2) raises EnclosureError.
     """
     width = _check_width(width)
     if theta.lo < 0:

@@ -2,7 +2,7 @@
 verbatim copies of the loops they replaced.
 
 `FlowExpr.flow_derivative` walks each sparse key once and tests the adjacent
-slot in place; `_normalised` skips its divisions when the gcd is 1;
+slot in place; `_normalised` has the one path of its reference;
 `taylor_coefficients` updates its binomial row by Pascal's rule and forms the
 Leibniz sums over slices; `derivative_bounds` sums each order's pairs in one
 running sum and `_Kernel.bind` looks up the power of a vector once.  The

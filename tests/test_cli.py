@@ -389,6 +389,40 @@ def test_range_reports_failures_like_certify(tmp_path, capsys, f, x0, x1, messag
         assert (doc["valid"], doc["diagnostics"]) == (False, message)
 
 
+def test_coarse_width_still_bounds_the_cosine(tmp_path, capsys):
+    # At width 16 the first cosine enclosure at 149/100, where cos is about
+    # 0.08, reached 0, and the comparison stage failed (exit 2); a width of
+    # 1 certified.  The series is now refined until its lower end is positive.
+    prob = tmp_path / "coarse.prob"
+    prob.write_text(
+        'f = "1 + y^2"\nx0 = "0"\ny0 = "0"\ndegree = 9\nx1 = "149/100"\nwidth = "16"\n'
+    )
+    for argv in (["range", str(prob)], ["certify", str(prob), "--no-sanity"]):
+        assert run(argv) == 0
+        assert "certified range [0, 12.53476406131234046...]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("marked", ["problem", "polynomial"])
+def test_byte_order_mark_is_ignored(quadratic_file, tmp_path, capsys, marked):
+    # A file saved with a UTF-8 byte-order mark was refused at its first
+    # character; it must give the stdout and JSON of the file without it.
+    poly = tmp_path / "cand.poly"
+    poly.write_text("1 + 1/4*x + 3/16*x^2\n")
+    plain = quadratic_file if marked == "problem" else poly
+    with_bom = tmp_path / f"bom-{plain.name}"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, with_bom):
+        out = tmp_path / f"{path.name}.json"
+        if marked == "problem":
+            argv = ["coeffs", str(path)]
+        else:
+            argv = ["check-poly", str(quadratic_file), "--poly", str(path)]
+        assert run([*argv, "--json", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("flag", ["--width", "--rounding"])
 def test_empty_overrides_are_input_errors(problem_file, capsys, flag):
     assert run(["coeffs", str(problem_file), flag, ""]) == 1

@@ -454,29 +454,3 @@ def test_x_box_and_other_y_boxes_keep_their_own_bases():
     exact = _Kernel([f], {0: BENCH_XRANGE, 1: BENCH_YRANGE})
     assert exact.bases == (4, 5, 2 * 10**29)
     assert exact.slots[1][2] == unit(2)
-
-
-@pytest.fixture
-def mul_endpoints_calls(monkeypatch):
-    calls = []
-    original = odexpr.mul_endpoints
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(odexpr, "mul_endpoints", counted)
-    return calls
-
-
-def test_first_factor_scales_without_a_call(mul_endpoints_calls):
-    # A monomial's first factor multiplies the scalar coefficient numerator by
-    # its sign case; only later factors need mul_endpoints.  Riccati-60 has
-    # 1,893 factors in 964 monomials, one of them constant: 930 calls, where
-    # a call per factor made 1,893.
-    chain = riccati_chain(60)
-    later_factors = sum(max(len(key) - 1, 0) for expr in chain for key in expr._num)
-    mul_endpoints_calls.clear()
-    bounds = chain.bounds(BENCH_XRANGE, BENCH_YRANGE, DecimalRounding.outward(30))
-    assert len(bounds) == 61
-    assert len(mul_endpoints_calls) <= later_factors == 930

@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, libmp
 import pytest
@@ -175,6 +175,23 @@ def test_tan_contains_mpmath_interval(a, b, width):
     theta = RatInterval(min(a, b), max(a, b))
     ours = enclose_tan(theta, width)
     with iv_digits_beyond(width, 30):
+        assert_contains(ours, iv.tan(iv.mpf([_iv(theta.lo).a, _iv(theta.hi).b])))
+
+
+# Widths from 1/1000 to 1000: at width 2 the first cosine enclosure at
+# 149/100 reaches 0, and the series must be refined past it.
+coarse_widths = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trig_arguments, trig_arguments, coarse_widths)
+@example(F(149, 100), F(149, 100), F(2))
+@example(F(149, 100), F(1499, 1000), F(16))
+@example(F(1499, 1000), F(1499, 1000), F(1000))
+def test_tan_at_coarse_widths_contains_mpmath_interval(a, b, width):
+    theta = RatInterval(min(a, b), max(a, b))
+    ours = enclose_tan(theta, width)
+    with iv_digits(30):
         assert_contains(ours, iv.tan(iv.mpf([_iv(theta.lo).a, _iv(theta.hi).b])))
 
 
