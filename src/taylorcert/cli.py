@@ -22,7 +22,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__, comparison
 from .cauchy import RadiusCertificate, radius_for_problem
@@ -271,10 +271,6 @@ def _fmt(q: Fraction) -> str:
     return dec
 
 
-def _fmt_interval(interval: RatInterval) -> str:
-    return f"[{decimal_str(interval.lo)}, {decimal_str(interval.hi)}]"
-
-
 def render_report(cert: Certificate, sanity: dict | None = None) -> str:
     p = cert.problem
     lines = [
@@ -291,11 +287,10 @@ def render_report(cert: Certificate, sanity: dict | None = None) -> str:
         "",
         f"convergence radius (box radii r1 = {rc.r1}, r2 = {rc.r2}, "
         f"|f| <= M = {_fmt(rc.M)}):",
-        f"  r >= {decimal_str(rc.r_floor)} "
-        f"(enclosure {_fmt_interval(rc.r_enclosure)})",
+        f"  r >= {decimal_str(rc.r_floor)} (enclosure {rc.r_enclosure})",
         "",
         "solution range on the interval:",
-        f"  upper bound enclosure {_fmt_interval(cert.yrange.tight_upper)}",
+        f"  upper bound enclosure {cert.yrange.tight_upper}",
         f"  certified range [{_fmt(cert.yrange.range.lo)}, "
         f"{_fmt(cert.yrange.range.hi)}]",
         "",
@@ -306,7 +301,7 @@ def render_report(cert: Certificate, sanity: dict | None = None) -> str:
     lines += [
         "",
         f"remainder certificate (degree {p.degree}):",
-        f"  signed range {_fmt_interval(cert.remainder_signed)}",
+        f"  signed range {cert.remainder_signed}",
         f"  |error| <= {decimal_str(cert.remainder_bound)}",
         "",
         "centralized polynomial:",
@@ -371,9 +366,10 @@ def _with_radius(p: ProblemSpec) -> ProblemSpec:
     return p
 
 
-def _write_json(args: argparse.Namespace, doc: dict) -> None:
+def _write_json(args: argparse.Namespace, doc: Callable[[], dict]) -> None:
+    """Build the report document and write it, only when --json asks for it."""
     if getattr(args, "json", None):
-        text = report_to_json(doc)
+        text = report_to_json(doc())
         _file("cannot write JSON report", args.json, lambda file: file.write_text(text))
 
 
@@ -389,7 +385,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         print(f"  y^({k})({p.x0}) = {_fmt(v)}")
     _write_json(
         args,
-        {
+        lambda: {
             "problem": _problem_json(p),
             "coefficients": [format_rational(c) for c in coeffs],
             "derivative_values": [format_rational(v) for v in derivs],
@@ -401,23 +397,20 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 def _cmd_radius(args: argparse.Namespace) -> int:
     p = _with_radius(_load_problem(args.problem, args))
     rc = radius_for_problem(p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width)
-    print(
-        f"r >= {decimal_str(rc.r_floor)} "
-        f"(enclosure {_fmt_interval(rc.r_enclosure)})"
-    )
+    print(f"r >= {decimal_str(rc.r_floor)} (enclosure {rc.r_enclosure})")
     print(f"  from r1 = {rc.r1}, r2 = {rc.r2}, |f| <= M = {_fmt(rc.M)}")
-    _write_json(args, {"problem": _problem_json(p), "radius": _radius_json(rc)})
+    _write_json(args, lambda: {"problem": _problem_json(p), "radius": _radius_json(rc)})
     return 0
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
     p = _load_problem(args.problem, args)
     qc, sr = _comparison_stage(p)
-    _write_json(args, {"problem": _problem_json(p), "solution_range": _range_json(sr)})
+    _write_json(args, lambda: {"problem": _problem_json(p), "solution_range": _range_json(sr)})
     if not sr.valid:
         raise CertificationError("comparison", sr.diagnostics)
     print(f"frozen right-hand side: {qc.alpha} + {qc.beta}*y^2")
-    print(f"upper bound enclosure {_fmt_interval(sr.tight_upper)}")
+    print(f"upper bound enclosure {sr.tight_upper}")
     print(f"certified range [{_fmt(sr.range.lo)}, {_fmt(sr.range.hi)}]")
     return 0
 
@@ -432,7 +425,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print(f"derivative bounds over [{p.x0}, {p.x1}] (rounding {p.rounding}):")
     for k, bound in enumerate(cert.derivative_bounds, start=1):
         print(f"  y^({k}): [{_fmt(bound.lo)}, {_fmt(bound.hi)}]")
-    _write_json(args, build_report(cert))
+    _write_json(args, lambda: build_report(cert))
     return 0
 
 
@@ -440,7 +433,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     p, cert = _run_certificate(args)
     sanity = None if args.no_sanity else _sanity_section(cert)
     sys.stdout.write(render_report(cert, sanity))
-    _write_json(args, build_report(cert, sanity))
+    _write_json(args, lambda: build_report(cert, sanity))
     return 0
 
 
@@ -456,7 +449,7 @@ def _cmd_check_poly(args: argparse.Namespace) -> int:
           f"plus polynomial difference)")
     _write_json(
         args,
-        {
+        lambda: {
             "problem": _problem_json(p),
             "polynomial": [format_rational(c) for c in coeffs],
             "error_bound": format_rational(bound),

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .odexpr import FlowExpr
 from .ratcore import (
     DecimalRounding,
-    EnclosureError,
     HALF_PI_LOWER,
     RatInterval,
     RationalLike,
@@ -162,9 +161,14 @@ def solution_range(
     width of at most `width`, from certified enclosures and outward interval
     division; a round that fails to certify s > 0, denominator > 0 or that
     width retries with 16 times finer series, up to 60 rounds.  The
-    certificate is refused (valid=False) if the comparison solution blows up
-    before x1 (denominator not certifiably positive) or if the comparison
+    certificate is refused (valid=False) only by the checks here: if the
+    tangent argument sqrt(alpha*beta) * (x1 - x0) reaches HALF_PI_LOWER, the
+    one tangent domain bound (below it `enclose_tan` always succeeds), if the
+    comparison solution blows up before x1 (denominator not certifiably
+    positive), if the width target is out of reach, or if the comparison
     hypotheses for `flow`, which `qc` was extracted from, fail on the box.
+    Diagnostics show intervals in decimals (`RatInterval.__str__`), so they
+    stay short however long the exact endpoints are.
 
     The reported upper endpoint is widened per `rounding`; the tight enclosure
     is always retained alongside.
@@ -182,10 +186,7 @@ def solution_range(
                 f"tangent argument {theta} reaches the certified pi/2 bound: "
                 f"no tangent-form bound exists on [{qc.x0}, {qc.x1}]",
             )
-        try:
-            t_enc = enclose_tan(theta, component_width)
-        except EnclosureError as exc:
-            return _invalid(qc.y0, f"tangent enclosure failed: {exc}")
+        t_enc = enclose_tan(theta, component_width)
         if s_enc.lo > 0:
             denominator = RatInterval.point(1) - t_enc * RatInterval.point(qc.y0) / s_enc
             if denominator.lo > 0:

@@ -169,7 +169,9 @@ class RatInterval:
         return _ordered(c * self.hi, c * self.lo)
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        """Both endpoints through `decimal_str`, for reports and messages;
+        `repr` keeps them exact."""
+        return f"[{decimal_str(self.lo)}, {decimal_str(self.hi)}]"
 
 
 def mul_endpoints(a, b, c, d):
@@ -332,13 +334,13 @@ def enclose_exp_neg(
 
 
 def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
-    """Enclosure of sin(t) (power 1) or cos(t) (power 0) for 0 <= t < 3/2.
+    """Enclosure of sin(t) (power 1) or cos(t) (power 0) for any t >= 0.
 
     Sums the alternating series of terms (-1)^k t^(2k+power) / (2k+power)!.
     The truncation error is bounded by the first omitted term (Lagrange bound
-    with |sin^(m)|, |cos^(m)| <= 1).  On integers: with t = a/b, the sum P
-    and the term T of degree m lie over D = m! b^m; each step multiplies P
-    and D by (m+1)(m+2) b^2 and T by -a^2.
+    with |sin^(m)|, |cos^(m)| <= 1, which holds for every t).  On integers:
+    with t = a/b, the sum P and the term T of degree m lie over D = m! b^m;
+    each step multiplies P and D by (m+1)(m+2) b^2 and T by -a^2.
     """
     (a, b), (wn, wd) = t.as_integer_ratio(), width.as_integer_ratio()
     partial, term, den = 0, a**power, b**power
@@ -353,9 +355,9 @@ def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
 
 
 def _tan_point_enclosure(t: Fraction, width: Fraction) -> RatInterval:
-    """sin(t) / cos(t) for 0 <= t < 3/2, from series of the given width; the
-    cosine series is refined by 16 until its lower end is positive, which
-    ends because cos t > 1/15 there."""
+    """sin(t) / cos(t) for 0 <= t < HALF_PI_LOWER, from series of the given
+    width; the cosine series is refined by 16 until its lower end is
+    positive, which ends because cos t > 0 below pi/2."""
     cos_enc = _trig_series(t, 0, width)
     while cos_enc.lo <= 0:
         width /= 16
@@ -366,20 +368,19 @@ def _tan_point_enclosure(t: Fraction, width: Fraction) -> RatInterval:
 def enclose_tan(
     theta: RatInterval, width: RationalLike = DEFAULT_ENCLOSURE_WIDTH
 ) -> RatInterval:
-    """Certified enclosure of tan over an interval theta inside [0, 3/2).
+    """Certified enclosure of tan over an interval theta inside
+    [0, HALF_PI_LOWER), the certified part of [0, pi/2).
 
     tan is increasing there, so the image is [tan(theta.lo), tan(theta.hi)];
     each endpoint is enclosed by certified sine/cosine series divided outward.
     The result width is at most `width` plus the spread tan(hi) - tan(lo).
-    A theta outside [0, 3/2) raises EnclosureError.
+    A theta outside [0, HALF_PI_LOWER) raises EnclosureError.
     """
     width = _check_width(width)
     if theta.lo < 0:
         raise EnclosureError(f"tan domain is [0, pi/2); got lower endpoint {theta.lo}")
-    if theta.hi >= Fraction(3, 2):
-        raise EnclosureError(
-            f"tan argument {theta.hi} outside the series domain [0, 3/2)"
-        )
+    if theta.hi >= HALF_PI_LOWER:
+        raise EnclosureError(f"tan argument {theta.hi} reaches the certified pi/2 bound")
     # The excess of the result width over tan(hi) - tan(lo) is bounded by the
     # two endpoint enclosure widths; shrink the series width until that excess
     # fits the budget.  Near the domain edge the quotient amplifies the series

@@ -21,7 +21,8 @@ from taylorcert.cli import (
 from taylorcert import odexpr
 from taylorcert.certify import MAX_DEGREE, MAX_POLY_DEGREE, certify_partial_sum
 from taylorcert.oracle import MAX_RK4_STEPS, ConvergenceError
-from taylorcert.ratcore import DecimalRounding
+from taylorcert.comparison import ApplicabilityError, check_applicability
+from taylorcert.ratcore import DecimalRounding, RatInterval, format_rational
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -400,6 +401,83 @@ def test_coarse_width_still_bounds_the_cosine(tmp_path, capsys):
     for argv in (["range", str(prob)], ["certify", str(prob), "--no-sanity"]):
         assert run(argv) == 0
         assert "certified range [0, 12.53476406131234046...]" in capsys.readouterr().out
+
+
+TAN_PROBLEM = 'f = "1 + y^2"\nx0 = "0"\ny0 = "0"\ndegree = 9\nx1 = "{x1}"\n'
+
+
+def test_tangent_argument_past_three_halves_certifies(tmp_path, capsys):
+    # y = tan x is finite on [0, 31/20], below pi/2, and the comparison bound
+    # holds there; the tangent enclosure once refused arguments from 3/2 on,
+    # and the comparison stage failed (exit 2).
+    import mpmath
+
+    prob = tmp_path / "tan.prob"
+    prob.write_text(TAN_PROBLEM.format(x1="31/20"))
+    with mpmath.workdps(30):
+        tan = F(mpmath.nstr(mpmath.tan(mpmath.mpf(31) / 20), 30))
+    for argv in (["range"], ["certify", "--no-sanity"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run([argv[0], str(prob), *argv[1:], "--json", str(out)]) == 0
+        assert "certified range [0, 48.07848247921896864...]" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        sr = doc.get("solution_range") or doc["certificate"]["solution_range"]
+        assert F(sr["lo"]) == 0 and tan < F(sr["hi"])
+
+
+def test_tangent_argument_just_below_half_pi_certifies(tmp_path):
+    # HALF_PI_LOWER - 10**-15, where tan is about 10**15: the cosine series is
+    # refined until its lower end is positive, and the range still certifies
+    # at once.  The exact certificate is left out: its report passes the
+    # 4,300-digit str limit.
+    prob = tmp_path / "near.prob"
+    prob.write_text(TAN_PROBLEM.format(x1="314159265358979123/200000000000000000"))
+    for argv in (["range"], ["certify", "--no-sanity", "--rounding", "outward:30"]):
+        proc = run_child(argv[0], str(prob), *argv[1:], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert "certified range [0, 995786506952888.06655504516327474...]" in proc.stdout
+
+
+POSITIVITY_PROBLEM = 'f = "x + y^2"\nx0 = "-1"\ny0 = "0"\ndegree = 3\nx1 = "1/2"\n'
+FINE_WIDTH = "1/1" + "0" * 98
+
+
+@pytest.mark.parametrize("width", [None, FINE_WIDTH], ids=["default", "1e-98"])
+def test_positivity_failure_message_is_short(tmp_path, capsys, width):
+    # The certified range's exact upper end has hundreds of digits at the
+    # default width, where the message was 1,642 bytes, and passes CPython's
+    # 4,300-digit str limit at width 10**-98, where both commands exited 3
+    # with an internal error.  Diagnostics show intervals in decimals.
+    prob = tmp_path / "pos.prob"
+    prob.write_text(POSITIVITY_PROBLEM + (f'width = "{width}"\n' if width else ""))
+    for argv in (["range"], ["certify", "--no-sanity"]):
+        assert run([argv[0], str(prob), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "certification failed: [comparison] positivity fails on certified range "
+            "[0, 1.26373442433"
+        )
+        assert len(err.encode()) < 400
+
+
+def test_positivity_failure_keeps_exact_values_outside_the_message(tmp_path, capsys):
+    prob = tmp_path / "pos.prob"
+    prob.write_text(POSITIVITY_PROBLEM)
+    out = tmp_path / "range.json"
+    assert run(["range", str(prob), "--json", str(out)]) == 2
+    doc = json.loads(out.read_text())["solution_range"]
+    assert capsys.readouterr().err == (
+        f"certification failed: [comparison] {doc['diagnostics']}\n"
+    )
+    assert len(doc["tight_upper"][1]) > 400  # exact "p/q" in the JSON report
+    # The error raised inside the stage carries the exact interval.
+    flow = odexpr.parse_flow_expr("x + y^2")
+    box = {"x": RatInterval(-1, F(1, 2)), "y": RatInterval(0, F(doc["tight_upper"][1]))}
+    with pytest.raises(ApplicabilityError) as caught:
+        check_applicability(flow, -1, F(1, 2), box["y"])
+    assert caught.value.interval == flow.eval_interval(box)
+    assert len(format_rational(caught.value.interval.hi)) > 400
+    assert str(caught.value).endswith(str(caught.value.interval))
 
 
 @pytest.mark.parametrize("marked", ["problem", "polynomial"])

@@ -180,9 +180,9 @@ AT_POLE = F("0.0996686524911620273784461198770205902433")
 
 BRANCHES = [
     # alpha, beta, y0, x1, rounds, valid, diagnostics prefix
-    (1, 1, 0, F(31, 20), 1, False, "tangent enclosure failed: tan argument 31/20 "
-     "outside the series domain [0, 3/2)"),
-    (1, 1, 0, F(8, 5), 1, False, "tangent argument [8/5, 8/5] reaches the certified"),
+    # tan(31/20) = 48.07...: past the old series domain [0, 3/2), below pi/2.
+    (1, 1, 0, F(31, 20), 1, True, ""),
+    (1, 1, 0, F(8, 5), 1, False, "tangent argument [1.6, 1.6] reaches the certified"),
     (1, 1, 10, F(1, 5), 1, False, "denominator 1 - t*y0/s = "),
     (F(2, 10**30), 1, 0, 1, 3, True, ""),
     (F(3, 8), F(1, 4), 1, F(3, 2), 2, True, ""),
@@ -197,7 +197,7 @@ BRANCHES = [
 @pytest.mark.parametrize(
     "alpha, beta, y0, x1, rounds, valid, prefix",
     BRANCHES,
-    ids=["tan-fails", "pi/2", "escape", "s-lo", "too-wide", "straddle",
+    ids=["tan-31/20", "pi/2", "escape", "s-lo", "too-wide", "straddle",
          "give-up", "unreachable"],
 )
 def test_branch(alpha, beta, y0, x1, rounds, valid, prefix, monkeypatch):

@@ -23,7 +23,11 @@ from taylorcert.ratcore import (
 )
 
 SQRT_DIGEST = "730db5269da440ef1f0d997198d24c2d177d29d146cd1e4371c48828554325e6"
-TAN_DIGEST = "75d2cb7d7f0206438cc1af522f23fd508e7693b18fa9f97376be718a37d5d0e1"
+# Re-recorded when enclose_tan's domain widened from [0, 3/2) to
+# [0, HALF_PI_LOWER): (0, 3/2) and (3/2, 157/100) now enclose tan (14.1014...
+# and 1255.77..., each around mpmath's interval tan) and (1, 2) is refused
+# at the pi/2 bound; the other 21 lines kept their text.
+TAN_DIGEST = "21626a47673e227306e8b3df68ecb4b8cc7ba3e4f45cea72eb3312f8fa0d1eac"
 DECIMAL_DIGEST = "364fcfc385bd6e651a239a2392962d781b00ab518394cf318e7dce43efccfd9a"
 ROUNDING_DIGEST = "75b6c33953dbd40a85371607585cf98c74c36b5094f503e627485d61e2b95a30"
 

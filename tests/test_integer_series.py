@@ -19,6 +19,7 @@ from mpmath import iv, libmp
 import pytest
 
 from taylorcert.ratcore import (
+    HALF_PI_LOWER,
     RatInterval,
     _trig_series,
     as_rational,
@@ -89,6 +90,10 @@ exponents = st.one_of(
 )
 
 trig_arguments = st.fractions(min_value=0, max_value=F(1499, 1000), max_denominator=10**6)
+
+# Up to 10**-15 below HALF_PI_LOWER, where cos(t) is about 10**-15 and tan(t)
+# about 10**15.
+near_half_pi = st.integers(1000, 10**15).map(lambda d: HALF_PI_LOWER - F(1, d))
 
 
 # -- equality with the Fraction loops ------------------------------------------
@@ -179,19 +184,26 @@ def test_tan_contains_mpmath_interval(a, b, width):
 
 
 # Widths from 1/1000 to 1000: at width 2 the first cosine enclosure at
-# 149/100 reaches 0, and the series must be refined past it.
+# 149/100 reaches 0, and the series must be refined past it; closer to pi/2
+# every width needs that refinement.
 coarse_widths = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+tan_arguments = st.one_of(trig_arguments, near_half_pi)
 
 
+# On the whole domain 0 <= theta < HALF_PI_LOWER.  Within 10**-15 of the bound,
+# tan amplifies an argument error e by about 10**30 e; at 60 digits mpmath's
+# interval stays near 10**-30 wide there, far inside our enclosures.
 @settings(max_examples=100, deadline=None)
-@given(trig_arguments, trig_arguments, coarse_widths)
+@given(tan_arguments, tan_arguments, coarse_widths)
 @example(F(149, 100), F(149, 100), F(2))
 @example(F(149, 100), F(1499, 1000), F(16))
 @example(F(1499, 1000), F(1499, 1000), F(1000))
+@example(F(31, 20), F(31, 20), F(1, 1000))
+@example(F(0), HALF_PI_LOWER - F(1, 10**15), F(1000))
 def test_tan_at_coarse_widths_contains_mpmath_interval(a, b, width):
     theta = RatInterval(min(a, b), max(a, b))
     ours = enclose_tan(theta, width)
-    with iv_digits(30):
+    with iv_digits(60):
         assert_contains(ours, iv.tan(iv.mpf([_iv(theta.lo).a, _iv(theta.hi).b])))
 
 
@@ -209,11 +221,9 @@ def test_sqrt_contains_mpmath_interval(q, width):
         assert_contains(ours, theirs)
 
 
-# -- the sin and cos series on their whole domain 0 <= t < 3/2 -----------------
+# -- the sin and cos series on the tangent's domain 0 <= t < HALF_PI_LOWER -----
 
-# Up to 1/10**9 below 3/2, where cos(t) is about 0.07.
-near_three_halves = st.integers(1000, 10**9).map(lambda d: F(3, 2) - F(1, d))
-series_arguments = st.one_of(st.just(F(0)), trig_arguments, near_three_halves)
+series_arguments = st.one_of(st.just(F(0)), trig_arguments, near_half_pi)
 fine_widths = st.builds(lambda m, e: F(m, 10**e), st.integers(1, 9), st.integers(1, 30))
 
 

@@ -529,6 +529,23 @@ def test_enclose_tan_domain_checks():
         enclose_tan(interval(0, 1), F(0))
 
 
+def test_enclose_tan_domain_ends_at_the_certified_half_pi():
+    # The domain is [0, HALF_PI_LOWER), not the series' old [0, 3/2).  Just
+    # below the bound cos is about 4e-18 and tan about 2.4e17.
+    with pytest.raises(EnclosureError, match="^tan argument .* reaches the certified pi/2"):
+        enclose_tan(RatInterval.point(HALF_PI_LOWER))
+    enc = enclose_tan(RatInterval(F(3, 2), HALF_PI_LOWER - F(1, 10**30)), F(1, 10**6))
+    assert F(14) < enc.lo < F(15) and 2 * 10**17 < enc.hi < 3 * 10**17
+
+
+def test_interval_str_is_decimal_and_repr_is_exact():
+    iv = RatInterval(F(-1, 3), F(2))
+    assert str(iv) == "[-0.33333333333333333..., 2]"
+    # A 5,071-digit denominator, past CPython's 4,300-digit str limit.
+    assert str(RatInterval(F(1, 7**6000), F(1))) == "[0.00000000000000000..., 1]"
+    assert "Fraction(-1, 3)" in repr(iv)
+
+
 def test_enclose_sqrt_trivial_and_exact_square():
     assert enclose_sqrt(F(1)) == RatInterval.point(1)
     assert enclose_sqrt(F(4, 25)) == RatInterval.point(F(2, 5))
