@@ -200,13 +200,20 @@ def certify_partial_sum(p: ProblemSpec) -> Certificate:
     if not yrange.valid:
         raise CertificationError("comparison", yrange.diagnostics)
 
-    xrange = RatInterval(p.x0, p.x1)
+    xrange, capped = RatInterval(p.x0, p.x1), []
     try:
         bounds = odexpr.derivative_bounds(
-            p.f, p.degree, xrange, yrange.range, p.rounding
+            p.f, p.degree, xrange, yrange.range, p.rounding, capped=capped
         )
     except odexpr.ExprError as exc:  # only a budget: p.f is x/y-only
         raise CertificationError("bounds", str(exc)) from exc
+    if capped:
+        parity_notes.append(
+            f"{len(capped)} of the {len(bounds)} exact derivative bounds, from "
+            f"order {capped[0]}, passed {odexpr.EXACT_BOUND_BITS} bits and were "
+            f"rounded outward to multiples of 2^-1024, which widens each end "
+            f"by less than 2^-1024"
+        )
     if not p.rounding.is_exact:
         parity_notes.append(
             f"bounds rounded outward to {p.rounding.places} decimals at every "

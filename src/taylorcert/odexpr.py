@@ -53,8 +53,17 @@ SparseKey = tuple[tuple[int, int], ...]
 #: the chain's work, which grows with the y-degree of f and not only with n.
 MAX_CHAIN_MONOMIALS = 100_000
 
-#: Bits a stored derivative bound's numerators and denominator may each have.
-#: It bounds the work of exact mode, whose endpoints grow with every order.
+#: Bits an exact derivative bound's unreduced numerators and denominator may
+#: each have before `_Kernel.bind` rounds it outward onto the grid of
+#: multiples of 2**-1024.  Exact endpoints grow with every order, by about 480
+#: bits per order on `problems/quadratic.prob`, whose degree-5 bounds reach
+#: 3,381 bits and so stay exact.
+EXACT_BOUND_BITS = 4096
+
+#: Bits a stored derivative bound's numerators and denominator may each have,
+#: checked after rounding.  A rounded exact bound has a 1025-bit denominator,
+#: so in exact mode it bounds the bounds' magnitude; it bounds the work of
+#: both modes.
 MAX_BOUND_BITS = 2**15
 
 #: Bits a scaled Taylor coefficient's numerator and denominator may each have
@@ -294,17 +303,22 @@ class _Kernel:
     for top >= vec.  No field overflows: power() would be uncomputable long
     before, as any base >= 2 to the 2**64 has 2**64 bits.  bases[0] is c, the
     lcm of the expressions' denominators; then come the denominators of the
-    boxes bound to slots and, under outward:P rounding (`outward`) of the
-    bounds that `bind` stores, 10**P.  Under outward:P the y box (slot 1) is
-    bound over 10**P when that base is a multiple of its denominators, so
-    that y and the stored bounds share one vector and the products of an
-    order fall in few groups; its own base then goes unused.  The x box keeps
-    its own base, where the numerators of its powers stay small (over 10**P,
-    those of x^e would grow by 10**(P e)).  The power of each vector is
-    cached for the life of the kernel.  No step needs a gcd or a division:
-    only `bind` and `interval` reduce, and `outward` rounds; `groups` and
-    `total` say how sums are formed.  Stored bounds have at most
-    MAX_BOUND_BITS bits per numerator and denominator (`bind`).
+    boxes bound to slots, and last the base of the grid that `bind` rounds
+    stored bounds onto (`outward`): 10**P under outward:P rounding, every
+    bound onto multiples of 10**-P, and 2 in exact mode, a bound past
+    EXACT_BOUND_BITS onto multiples of 2**-1024.  So every rounded bound
+    shares one vector.  Under outward:P the y box (slot 1) is bound over
+    10**P when that base is a multiple of its denominators, so that y and
+    the stored bounds share one vector and the products of an order fall in
+    few groups; its own base then goes unused.  In exact mode the y box, and
+    in both modes the x box, keep their own bases, where the numerators of
+    their powers stay small (over 10**P, those of x^e would grow by
+    10**(P e)).  The power of each vector is cached for the life of the
+    kernel.  No step needs a gcd or a division: only `bind` and `interval`
+    reduce, and `outward` rounds; `groups` and `total` say how sums are
+    formed.  Stored bounds have at most MAX_BOUND_BITS bits per numerator
+    and denominator (`bind`), and `capped` lists the orders of the exact
+    bounds that were rounded.
     """
 
     def __init__(
@@ -315,9 +329,11 @@ class _Kernel:
     ):
         c = lcm(*(expr._den for expr in exprs))
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
-        extra = () if rounding.is_exact else (10**rounding.places,)
-        self.bases, self.rounding = (c, *dens, *extra), rounding
-        self._decimal_vec = self._unit(len(self.bases) - 1)  # 10**P, if extra
+        grid, exp = (2, 1024) if rounding.is_exact else (10**rounding.places, 1)
+        self.bases, self.rounding = (c, *dens, grid), rounding
+        # A rounded bound's numerators are over grid**exp, on this vector.
+        self._grid_den, self._grid_vec = grid**exp, exp * self._unit(len(self.bases) - 1)
+        self.capped: list[int] = []
         # The bits of each field, (2**64 - 1) << 64 i: a componentwise max is
         # the bitwise or of each field's largest masked value.
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
@@ -325,7 +341,7 @@ class _Kernel:
         # Each box binds over bases[index], which its denominators divide.
         self.slots = {}
         for index, (slot, box) in enumerate(boxes.items(), start=1):
-            if slot == 1 and extra and extra[0] % self.bases[index] == 0:
+            if slot == 1 and not rounding.is_exact and grid % self.bases[index] == 0:
                 index = len(self.bases) - 1
             den = self.bases[index]
             lo, hi = (q.numerator * (den // q.denominator) for q in (box.lo, box.hi))
@@ -390,32 +406,41 @@ class _Kernel:
         """Bind the rounded total of groups to slot, as a derivative bound,
         and return it reduced.
 
-        An exact bound is bound as the numerators and vector of its
-        unreduced sum [lo, hi] / den.  Under outward:P, lo and hi are floored
-        and ceiled straight to numerators over 10**P, the last base
-        (`DecimalRounding.scaled_floor`), which are bound as they are; only
-        the two rounded endpoints become Fractions.  One `power` lookup per
-        bound: the denominator of a rounded one is 10**P itself.  A bound is
-        never made a base of its own: D_k multiplies y^(i) by y^(k-2-i), so
-        the common denominator would become the product of every earlier
+        A bound is bound as the numerators and vector of its unreduced sum
+        [lo, hi] / den, unless `outward` rounds it: under outward:P always,
+        and in exact mode when lo, hi or den passes EXACT_BOUND_BITS bits,
+        which widens each end by less than 2**-1024 and adds the order to
+        `capped`.  A rounded bound is bound as it comes out of `outward`;
+        only its two endpoints become Fractions.  One `power` lookup per
+        bound: the denominator of a rounded one is that of the grid.  A bound
+        is never made a base of its own: D_k multiplies y^(i) by y^(k-2-i),
+        so the common denominator would become the product of every earlier
         one.  A bound whose numerators or denominator pass MAX_BOUND_BITS
         bits raises ExprError, naming its order.
         """
         lo, hi, vec = self.total(groups)
         den = self.power(vec)
-        if not self.rounding.is_exact:
-            (lo, hi, vec), den = self.outward(lo, hi, den), self.bases[-1]
+        rounded = self.outward(lo, hi, den)
+        if rounded is not None:
+            (lo, hi, vec), den = rounded, self._grid_den
+            if self.rounding.is_exact:
+                self.capped.append(slot - 1)
         bits = max(lo.bit_length(), hi.bit_length(), den.bit_length())
         _check_bits(bits, MAX_BOUND_BITS, "derivative bound", slot - 1)
         self.slots[slot] = lo, hi, vec
         return _ordered(Fraction(lo, den), Fraction(hi, den))
 
-    def outward(self, lo: int, hi: int, den: int) -> tuple[int, int, int]:
-        """The binding of [lo, hi] / den rounded under outward:P: lo and hi
-        floored and ceiled straight to numerators over 10**P, the last base
-        (`DecimalRounding.scaled_floor`)."""
-        floor = self.rounding.scaled_floor
-        return floor(lo, den), -floor(-hi, den), self._decimal_vec
+    def outward(self, lo: int, hi: int, den: int) -> tuple[int, int, int] | None:
+        """The binding of [lo, hi] / den rounded outward onto the grid, or
+        None where it is kept as it is: in exact mode while lo, hi and den
+        have at most EXACT_BOUND_BITS bits.  lo and hi are floored and ceiled
+        straight to numerators over 10**P under outward:P (as
+        `DecimalRounding.scaled_floor`) and over 2**1024 in exact mode."""
+        bits = max(lo.bit_length(), hi.bit_length(), den.bit_length())
+        if self.rounding.is_exact and bits <= EXACT_BOUND_BITS:
+            return None
+        grid = self._grid_den
+        return lo * grid // den, -(-hi * grid // den), self._grid_vec
 
     def interval(self, lo: int, hi: int, vec: int) -> RatInterval:
         """The reduced RatInterval of a binding; lo <= hi always holds here."""
@@ -506,6 +531,8 @@ def derivative_bounds(
     xrange: RatInterval,
     yrange: RatInterval,
     rounding: DecimalRounding = DecimalRounding.exact(),
+    *,
+    capped: list[int] | None = None,
 ) -> list[RatInterval]:
     """Sequential interval bounds for y^(1) ... y^(n+1) over a box, from the
     interval Taylor recurrence (Moore, *Interval Analysis*, 1966; Lohner,
@@ -519,10 +546,12 @@ def derivative_bounds(
     (`_powers`).  P_j^(0) is the power of yrange itself; past order 0, y^(2m)
     is the Leibniz sum of y^m times itself, symmetric (`_leibniz`), and
     y^(2m+1) that of y^m times y^(m+1).  Each bound is rounded by
-    `_Kernel.bind` before the next order uses it.  Under outward:P each P_j
-    above the square is rounded the same way (`_Kernel.outward`), which more
-    than halves the work on the y^64 file at degree 400; the square stays
-    exact.
+    `_Kernel.bind` before the next order uses it.  In exact mode only a
+    bound past EXACT_BOUND_BITS bits is rounded, outward onto multiples of
+    2**-1024, and its order is appended to `capped` when that is a list.
+    Each P_j above the square is rounded by the same rule (`_Kernel.outward`),
+    which under outward:P more than halves the work on the y^64 file at
+    degree 400 and in exact mode keeps it bounded; the square stays exact.
     The work is O(n^2) interval products per power, and no chain is built.
 
     For f = a(x) + b*y^2 with constant b, each product encloses one monomial
@@ -553,8 +582,9 @@ def derivative_bounds(
     for k in range(n + 1):
         for j in plan if k else ():
             binding = _leibniz(kernel, row, powers[j // 2], powers[j - j // 2])
-            if j > 2 and not rounding.is_exact:
-                binding = kernel.outward(binding[0], binding[1], kernel.power(binding[2]))
+            if j > 2:  # rounded as a bound would be, or kept
+                lo, hi, vec = binding
+                binding = kernel.outward(lo, hi, kernel.power(vec)) or binding
             powers[j].append(binding)
         groups = {}
         for j, r, c_lo, c_hi, c_vec in factors:
@@ -566,6 +596,8 @@ def derivative_bounds(
         bounds.append(kernel.bind(k + 2, groups))
         powers[1].append(kernel.slots[k + 2])
         row = [1, *map(operator.add, row, row[1:]), 1]
+    if capped is not None:
+        capped += kernel.capped
     return bounds
 
 

@@ -74,9 +74,26 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
 
 
+def _int_str(n: int) -> str:
+    """str(n), also past the interpreter's int->str digit limit, where the
+    digits come from a chunked divmod by 10**k.  The process-global limit
+    (`sys.set_int_max_str_digits`) stays as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
+
 def format_rational(q: Fraction) -> str:
-    """Serialize as "p/q" (or plain "p" for integers); inverse of as_rational."""
-    return str(q)
+    """Serialize as "p/q" (or plain "p" for integers), as str(q) would but
+    with no digit limit; inverse of as_rational."""
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def decimal_str(q: Fraction, digits: int = 17) -> str:
@@ -87,6 +104,7 @@ def decimal_str(q: Fraction, digits: int = 17) -> str:
     """
     sign = "-" if q < 0 else ""
     whole, rem = divmod(abs(q.numerator), q.denominator)
+    whole = _int_str(whole)
     if rem == 0:
         return f"{sign}{whole}"
     scaled, rest = divmod(rem * 10**digits, q.denominator)

@@ -313,7 +313,7 @@ def test_pipeline_rejects_unsupported_comparison():
     "text, budget, message",
     [
         ("x^2 + 1/4*y^2", 1024, "order 15 has 1058 bits, over the limit 1024"),
-        ("1/4 + x*y^2", 4096, "order 7 has 4130 bits, over the limit 4096"),
+        ("1/4 + x*y^2", 2048, "order 3 has 2060 bits, over the limit 2048"),
     ],
 )
 def test_pipeline_reports_bit_budget_as_bounds_failure(
@@ -321,6 +321,8 @@ def test_pipeline_reports_bit_budget_as_bounds_failure(
 ):
     # Both flows take the recurrence, riccati's of the form a(x) + b*y^2 and
     # `1/4 + x*y^2` outside it; each stored bound meets the one bit budget.
+    # Both budgets lie below odexpr.EXACT_BOUND_BITS, past which an exact
+    # bound is rounded to a 1025-bit denominator before the budget applies.
     monkeypatch.setattr("taylorcert.odexpr.MAX_BOUND_BITS", budget)
     p = ProblemSpec(f=parse_flow_expr(text), x0=F(0), y0=F(-1), degree=20, x1=F(1, 5))
     with pytest.raises(CertificationError) as info:

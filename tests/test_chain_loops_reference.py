@@ -370,4 +370,12 @@ def test_benchmark_bounds_equal_verbatim_recurrence():
             yrange = comparison.solution_range(qc, F(1, 10**12), rounding, f).range
             xrange = RatInterval(F(0), x1)
             want = reference_derivative_bounds(f, n, xrange, yrange, rounding)
-            assert derivative_bounds(f, n, xrange, yrange, rounding) == want
+            capped = []
+            got = derivative_bounds(f, n, xrange, yrange, rounding, capped=capped)
+            # The reference's bind never rounds an exact bound: up to the
+            # first one rounded onto the 2**-1024 grid the bounds equal it,
+            # and from there on they contain it.
+            first = capped[0] - 1 if capped else len(got)
+            assert got[:first] == want[:first]
+            for bound, w in zip(got[first:], want[first:], strict=True):
+                assert bound.lo <= w.lo and w.hi <= bound.hi

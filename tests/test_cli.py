@@ -18,11 +18,12 @@ from taylorcert.cli import (
     report_to_json,
     run,
 )
-from taylorcert import odexpr
+from taylorcert import comparison, odexpr
 from taylorcert.certify import MAX_DEGREE, MAX_POLY_DEGREE, certify_partial_sum
 from taylorcert.oracle import MAX_RK4_STEPS, ConvergenceError
 from taylorcert.comparison import ApplicabilityError, check_applicability
 from taylorcert.ratcore import DecimalRounding, RatInterval, format_rational
+from test_ratcore import from_digits
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -250,19 +251,6 @@ def test_oracle_convergence_failure_exit_code(problem_file, capsys, monkeypatch)
 PROBLEMS = SRC.parent / "problems"
 
 
-def test_internal_fault_is_not_an_input_error(tmp_path, capsys):
-    # Degree 30 drives quadratic's exact bounds past the interpreter's
-    # 4,300-digit int-to-str limit while the report is rendered.  That is a
-    # fault of the program, not of the problem file: exit 3, named as such.
-    text = (PROBLEMS / "quadratic.prob").read_text()
-    path = tmp_path / "quadratic30.prob"
-    path.write_text(text.replace("degree = 5", "degree = 30"))
-    assert run(["certify", str(path), "--no-sanity"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
-    assert "input error" not in err
-
-
 def test_unexpected_exception_exits_3(problem_file, capsys, monkeypatch):
     def broken(p):
         raise ZeroDivisionError("division by zero inside the pipeline")
@@ -428,14 +416,70 @@ def test_tangent_argument_past_three_halves_certifies(tmp_path, capsys):
 def test_tangent_argument_just_below_half_pi_certifies(tmp_path):
     # HALF_PI_LOWER - 10**-15, where tan is about 10**15: the cosine series is
     # refined until its lower end is positive, and the range still certifies
-    # at once.  The exact certificate is left out: its report passes the
-    # 4,300-digit str limit.
+    # at once.  The exact certificate is the next test's.
     prob = tmp_path / "near.prob"
     prob.write_text(TAN_PROBLEM.format(x1="314159265358979123/200000000000000000"))
     for argv in (["range"], ["certify", "--no-sanity", "--rounding", "outward:30"]):
         proc = run_child(argv[0], str(prob), *argv[1:], timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert "certified range [0, 995786506952888.06655504516327474...]" in proc.stdout
+
+
+def test_exact_certificate_just_below_half_pi_certifies(tmp_path):
+    # Its largest exact bound had 8,978 digits, and the report exited 3 on the
+    # 4,300-digit str limit; past odexpr.EXACT_BOUND_BITS the bounds are
+    # rounded onto the 2**-1024 grid.
+    prob = tmp_path / "near.prob"
+    prob.write_text(TAN_PROBLEM.format(x1="314159265358979123/200000000000000000"))
+    proc = run_child("certify", str(prob), "--no-sanity", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "certified range [0, 995786506952888.06655504516327474...]" in proc.stdout
+
+
+def test_exact_report_of_quadratic_at_degree_30_renders(tmp_path):
+    # Its bounds once passed the 4,300-digit str limit, and the report exited
+    # 3 with an internal error.
+    text = (PROBLEMS / "quadratic.prob").read_text()
+    prob, out = tmp_path / "quadratic30.prob", tmp_path / "quadratic30.json"
+    prob.write_text(text.replace("degree = 5", "degree = 30"))
+    proc = run_child("certify", str(prob), "--no-sanity", "--json", str(out), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "c30 =" in proc.stdout and "\n  31: [" in proc.stdout
+    assert "remainder certificate (degree 30):\n  signed range [" in proc.stdout
+    doc = json.loads(out.read_text())
+    cert = doc["certificate"]
+    assert len(cert["coefficients"]) == len(cert["derivative_bounds"]) == 31
+    assert F(cert["remainder"]["bound"]) > 0
+    assert doc["parity_notes"] == [
+        "24 of the 31 exact derivative bounds, from order 8, passed 4096 bits and "
+        "were rounded outward to multiples of 2^-1024, which widens each end by "
+        "less than 2^-1024"
+    ]
+
+
+def exact_value(text: str) -> Fraction:
+    """Fraction(text) for a "p/q" report string past the int-from-str digit
+    limit."""
+    num, _, den = text.partition("/")
+    value = F(from_digits(num.lstrip("-")), from_digits(den or "1"))
+    return -value if num.startswith("-") else value
+
+
+def test_exact_remainder_past_the_digit_limit_renders(tmp_path, capsys):
+    # dx**61 alone has a 6,000-digit denominator for this 99-digit x1, so the
+    # remainder bound passes the 4,300-digit str limit whatever the bounds
+    # do; the reports render it by chunks.
+    text = (
+        'f = "x^2 + 1/4*y^2"\nx0 = "0"\ny0 = "-1"\ndegree = 60\n'
+        f'x1 = "1/{"7" * 98}"\nr1 = "1/2"\n'
+    )
+    prob, out = tmp_path / "long.prob", tmp_path / "long.json"
+    prob.write_text(text)
+    assert run(["certify", str(prob), "--no-sanity", "--json", str(out)]) == 0
+    assert "|error| <= 0.00000000000000000..." in capsys.readouterr().out
+    bound = json.loads(out.read_text())["certificate"]["remainder"]["bound"]
+    assert len(bound) > 4300
+    assert exact_value(bound) == certify_partial_sum(parse_problem(text)).remainder_bound
 
 
 POSITIVITY_PROBLEM = 'f = "x + y^2"\nx0 = "-1"\ny0 = "0"\ndegree = 3\nx1 = "1/2"\n'
@@ -478,6 +522,23 @@ def test_positivity_failure_keeps_exact_values_outside_the_message(tmp_path, cap
     assert caught.value.interval == flow.eval_interval(box)
     assert len(format_rational(caught.value.interval.hi)) > 400
     assert str(caught.value).endswith(str(caught.value.interval))
+
+
+def test_positivity_failure_json_keeps_exact_values_past_the_digit_limit(tmp_path, capsys):
+    # At width 10**-98 the exact upper end passes the 4,300-digit str limit,
+    # and `range --json` exited 3 with an internal error.
+    prob, out = tmp_path / "pos.prob", tmp_path / "range.json"
+    prob.write_text(POSITIVITY_PROBLEM + f'width = "{FINE_WIDTH}"\n')
+    assert run(["range", str(prob), "--json", str(out)]) == 2
+    capsys.readouterr()
+    doc = json.loads(out.read_text())["solution_range"]
+    assert doc["valid"] is False and len(doc["tight_upper"][1]) > 4300
+    flow = odexpr.parse_flow_expr("x + y^2")
+    qc = comparison.extract_comparison(flow, F(-1), F(1, 2), F(0))
+    sr = comparison.solution_range(qc, F(FINE_WIDTH), DecimalRounding.exact(), flow)
+    assert [exact_value(end) for end in doc["tight_upper"]] == [
+        sr.tight_upper.lo, sr.tight_upper.hi
+    ]
 
 
 @pytest.mark.parametrize("marked", ["problem", "polynomial"])
@@ -703,18 +764,41 @@ def test_coefficients_at_the_degree_cap_are_bounded(tmp_path, y0, returncode, st
     assert (proc.returncode, proc.stderr) == (returncode, stderr)
 
 
-def test_exact_bounds_stop_at_their_bit_budget(tmp_path):
-    # Exact endpoints grow about 500 bits per order on this flow; at
-    # MAX_DEGREE the certificate ran past a 100 s timeout before the stored
-    # bounds had a bit budget.  It now stops in well under a second.
-    text = (PROBLEMS / "quadratic.prob").read_text()
-    prob = tmp_path / "quadratic.prob"
+@pytest.mark.parametrize("name", ["riccati", "quadratic"])
+def test_problem_files_certify_exactly_at_the_degree_cap(tmp_path, name):
+    # Exact endpoints grow about 480 bits per order on quadratic: at
+    # MAX_DEGREE its certificate ran past a 100 s timeout before the stored
+    # bounds had a bit budget, then stopped at order 67 on it (exit 2), and
+    # riccati's took 14 s to exit 3 on the 4,300-digit str limit.  Past
+    # odexpr.EXACT_BOUND_BITS the bounds are rounded onto the 2**-1024 grid,
+    # and both certify in a few seconds.
+    text = (PROBLEMS / f"{name}.prob").read_text()
+    prob = tmp_path / f"{name}.prob"
     prob.write_text(re.sub(r"degree = \d+", f"degree = {MAX_DEGREE}", text))
-    proc = run_child("certify", str(prob), "--no-sanity", timeout=20)
+    proc = run_child("certify", str(prob), "--no-sanity", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert f"partial-sum degree {MAX_DEGREE}, rounding exact" in proc.stdout
+    assert "exact derivative bounds, from order" in proc.stdout
+
+
+def test_bounds_stop_at_their_bit_budget(tmp_path):
+    # tan(16384 x) / 16384 is the solution, and x1 lies 10**-18 / 16384 below
+    # HALF_PI_LOWER / 16384, so the bounds' magnitude grows about 71 bits per
+    # order; rounded to 1000 decimals they carry 3,322 more bits and pass
+    # odexpr.MAX_BOUND_BITS at order 375.  Exact bounds carry 1,024, and on
+    # every admissible problem tried their magnitude stayed below it: the
+    # coefficients' own budget stops a steeper flow first.
+    prob = tmp_path / "pole.prob"
+    prob.write_text(
+        'f = "1 + 268435456*y^2"\nx0 = "0"\ny0 = "0"\n'
+        f'degree = {MAX_DEGREE}\nx1 = "785398163397448307/8192000000000000000000"\n'
+        'rounding = "outward:1000"\n'
+    )
+    proc = run_child("certify", str(prob), "--no-sanity", timeout=60)
     assert (proc.returncode, proc.stderr) == (
         2,
-        "certification failed: [bounds] derivative bound of order 67 has "
-        f"33113 bits, over the limit {odexpr.MAX_BOUND_BITS}\n",
+        "certification failed: [bounds] derivative bound of order 375 has "
+        f"32815 bits, over the limit {odexpr.MAX_BOUND_BITS}\n",
     )
 
 

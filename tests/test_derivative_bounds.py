@@ -16,6 +16,8 @@ remainder must contain the integrator's error of the partial sum.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from mpmath import mp
 import pytest
 
 from conftest import quadratic_flow, riccati_flow
-from taylorcert import comparison, oracle
+from taylorcert import comparison, odexpr, oracle
 from taylorcert.certify import (
     ProblemSpec,
     certify_partial_sum,
@@ -36,9 +38,14 @@ from taylorcert.odexpr import (
     derivative_chain,
     derivative_values,
     parse_flow_expr,
+    symbol_name,
 )
 from taylorcert.ratcore import DecimalRounding, RatInterval
-from test_integer_kernel import assert_same_interval, reference_bounds
+from test_integer_kernel import (
+    assert_same_interval,
+    reference_bounds,
+    reference_eval_interval,
+)
 
 F = Fraction
 
@@ -111,12 +118,19 @@ def test_benchmark_certificates_equal_chain(flow, y0, x1, n, rounding):
     qc = comparison.extract_comparison(f, F(0), x1, y0)
     yrange = comparison.solution_range(qc, F(1, 10**12), rounding, f).range
     xrange = RatInterval(F(0), x1)
-    chain = derivative_chain(f, n)
-    bounds = derivative_bounds(f, n, xrange, yrange, rounding)
+    chain, capped = derivative_chain(f, n), []
+    bounds = derivative_bounds(f, n, xrange, yrange, rounding, capped=capped)
     assert bounds == chain.bounds(xrange, yrange, rounding)
+    # The Fraction loop never rounds an exact bound: up to the first one
+    # rounded onto the 2**-1024 grid the bounds equal it, and from there on
+    # they contain it.
+    assert rounding.is_exact or not capped
     want = reference_bounds(chain, xrange, yrange, rounding)
-    for got, w in zip(bounds, want, strict=True):
+    first = capped[0] - 1 if capped else len(bounds)
+    for got, w in zip(bounds[:first], want[:first], strict=True):
         assert_same_interval(got, w)
+    for got, w in zip(bounds[first:], want[first:], strict=True):
+        assert got.lo <= w.lo and w.hi <= got.hi
 
 
 @st.composite
@@ -144,6 +158,53 @@ def test_recurrence_equals_fraction_loop(case, rounding):
     rounding = DecimalRounding.parse(rounding)
     bounds = derivative_bounds(f, n, xrange, yrange, rounding)
     want = reference_bounds(derivative_chain(f, n), xrange, yrange, rounding)
+    for got, w in zip(bounds, want, strict=True):
+        assert_same_interval(got, w)
+
+
+GRID = 2**1024
+
+
+def reference_grid_bounds(chain, xrange, yrange, orders) -> list[RatInterval]:
+    """The exact Fraction loop of `reference_bounds`, with the bound of each
+    order in orders rounded outward onto multiples of 2**-1024 by Fraction
+    floor and ceil before the next order uses it."""
+    env, bounds = {"x": xrange, "y": yrange}, []
+    for k in range(1, len(chain) + 1):
+        bound = reference_eval_interval(chain[k - 1], env)
+        if k in orders:
+            bound = RatInterval(
+                F(floor(bound.lo * GRID), GRID), F(ceil(bound.hi * GRID), GRID)
+            )
+        bounds.append(bound)
+        env[symbol_name(k)] = bound
+    return bounds
+
+
+# EXACT_BOUND_BITS is lowered to at most 64 bits, so that these small boxes
+# and low orders reach it: about half the examples round some bound, most of
+# them after an order that stays exact.
+@settings(max_examples=150, deadline=None)
+@given(reference_boxes(), st.integers(4, 64))
+def test_capped_bounds_contain_the_exact_bounds(case, cap):
+    f, n, xrange, yrange = case
+    chain, capped = derivative_chain(f, n), []
+    with patch.object(odexpr, "EXACT_BOUND_BITS", cap):
+        bounds = derivative_bounds(f, n, xrange, yrange, capped=capped)
+    exact = reference_bounds(chain, xrange, yrange, DecimalRounding.exact())
+    first = capped[0] if capped else n + 2
+    for k, (got, want) in enumerate(zip(bounds, exact, strict=True), start=1):
+        assert got.lo <= want.lo and want.hi <= got.hi
+        if k < first:
+            assert_same_interval(got, want)
+        if k in capped:  # on the grid
+            assert (got.lo * GRID).denominator == (got.hi * GRID).denominator == 1
+        else:  # its unreduced sum fit, so its reduced one does
+            ends = (got.lo.numerator, got.hi.numerator, got.lo.denominator, got.hi.denominator)
+            assert max(abs(e).bit_length() for e in ends) <= cap
+    # The rounded values are those of the Fraction loop rounded at the same
+    # orders.
+    want = reference_grid_bounds(chain, xrange, yrange, set(capped))
     for got, w in zip(bounds, want, strict=True):
         assert_same_interval(got, w)
 

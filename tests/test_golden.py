@@ -5,11 +5,14 @@ output and the oracle's output (`oracle` and the sanity section of
 `certify`) byte for byte, so a change to the pipeline that moves any exact
 value, rounding, reference value or key order fails here.  Most were recorded
 with the earlier implementation, which derived the chain twice per
-certificate and the flow derivative term by term; the two degree-60/28 exact
-digests were recorded with the interval product that took the min and max of
-all four corner products, and the oracle digests with hard-coded gamma
-constants and two separate step-doubling loops.  Each checks the current code
-against an independent computation.
+certificate and the flow derivative term by term, and the oracle digests with
+hard-coded gamma constants and two separate step-doubling loops.  Each checks
+the current code against an independent computation.  The exact reports whose
+bounds pass odexpr.EXACT_BOUND_BITS (quadratic at degrees 9, 20 and 28,
+riccati at 60) were re-recorded when those bounds came to be rounded onto the
+2**-1024 grid; test_derivative_bounds.py checks the rounded bounds against the
+exact Fraction loop rounded at the same orders, and their containment of the
+unrounded bounds.
 """
 
 from __future__ import annotations
@@ -36,24 +39,18 @@ REPORT_DIGESTS = {
     ("riccati.prob", 40, "exact"):
         "788599dc4ed1f4539c2b02a67d5c33ba5f6c564b722708f17678f4cb9fd6b61b",
     ("quadratic.prob", 9, "exact"):
-        "90f0f0d9c3cc27c1dd56ddd93e9a2f3e551bb0841dde1215460eca458dd6ed40",
+        "4fe7108ab6e3bb8597c818b959ad54389a83f80aca42715cdbd38e17a80c4faf",
     ("quadratic.prob", 20, "exact"):
-        "e9e6a630a295a3f3c26a1fb3326a3ee0485d82d650c0810518aad0bcd9cca02f",
+        "a93bb15fb5f5cc92a05e26d8438f4e2a6eede8e0045fad861e01ce1c9c5d63c8",
     ("riccati.prob", 60, "outward:30"):
         "208e5eb41eafd6c453377bfa91c137f6391fc91cd1c96551f74b22273156b8e3",
     ("quadratic.prob", 28, "outward:30"):
         "bb0d92801544ebb06ff28fed3b68483cb61144daa2a147e3dc09f5b4ae706fb7",
 }
 
-# SHA-256 of the riccati degree-60 exact JSON report.
-RICCATI_60_EXACT_DIGEST = "3f05876bc9e1c76cd888d3d8858aed81e6cbe845cf8e15c7263c87069f7c247f"
-
-# The quadratic degree-28 exact report cannot be rendered in decimal (an
-# endpoint passes the 4,300-digit int->str limit), so its derivative bounds
-# are pinned as hex numerators and denominators, one "lo hi" line per order.
-QUADRATIC_28_EXACT_BOUNDS_DIGEST = (
-    "5e8b4632c88eddbb0218cebee83579d82d423e95083f609c2903d85c07e401ae"
-)
+# SHA-256 of the riccati degree-60 and quadratic degree-28 exact JSON reports.
+RICCATI_60_EXACT_DIGEST = "141d81318ef62c6f75c90cf2aa63965b1c3bd6efe0d620965f7b3d552c96fc30"
+QUADRATIC_28_EXACT_DIGEST = "298baba2ee759c31d5bbb45231ac65f8b74a4d540c93aef853b756977b5f397e"
 
 COEFFS_JSON_DIGEST = "5bcc031548d13c08b044df9969424f3b9dfbe7413cc58549179610b19211794b"
 COEFFS_STDOUT_DIGEST = "d487cf4e5cc4b710f0a1086d19de0f775bfc909b2b5c31eb324bc65c467fa9e5"
@@ -103,10 +100,6 @@ def report_digest(name: str, degree: int, rounding: str) -> str:
     return _digest(report_to_json(build_report(certificate(name, degree, rounding))))
 
 
-def _hex_rational(q) -> str:
-    return f"{hex(q.numerator)}/{hex(q.denominator)}"
-
-
 @pytest.mark.parametrize("name, degree, rounding", sorted(REPORT_DIGESTS))
 def test_report_matches_golden_digest(name, degree, rounding):
     assert report_digest(name, degree, rounding) == REPORT_DIGESTS[name, degree, rounding]
@@ -116,13 +109,8 @@ def test_riccati_60_exact_report_matches_golden_digest():
     assert report_digest("riccati.prob", 60, "exact") == RICCATI_60_EXACT_DIGEST
 
 
-def test_quadratic_28_exact_bounds_match_golden_digest():
-    cert = certificate("quadratic.prob", 28, "exact")
-    text = "".join(
-        f"{_hex_rational(b.lo)} {_hex_rational(b.hi)}\n" for b in cert.derivative_bounds
-    )
-    assert len(cert.derivative_bounds) == 29
-    assert _digest(text) == QUADRATIC_28_EXACT_BOUNDS_DIGEST
+def test_quadratic_28_exact_report_matches_golden_digest():
+    assert report_digest("quadratic.prob", 28, "exact") == QUADRATIC_28_EXACT_DIGEST
 
 
 def test_coeffs_json_matches_golden_digest(tmp_path, capsys):

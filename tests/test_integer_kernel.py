@@ -392,7 +392,7 @@ def test_outward_bounds_build_two_fractions_per_order(fractions_built):
     assert len(fractions_built) == 2 * len(bounds)
 
 
-def test_bounds_lift_once_per_vector(power_calls):
+def test_bounds_lift_once_per_vector(power_calls, total_groups):
     # The monomials of an order are summed per exponent vector and each
     # group sum is lifted once; lifting each of riccati-60's 964 monomials
     # took over 16 power calls per order.  Binding a bound looks up one
@@ -406,9 +406,17 @@ def test_bounds_lift_once_per_vector(power_calls):
     power_calls.clear()
     odexpr.derivative_bounds(riccati_flow(), 60, BENCH_XRANGE, BENCH_YRANGE, rounding)
     assert len(power_calls) <= len(bounds) + 5
+    # In exact mode each group is lifted once too, and each bound looks up
+    # one power.  From order 39 on the bounds are rounded onto the 2**-1024
+    # grid, so an order's products fall in groups of both kinds of bound
+    # vector: two lookups per order held only while no bound was rounded.
     power_calls.clear()
+    DerivativeChain(chain.exprs[:38]).bounds(BENCH_XRANGE, BENCH_YRANGE)
+    assert len(power_calls) <= 2 * 38
+    power_calls.clear()
+    total_groups.clear()
     chain.bounds(BENCH_XRANGE, BENCH_YRANGE)
-    assert len(power_calls) <= 2 * len(bounds)
+    assert len(power_calls) <= sum(total_groups) + len(bounds)
 
 
 @pytest.fixture
@@ -451,6 +459,11 @@ def test_x_box_and_other_y_boxes_keep_their_own_bases():
     own = _Kernel([f], {0: BENCH_XRANGE, 1: RatInterval(F(-1, 3), F(1, 7))}, rounding)
     assert own.bases == (4, 5, 21, 10**30)
     assert own.slots[1] == (-7, 3, unit(2))
+    # In exact mode the grid base 2 comes last, and the y box keeps its own
+    # base even where 2 is a multiple of its denominators.
     exact = _Kernel([f], {0: BENCH_XRANGE, 1: BENCH_YRANGE})
-    assert exact.bases == (4, 5, 2 * 10**29)
+    assert exact.bases == (4, 5, 2 * 10**29, 2)
     assert exact.slots[1][2] == unit(2)
+    halves = _Kernel([f], {0: BENCH_XRANGE, 1: RatInterval(F(-1, 2), F(1, 2))})
+    assert halves.bases == (4, 5, 2, 2)
+    assert halves.slots[1] == (-1, 1, unit(2))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import math
 from math import isqrt
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -129,6 +130,40 @@ decimal_values = st.one_of(
 @given(decimal_values, st.integers(0, 40))
 def test_decimal_str_equals_long_division(q, digits):
     assert decimal_str(q, digits) == _long_division_decimal(q, digits)
+
+
+def from_digits(digits: str) -> int:
+    """The int a digit string spells, read in chunks of 1000 digits, below
+    the interpreter's int-from-str digit limit."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [
+        "1" + "0" * 5000,
+        "9" + "0123456789" * 800 + "1",
+        "1" + "0" * 3000 + "7" + "0" * 3000 + "5",  # zero runs inside chunks
+        "3" * 100_000,
+    ],
+    ids=["power", "cycle", "zero-runs", "long"],
+)
+def test_rendering_passes_the_int_to_str_digit_limit(digits):
+    # str() refuses ints past 4,300 digits; the report formats read them by
+    # chunks and leave the process-wide limit as it was.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit, n = get_limit(), from_digits(digits)
+    assert format_rational(F(n)) == digits
+    assert format_rational(F(-n)) == "-" + digits
+    assert format_rational(F(10 * n + 1, 1000)) == digits + "1/1000"
+    assert format_rational(F(1, n)) == "1/" + digits
+    assert decimal_str(F(-n)) == "-" + digits
+    assert decimal_str(F(10 * n + 1, 1000)) == f"{digits[:-2]}.{digits[-2:]}1"
+    assert get_limit() == limit
 
 
 # -- interval operations -----------------------------------------------------
