@@ -3,7 +3,9 @@
 For y' = f(x, y) with polynomial f, any box |x - x0| <= r1, |y - y0| <= r2
 and any M with |f| <= M on the box certify that the solution series converges
 for |x - x0| < r1 * (1 - exp(-r2 / (2 M r1))).  The bound is deliberately
-conservative; the true interval of convergence is usually much larger.
+conservative; the true interval of convergence is usually much larger.  M = 0
+(f = 0, whose solution is constant) takes the exponent's cap, as any large
+exponent does.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class RadiusCertificate:
     r_enclosure brackets the exact bound, or for q above the cap of
     `convergence_radius` the smaller valid bound r1 * (1 - exp(-cap)); r_floor
     is a short decimal at or below the enclosure, convenient for reporting.
+    M = 0 stands for q above the cap.
     """
 
     r1: Fraction
@@ -38,8 +41,8 @@ class RadiusCertificate:
     r_floor: Fraction
 
     def __post_init__(self) -> None:
-        if self.M <= 0:
-            raise ValueError("magnitude bound must be positive")
+        if self.M < 0:
+            raise ValueError("magnitude bound must be nonnegative")
         if not (self.r_floor <= self.r_enclosure.lo):
             raise ValueError("radius floor above its enclosure")
         if not (self.r_enclosure.hi < self.r1):
@@ -90,14 +93,15 @@ def convergence_radius(
     bits(n) + 1) for width / r1 = n / d, so 2**cap * n >= 2**bits(d) > d and
     r1 * exp(-cap) < width.  For q > cap the enclosure brackets
     r1 * (1 - exp(-cap)), a valid lower bound within width of the unclamped
-    one, and the exp series needs about cap terms however large q is.
+    one, and the exp series needs about cap terms however large q is.  M = 0
+    takes q = cap.
     """
     r1, r2, M = as_rational(r1), as_rational(r2), as_rational(M)
-    if r1 <= 0 or r2 <= 0 or M <= 0:
-        raise ValueError("r1, r2 and M must all be positive")
+    if r1 <= 0 or r2 <= 0 or M < 0:
+        raise ValueError("r1 and r2 must be positive and M nonnegative")
     w = as_rational(width) / r1
     cap = max(1, w.denominator.bit_length() - w.numerator.bit_length() + 1)
-    exp_enclosure = enclose_exp_neg(min(r2 / (2 * M * r1), cap), w)
+    exp_enclosure = enclose_exp_neg(min(r2 / (2 * M * r1), cap) if M else cap, w)
     one = RatInterval.point(1)
     r_enclosure = (one - exp_enclosure).scale(r1)
     return RadiusCertificate(

@@ -310,11 +310,14 @@ def render_report(cert: Certificate, sanity: dict | None = None) -> str:
     ]
     if sanity is not None:
         lines += ["", "sanity (non-rigorous reference):"]
-        lines.append(f"  integrator y({p.x1}) = {sanity['integrator_value']}")
-        lines.append(
-            f"  |y(x1) - partial sum(x1)| = {sanity['partial_sum_error']}"
-            f"  (certified bound {decimal_str(cert.remainder_bound)})"
-        )
+        if "integrator_failure" in sanity:
+            lines.append(f"  no reference value: {sanity['integrator_failure']}")
+        else:
+            lines.append(f"  integrator y({p.x1}) = {sanity['integrator_value']}")
+            lines.append(
+                f"  |y(x1) - partial sum(x1)| = {sanity['partial_sum_error']}"
+                f"  (certified bound {decimal_str(cert.remainder_bound)})"
+            )
     for warning in cert.warnings:
         lines += ["", f"warning: {warning}"]
     for note in cert.parity_notes:
@@ -323,12 +326,17 @@ def render_report(cert: Certificate, sanity: dict | None = None) -> str:
 
 
 def _sanity_section(cert: Certificate) -> dict:
+    """The integrator's cross-check of a certificate, or, where the integrator
+    fails, its message: the section is not a proof and vetoes nothing."""
     import mpmath as mp
 
     from . import oracle
 
     p = cert.problem
-    ref = oracle.reference_solution(p.f, p.x0, p.y0, p.x1, Fraction(1, 10**16))
+    try:
+        ref = oracle.reference_solution(p.f, p.x0, p.y0, p.x1, Fraction(1, 10**16))
+    except ConvergenceError as exc:
+        return {"integrator_failure": str(exc)}
     approx = poly_eval(cert.coefficients, p.x1)
     with mp.workdps(oracle.ORACLE_DPS):
         lo, hi = oracle.to_mpf(cert.yrange.range.lo), oracle.to_mpf(cert.yrange.range.hi)
@@ -360,12 +368,6 @@ def _load_problem(path: str, args: argparse.Namespace) -> ProblemSpec:
     return spec
 
 
-def _with_radius(p: ProblemSpec) -> ProblemSpec:
-    if p.f.is_zero():  # no |f| <= M with M > 0, which the radius bound needs
-        raise InputError("f = 0: the radius bound needs a magnitude bound M > 0")
-    return p
-
-
 def _write_json(args: argparse.Namespace, doc: Callable[[], dict]) -> None:
     """Build the report document and write it, only when --json asks for it."""
     if getattr(args, "json", None):
@@ -395,7 +397,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    p = _with_radius(_load_problem(args.problem, args))
+    p = _load_problem(args.problem, args)
     rc = radius_for_problem(p.f, p.x0, p.y0, p.r1, p.r2, p.enclosure_width)
     print(f"r >= {decimal_str(rc.r_floor)} (enclosure {rc.r_enclosure})")
     print(f"  from r1 = {rc.r1}, r2 = {rc.r2}, |f| <= M = {_fmt(rc.M)}")
@@ -416,7 +418,7 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _run_certificate(args: argparse.Namespace) -> tuple[ProblemSpec, Certificate]:
-    p = _with_radius(_load_problem(args.problem, args))
+    p = _load_problem(args.problem, args)
     return p, certify_partial_sum(p)
 
 
@@ -440,7 +442,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_check_poly(args: argparse.Namespace) -> int:
     p = _load_problem(args.problem, args)
     coeffs = parse_poly_file(_file("cannot read polynomial file", args.poly))
-    cert = certify_partial_sum(_with_radius(p))
+    cert = certify_partial_sum(p)
     bound = certify_polynomial(p, coeffs, cert)
     print(f"polynomial degree {len(coeffs) - 1} checked against degree-{p.degree} "
           f"certificate on [{p.x0}, {p.x1}]")
@@ -546,6 +548,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """Console entry point.  A closed stdout (`taylorcert coeffs P | head -1`)
+    ends the process as SIGPIPE does, not as an internal error; signal is
+    imported here, so that importing this module stays as cheap as it was."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())
 
 

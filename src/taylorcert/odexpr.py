@@ -1,14 +1,12 @@
 """Polynomial expressions in x and the derivative symbols y, y', y'', ...
 
 A FlowExpr is a finite sum of monomials c * x^i * y^j * (y')^k * ... with
-exact rational coefficients, stored as integer numerators over one common
-denominator.  Its total derivative along solutions of y' = f(x, y)
-(`flow_derivative`) differentiates x to 1 and each derivative symbol y^(j)
-to the next symbol y^(j+1), never substituting f.
-It multiplies numerators by integer exponents only, so D_k = P_k / c with
-integer P_k and c the lcm of f's denominators.  Iterating it from f yields
-expressions for every higher solution derivative: the DerivativeChain, whose
-interval evaluation bounds each derivative over a box.
+exact rational coefficients, stored as Fractions keyed by exponent tuples.
+Its total derivative along solutions of y' = f(x, y) (`flow_derivative`)
+differentiates x to 1 and each derivative symbol y^(j) to the next symbol
+y^(j+1), never substituting f.  Iterating it from f yields expressions for
+every higher solution derivative: the DerivativeChain, whose interval
+evaluation bounds each derivative over a box.
 
 No certificate builds the chain; it stays as the reference the recurrences
 are tested against.  A certificate takes its bounds from `derivative_bounds`,
@@ -19,15 +17,17 @@ recurrence on integers over the same powers, and `derivative_values`
 multiplies its c_k by k!.
 
 Evaluation runs on integers too, in the fraction-free manner of Bareiss
-(*Math. Comp.* 22, 1968; see `_Kernel`): only each result is reduced, and
-every value equals the monomial-wise Fraction evaluation exactly.
+(*Math. Comp.* 22, 1968; see `_Kernel`): each coefficient becomes an integer
+numerator when the kernel takes it in, only each result is reduced, and every
+value equals the monomial-wise Fraction evaluation exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm, prod
+from itertools import zip_longest
+from math import comb, factorial, lcm, perm, prod
 import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,9 +44,6 @@ from .ratcore import (
 
 # A monomial key is (e_x, e_y, e_y', ..., e_y^(m)) with trailing zeros trimmed.
 MonomialKey = tuple[int, ...]
-# A sparse key lists the (slot, exponent) pairs of the nonzero exponents of a
-# monomial key, in slot order: (0, 2, 1) becomes ((1, 2), (2, 1)).
-SparseKey = tuple[tuple[int, int], ...]
 
 
 #: Monomials a derivative chain may hold, D_1 to D_{n+1} together.  It bounds
@@ -102,46 +99,42 @@ def symbol_name(order: int) -> str:
     return f"y^({order})"
 
 
-def _sparse(key: Sequence[int]) -> SparseKey:
-    return tuple((slot, exp) for slot, exp in enumerate(key) if exp)
+def _trimmed(key: Sequence[int]) -> MonomialKey:
+    """key as a tuple, trailing zeros trimmed."""
+    key = tuple(key)
+    while key and not key[-1]:
+        key = key[:-1]
+    return key
 
 
-def _dense(key: SparseKey) -> MonomialKey:
-    exps = dict(key)
-    return tuple(exps.get(slot, 0) for slot in range(key[-1][0] + 1 if key else 0))
-
-
-def _normalised(num: dict[SparseKey, int], den: int) -> "FlowExpr":
+def _summed(terms: Iterable[tuple[MonomialKey, Fraction]]) -> "FlowExpr":
     """Trusted constructor for internal results, which are not re-validated:
-    drop zero numerators and reduce by one gcd.  den must be positive."""
-    g = gcd(den, *num.values())
+    sum the coefficients of each trimmed key, in order of its first
+    appearance, and drop zeros."""
+    table: dict[MonomialKey, Fraction] = {}
+    for key, q in terms:
+        table[key] = table[key] + q if key in table else q
     expr = object.__new__(FlowExpr)
-    expr._num, expr._den = {key: n // g for key, n in num.items() if n}, den // g
+    expr._monomials = {key: q for key, q in table.items() if q}
     return expr
 
 
 class FlowExpr:
     """Immutable multivariate polynomial over x and derivative symbols.
 
-    The monomial with sparse key k has coefficient `_num[k] / _den`, where
-    `_num[k]` is a nonzero int and `_den > 0` is coprime to all of them, so
-    equal expressions have equal fields.  `monomials` returns the dense table
-    in the insertion order of `_num`.
+    `_monomials` maps each trimmed dense key to its nonzero Fraction
+    coefficient, in insertion order; `monomials` returns a copy of it.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_monomials",)
 
     def __init__(self, monomials: Mapping[MonomialKey, RationalLike] | None = None):
-        table: dict[SparseKey, Fraction] = {}
+        terms = []
         for key, coeff in (monomials or {}).items():
             if any(e < 0 for e in key):
                 raise ExprError(f"negative exponent in monomial key {key}")
-            key = _sparse(key)
-            table[key] = table.get(key, 0) + as_rational(coeff)
-        table = {key: q for key, q in table.items() if q}
-        # The lcm of reduced denominators is coprime to the numerators it makes.
-        den = self._den = lcm(*(q.denominator for q in table.values()))
-        self._num = {k: q.numerator * (den // q.denominator) for k, q in table.items()}
+            terms.append((_trimmed(key), as_rational(coeff)))
+        self._monomials = _summed(terms)._monomials
 
     # -- constructors ----------------------------------------------------
 
@@ -158,12 +151,12 @@ class FlowExpr:
     @property
     def monomials(self) -> Mapping[MonomialKey, Fraction]:
         """Dense keys with trailing zeros trimmed, to reduced coefficients."""
-        return {_dense(key): Fraction(n, self._den) for key, n in self._num.items()}
+        return dict(self._monomials)
 
     @property
     def order(self) -> int:
         """Highest derivative symbol mentioned; -1 if none (x-only)."""
-        return max((key[-1][0] for key in self._num if key), default=0) - 1
+        return max([1, *map(len, self._monomials)]) - 2
 
     def xy_terms(self) -> list[tuple[int, int, Fraction]]:
         """(i, j, c) for each monomial c * x^i * y^j, in `.monomials` order.
@@ -172,61 +165,49 @@ class FlowExpr:
         raises ExprError.
         """
         _require_xy(self)
-        return [(*(*key, 0, 0)[:2], c) for key, c in self.monomials.items()]
+        return [(*(*key, 0, 0)[:2], c) for key, c in self._monomials.items()]
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._monomials
 
     def terms(self) -> Iterator[tuple[MonomialKey, Fraction]]:
-        return iter(sorted(self.monomials.items()))
+        return iter(sorted(self._monomials.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowExpr):
             return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return self._monomials == other._monomials
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.monomials.items()))
+        return hash(frozenset(self._monomials.items()))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "FlowExpr") -> "FlowExpr":
-        den = lcm(self._den, other._den)
-        a, b = den // self._den, den // other._den
-        num = {key: n * a for key, n in self._num.items()}
-        for key, n in other._num.items():
-            num[key] = num.get(key, 0) + n * b
-        return _normalised(num, den)
+        return _summed([*self._monomials.items(), *other._monomials.items()])
 
     def __sub__(self, other: "FlowExpr") -> "FlowExpr":
         return self + (-other)
 
     def __neg__(self) -> "FlowExpr":
-        return _normalised({key: -n for key, n in self._num.items()}, self._den)
+        return _summed((key, -q) for key, q in self._monomials.items())
 
     def __mul__(self, other: "FlowExpr") -> "FlowExpr":
-        num: dict[SparseKey, int] = {}
-        for k1, n1 in self._num.items():
-            for k2, n2 in other._num.items():
-                exps = dict(k1)
-                for slot, exp in k2:
-                    exps[slot] = exps.get(slot, 0) + exp
-                key = tuple(sorted(exps.items()))
-                num[key] = num.get(key, 0) + n1 * n2
-        return _normalised(num, self._den * other._den)
+        return _summed(
+            (tuple(map(sum, zip_longest(k1, k2, fillvalue=0))), q1 * q2)
+            for k1, q1 in self._monomials.items()
+            for k2, q2 in other._monomials.items()
+        )
 
     # -- calculus --------------------------------------------------------
 
     def partial(self, slot: int) -> "FlowExpr":
         """Partial derivative with respect to slot 0 (x) or slot j+1 (y^(j))."""
-        num: dict[SparseKey, int] = {}
-        for key, n in self._num.items():
-            for i, (s, exp) in enumerate(key):
-                if s == slot:
-                    lowered = ((s, exp - 1),) if exp > 1 else ()
-                    new_key = key[:i] + lowered + key[i + 1 :]
-                    num[new_key] = num.get(new_key, 0) + n * exp
-        return _normalised(num, self._den)
+        return _summed(
+            (_trimmed((*key[:slot], key[slot] - 1, *key[slot + 1 :])), q * key[slot])
+            for key, q in self._monomials.items()
+            if slot < len(key) and key[slot]
+        )
 
     def flow_derivative(self) -> "FlowExpr":
         """Total derivative along solutions: d/dx + sum_j y^(j+1) d/dy^(j).
@@ -234,21 +215,16 @@ class FlowExpr:
         One pass: each nonzero slot emits one term, e times the monomial with
         that slot lowered by one and, for y^(j), slot y^(j+1) raised by one.
         """
-        num: dict[SparseKey, int] = {}
-        get = num.get
-        for key, n in self._num.items():
-            i, size = 0, len(key)
-            for slot, exp in key:
-                head = key[:i] + ((slot, exp - 1),) if exp > 1 else key[:i]
-                i += 1  # key[i] is the next slot's factor, if any
-                if not slot:
-                    new_key = head + key[i:]
-                elif i < size and key[i][0] == slot + 1:
-                    new_key = head + ((slot + 1, key[i][1] + 1),) + key[i + 1 :]
-                else:
-                    new_key = head + ((slot + 1, 1),) + key[i:]
-                num[new_key] = get(new_key, 0) + (n if exp == 1 else n * exp)
-        return _normalised(num, self._den)
+        terms = []
+        for key, q in self._monomials.items():
+            for slot, exp in enumerate(key):
+                if exp:
+                    new_key = [*key, 0]
+                    new_key[slot] -= 1
+                    if slot:
+                        new_key[slot + 1] += 1
+                    terms.append((_trimmed(new_key), q * exp))
+        return _summed(terms)
 
     # -- evaluation ------------------------------------------------------
 
@@ -270,7 +246,7 @@ class FlowExpr:
         base: the denominator of its interval.
         """
         boxes = {}
-        for slot in sorted({slot for key in self._num for slot, _ in key}):
+        for slot in sorted({s for key in self._monomials for s, e in enumerate(key) if e}):
             b = self._symbol_value(env, slot)
             boxes[slot] = b if isinstance(b, RatInterval) else RatInterval.point(b)
         kernel = _Kernel([self], boxes)
@@ -282,9 +258,10 @@ class FlowExpr:
         out = ""
         for key, coeff in self.terms():
             factors = [str(abs(coeff))] if abs(coeff) != 1 or not key else []
-            for slot, exp in _sparse(key):
-                name = "x" if slot == 0 else symbol_name(slot - 1)
-                factors.append(name if exp == 1 else f"{name}^{exp}")
+            for slot, exp in enumerate(key):
+                if exp:
+                    name = "x" if slot == 0 else symbol_name(slot - 1)
+                    factors.append(name if exp == 1 else f"{name}^{exp}")
             out += (" - " if coeff < 0 else " + ") + "*".join(factors)
         if not out:
             return "0"
@@ -302,7 +279,8 @@ class _Kernel:
     [64 i, 64 i + 64).  Vectors add with `+`, and top - vec borrows nothing
     for top >= vec.  No field overflows: power() would be uncomputable long
     before, as any base >= 2 to the 2**64 has 2**64 bits.  bases[0] is c, the
-    lcm of the expressions' denominators; then come the denominators of the
+    lcm of the expressions' coefficient denominators, over which `groups`
+    scales each coefficient to an integer; then come the denominators of the
     boxes bound to slots, and last the base of the grid that `bind` rounds
     stored bounds onto (`outward`): 10**P under outward:P rounding, every
     bound onto multiples of 10**-P, and 2 in exact mode, a bound past
@@ -327,7 +305,7 @@ class _Kernel:
         boxes: Mapping[int, RatInterval],
         rounding: DecimalRounding = DecimalRounding.exact(),
     ):
-        c = lcm(*(expr._den for expr in exprs))
+        c = lcm(*(q.denominator for expr in exprs for q in expr._monomials.values()))
         dens = (lcm(b.lo.denominator, b.hi.denominator) for b in boxes.values())
         grid, exp = (2, 1024) if rounding.is_exact else (10**rounding.places, 1)
         self.bases, self.rounding = (c, *dens, grid), rounding
@@ -363,15 +341,17 @@ class _Kernel:
         """The expression's monomial enclosures, summed per vector; `total`
         adds them up.
 
-        A coefficient num / den enters as n = num * (c // den) on the
-        coefficient vector, and each (slot, exponent) factor multiplies in
-        the slot's binding, powered first above exponent 1.
+        A coefficient q enters as its numerator over c, q.numerator *
+        (c // q.denominator), on the coefficient vector, and each nonzero
+        exponent multiplies in its slot's binding, powered first above 1.
         """
-        scale, groups = self.bases[0] // expr._den, {}
-        for key, n in expr._num.items():
-            lo = hi = n * scale
+        c, groups = self.bases[0], {}
+        for key, q in expr._monomials.items():
+            lo = hi = q.numerator * (c // q.denominator)
             vec = self._unit(0)
-            for slot, exp in key:
+            for slot, exp in enumerate(key):
+                if not exp:
+                    continue
                 b_lo, b_hi, b_vec = self.slots[slot]
                 if exp > 1:
                     b_lo, b_hi = pow_endpoints(b_lo, b_hi, exp)
@@ -503,10 +483,10 @@ def derivative_chain(f: FlowExpr, n: int) -> DerivativeChain:
     if n < 0:
         raise ValueError("chain length parameter must be >= 0")
     _require_xy(f)
-    exprs, total = [f], len(f._num)
+    exprs, total = [f], len(f._monomials)
     for _ in range(n):
         exprs.append(exprs[-1].flow_derivative())
-        total += len(exprs[-1]._num)
+        total += len(exprs[-1]._monomials)
         if total > MAX_CHAIN_MONOMIALS:
             raise ExprError(
                 f"derivative chain holds {total} monomials by D_{len(exprs)}, "
@@ -568,10 +548,10 @@ def derivative_bounds(
     # (j, r, lo, hi, vec): the binding of the r-th x-derivative of the
     # monomial c*x^i of c_j(x), for each monomial c*x^i*y^j of f and r <= i
     factors = []
-    for key, num in f._num.items():
-        i, j = (*_dense(key), 0, 0)[:2]
+    for key, q in f._monomials.items():
+        i, j = (*key, 0, 0)[:2]
         for r in range(i + 1):
-            c = _normalised({((0, i - r),) if i > r else (): num * perm(i, r)}, f._den)
+            c = _summed([((i - r,) if i > r else (), q * perm(i, r))])
             [(vec, (lo, hi))] = kernel.groups(c).items()
             factors.append((j, r, lo, hi, vec))
     # powers[j]: the bindings of P_j^(0) ... P_j^(k); P_0^(m) is 0 for m > 0
@@ -677,10 +657,10 @@ def taylor_coefficients(
         raise ValueError(f"degree must be >= 0, got {n}")
     x0, y0 = as_rational(x0), as_rational(y0)
     shifted: dict[tuple[int, int], Fraction] = {}
-    for key, a in f._num.items():
-        e_x, e_y = (*_dense(key), 0, 0)[:2]
+    for key, a in f._monomials.items():
+        e_x, e_y = (*key, 0, 0)[:2]
         for i in range(e_x + 1):
-            term = Fraction(a * comb(e_x, i), f._den) * x0 ** (e_x - i)
+            term = a * comb(e_x, i) * x0 ** (e_x - i)
             shifted[i, e_y] = shifted.get((i, e_y), 0) + term
     shifted = {ij: b for ij, b in shifted.items() if b}
     d, lcd = y0.denominator, lcm(*(b.denominator for b in shifted.values()))
@@ -864,14 +844,15 @@ def parse_flow_expr(text: str) -> FlowExpr:
         i += 1
         if tok == "*":
             continue
-        key = next(iter(term._num), None)
-        known = key in expr._num
+        key = next(iter(term._monomials), None)
+        known = key in expr._monomials
         expr = expr + (-term if negative else term)
-        if _too_long(expr._den):
+        coeffs = expr._monomials
+        if _too_long(lcm(*(q.denominator for q in coeffs.values()))):
             message = f"common denominator has over {MAX_LITERAL_DIGITS} digits"
             raise _error(text, message, term_pos)
-        if known and key in expr._num:
-            _check_coefficient(text, Fraction(expr._num[key], expr._den), term_pos)
+        if known and key in coeffs:
+            _check_coefficient(text, coeffs[key], term_pos)
         if not tok:
             return expr
         if tok not in ("+", "-"):

@@ -53,6 +53,8 @@ def as_rational(value: RationalLike) -> Fraction:
     exactly), of at most MAX_LITERAL_DIGITS ASCII digits: exponent ("1e-3") and
     underscore ("1_000") forms, which would let a short string stand for a
     huge number, and other digits ("٣", which Fraction reads as 3) are refused.
+    So is whitespace inside the stripped text ("1 / 2", which Fraction reads
+    as 1/2 from Python 3.12 on).
     """
     if isinstance(value, bool):
         raise TypeError("cannot convert bool to exact rational")
@@ -68,7 +70,7 @@ def as_rational(value: RationalLike) -> Fraction:
         if digits > MAX_LITERAL_DIGITS:
             message = f"literal has {digits} digits, limit {MAX_LITERAL_DIGITS}"
             raise ValueError(message)
-        if not text.isascii() or any(ch in "eE_" for ch in text):
+        if not text.isascii() or any(ch in "eE_" or ch.isspace() for ch in text):
             raise ValueError(f"expected an integer, p/q or decimal, got {text!r}")
         return Fraction(text)
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")

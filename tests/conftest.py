@@ -199,6 +199,31 @@ def random_polynomial_ivp(rng):
     return f, x0, y0
 
 
+# -- the sparse view of a FlowExpr -------------------------------------------
+#
+# FlowExpr once keyed its integer numerators by sparse keys, the
+# (slot, exponent) pairs of a monomial's nonzero exponents in slot order:
+# (0, 2, 1) was ((1, 2), (2, 1)).  The verbatim references of the loops that
+# walked them walk this view of `.monomials` instead.
+
+
+def sparse_view(expr: FlowExpr) -> dict[tuple[tuple[int, int], ...], Fraction]:
+    """expr's coefficients keyed by sparse keys, in `.monomials` order."""
+    return {
+        tuple((slot, exp) for slot, exp in enumerate(key) if exp): coeff
+        for key, coeff in expr.monomials.items()
+    }
+
+
+def from_sparse(terms) -> FlowExpr:
+    """The FlowExpr of coefficients keyed by sparse keys, in their order."""
+    dense = {}
+    for key, coeff in terms.items():
+        exps, size = dict(key), key[-1][0] + 1 if key else 0
+        dense[tuple(exps.get(slot, 0) for slot in range(size))] = coeff
+    return FlowExpr(dense)
+
+
 # -- the derivative chain at x0: reference for the Taylor-mode recurrence ----
 #
 # `DerivativeChain.values` and `DerivativeChain.coefficients` as they were

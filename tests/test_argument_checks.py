@@ -43,9 +43,9 @@ def problem(**fields) -> ProblemSpec:
             "dx must be nonnegative",
         ),
         (
-            lambda: RadiusCertificate(F(1), F(1), F(0), UNIT, F(0)),
+            lambda: RadiusCertificate(F(1), F(1), F(-1), UNIT, F(0)),
             ValueError,
-            "magnitude bound must be positive",
+            "magnitude bound must be nonnegative",
         ),
         (
             lambda: check_applicability(riccati_flow(), "1/5", "1/5", UNIT),

@@ -118,4 +118,16 @@ def test_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         convergence_radius(0, 1, 1)
     with pytest.raises(ValueError):
-        convergence_radius(1, 1, 0)
+        convergence_radius(1, 1, -1)
+
+
+def test_zero_magnitude_takes_the_cap():
+    # f = 0: the solution is constant, and M = 0 takes the clamp of any large
+    # exponent, the valid floor r1 * (1 - exp(-cap)).
+    assert magnitude_bound(FlowExpr.zero(), 0, 1, 1, 1) == 0
+    for r1, width in ((F(1), F(1, 10**12)), (F(1, 2), F(1, 10))):
+        rc = convergence_radius(r1, 1, 0, width)
+        tiny = convergence_radius(r1, 1, F(1, 10**30), width)
+        assert (rc.M, rc.r_enclosure, rc.r_floor) == (0, tiny.r_enclosure, tiny.r_floor)
+        assert rc.r_enclosure.hi < r1
+        assert rc.r_enclosure.lo >= r1 - 2 * width

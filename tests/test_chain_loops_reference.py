@@ -1,34 +1,32 @@
-"""The flow derivative, its normaliser and the Taylor-mode recurrence against
-verbatim copies of the loops they replaced.
+"""The flow derivative and the Taylor-mode recurrence against verbatim copies
+of the loops they replaced.
 
-`FlowExpr.flow_derivative` walks each sparse key once and tests the adjacent
-slot in place; `_normalised` has the one path of its reference;
+`FlowExpr.flow_derivative` walks each dense key once, slot by slot;
 `taylor_coefficients` updates its binomial row by Pascal's rule and forms the
 Leibniz sums over slices; `derivative_bounds` sums each order's pairs in one
 running sum and `_Kernel.bind` looks up the power of a vector once.  The
-references below are the earlier loops, kept verbatim.  A derivative must give
-the same `_num` items in the same insertion order, so `.monomials` keeps its
-order, and the same `_den`; the coefficient lists and the bounds must be
-equal.
+references below are the earlier loops, kept verbatim but for the storage
+they read: `FlowExpr` held integer numerators over one denominator, keyed by
+sparse keys, and the references now walk a sparse view of `.monomials`
+(`conftest.sparse_view`) with `Fraction` coefficients.  A derivative must give
+the same `.monomials` items in the same insertion order; the coefficient
+lists and the bounds must be equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, lcm, perm
 import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quadratic_flow, riccati_flow
+from conftest import from_sparse, quadratic_flow, riccati_flow, sparse_view
 from taylorcert import comparison
 from taylorcert.odexpr import (
     FlowExpr,
-    SparseKey,
     _Kernel,
-    _dense,
-    _normalised,
     _require_xy,
     derivative_bounds,
     derivative_chain,
@@ -49,24 +47,14 @@ F = Fraction
 # -- references: the loops the rewrite replaced ----------------------------------
 
 
-def reference_normalised(num: dict[SparseKey, int], den: int) -> "FlowExpr":
-    """Trusted constructor for internal results, which are not re-validated:
-    drop zero numerators and reduce by one gcd.  den must be positive."""
-    g = gcd(den, *num.values())
-    expr = object.__new__(FlowExpr)
-    expr._num = {key: n // g for key, n in num.items() if n}
-    expr._den = den // g
-    return expr
-
-
 def reference_flow_derivative(self) -> "FlowExpr":
     """Total derivative along solutions: d/dx + sum_j y^(j+1) d/dy^(j).
 
     One pass: each nonzero slot emits one term, e times the monomial with
     that slot lowered by one and, for y^(j), slot y^(j+1) raised by one.
     """
-    num: dict[SparseKey, int] = {}
-    for key, n in self._num.items():
+    num = {}
+    for key, n in sparse_view(self).items():
         for i, (slot, exp) in enumerate(key):
             head = key[:i] + ((slot, exp - 1),) if exp > 1 else key[:i]
             tail = key[i + 1 :]
@@ -77,7 +65,7 @@ def reference_flow_derivative(self) -> "FlowExpr":
                     tail = ((slot + 1, 1),) + tail
             new_key = head + tail
             num[new_key] = num.get(new_key, 0) + n * exp
-    return reference_normalised(num, self._den)
+    return from_sparse(num)
 
 
 def reference_taylor_coefficients(
@@ -89,10 +77,10 @@ def reference_taylor_coefficients(
         raise ValueError(f"degree must be >= 0, got {n}")
     x0, y0 = as_rational(x0), as_rational(y0)
     shifted: dict[tuple[int, int], Fraction] = {}
-    for key, a in f._num.items():
-        e_x, e_y = (*_dense(key), 0, 0)[:2]
+    for key, a in f.monomials.items():
+        e_x, e_y = (*key, 0, 0)[:2]
         for i in range(e_x + 1):
-            term = Fraction(a * comb(e_x, i), f._den) * x0 ** (e_x - i)
+            term = a * comb(e_x, i) * x0 ** (e_x - i)
             shifted[i, e_y] = shifted.get((i, e_y), 0) + term
     shifted = {ij: b for ij, b in shifted.items() if b}
     base = lcm(y0.denominator, *(b.denominator for b in shifted.values()))
@@ -156,18 +144,20 @@ def reference_derivative_bounds(
 ) -> list[RatInterval]:
     """The earlier `derivative_bounds`, verbatim but for its kernel, which is
     `ReferenceKernel`: one group lookup per Leibniz pair."""
-    if any(key and key[-1][0] and key != _Y_SQUARED for key in f._num):
+    terms = sparse_view(f)
+    if any(key and key[-1][0] and key != _Y_SQUARED for key in terms):
         return derivative_chain(f, n).bounds(xrange, yrange, rounding)
     if n < 0:
         raise ValueError("chain length parameter must be >= 0")
-    b = f._num.get(_Y_SQUARED, 0)
-    a = _normalised({key: v for key, v in f._num.items() if key != _Y_SQUARED}, f._den)
+    a = from_sparse({key: v for key, v in terms.items() if key != _Y_SQUARED})
     kernel = ReferenceKernel([f], {0: xrange, 1: yrange}, rounding)
+    q = terms.get(_Y_SQUARED, F(0))  # b: the numerator of q over the base c
+    b = q.numerator * (kernel.bases[0] // q.denominator)
     Y, coeff_vec, mul = kernel.slots, kernel._unit(0), mul_endpoints  # Y[j+1]: y^(j)
     bounds, row = [], [1]  # row[i] = C(k, i)
     for k in range(n + 1):
         groups = {}
-        if a._num:  # a^(k), then a^(k+1) for the next order
+        if not a.is_zero():  # a^(k), then a^(k+1) for the next order
             groups, a = kernel.groups(a), a.partial(0)
         group_of = groups.get
         for i in range((k + 2) // 2 if b else 0):
@@ -193,7 +183,7 @@ def reference_derivative_bounds(
 
 
 def fields(expr: FlowExpr):
-    return list(expr._num.items()), expr._den
+    return list(expr.monomials.items())
 
 
 # -- strategies ------------------------------------------------------------------
@@ -246,7 +236,7 @@ points = st.one_of(
 )
 
 
-# -- the flow derivative and its normaliser --------------------------------------
+# -- the flow derivative ---------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,21 +262,6 @@ def test_chains_equal_verbatim_loop():
         for _ in range(12):
             want.append(reference_flow_derivative(want[-1]))
         assert [fields(e) for e in exprs] == [fields(e) for e in want]
-
-
-sparse_keys = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=3, unique_by=lambda p: p[0]
-).map(lambda pairs: tuple(sorted(pairs)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.dictionaries(sparse_keys, st.integers(-60, 60), max_size=8),
-    st.integers(1, 720),
-)
-def test_normalised_equals_verbatim_loop(num, den):
-    want = fields(reference_normalised(dict(num), den))
-    assert fields(_normalised(dict(num), den)) == want
 
 
 # -- the Taylor-mode recurrence --------------------------------------------------

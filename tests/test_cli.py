@@ -4,6 +4,7 @@ from fractions import Fraction
 import json
 import os
 import re
+import signal
 from pathlib import Path
 import subprocess
 import sys
@@ -245,7 +246,33 @@ def test_oracle_convergence_failure_exit_code(problem_file, capsys, monkeypatch)
     monkeypatch.setattr("taylorcert.oracle.reference_solution", stalls)
     assert run(["oracle", str(problem_file), "--at", "1/5"]) == 2
     assert capsys.readouterr().err == "certification failed: step halving did not settle\n"
-    assert run(["certify", str(problem_file)]) == 2
+    # The sanity section is not a proof: a failing integrator vetoes no
+    # certificate, and both reports carry its message.
+    out = problem_file.parent / "out.json"
+    assert run(["certify", str(problem_file), "--json", str(out)]) == 0
+    text, err = capsys.readouterr()
+    assert err == ""
+    assert (
+        "sanity (non-rigorous reference):\n"
+        "  no reference value: step halving did not settle\n"
+    ) in text
+    sanity = json.loads(out.read_text())["sanity"]
+    assert sanity == {"integrator_failure": "step halving did not settle"}
+
+
+def test_sanity_failure_keeps_the_tangent_certificate(tmp_path, capsys):
+    # The RK4 integrator does not stabilize near the pole of tan x at pi/2;
+    # the certificate on [0, 31/20] stands, as under --no-sanity.
+    prob, out = tmp_path / "tan.prob", tmp_path / "out.json"
+    prob.write_text('f = "1 + y^2"\nx0 = "0"\ny0 = "0"\ndegree = 9\nx1 = "31/20"\n')
+    assert run(["certify", str(prob), "--json", str(out)]) == 0
+    text, err = capsys.readouterr()
+    assert err == ""
+    message = "integrator did not stabilize within 1/10000000000000000 after "
+    assert f"  no reference value: {message}" in text
+    report = json.loads(out.read_text())
+    assert report["sanity"]["integrator_failure"].startswith(message)
+    assert report["certificate"]["solution_range"]["lo"] == "0"
 
 
 PROBLEMS = SRC.parent / "problems"
@@ -262,27 +289,40 @@ def test_unexpected_exception_exits_3(problem_file, capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize(
-    "f, argv, message",
-    [
-        ("0", ["radius"], "input error: f = 0: the radius bound needs"),
-        ("0", ["certify"], "input error: f = 0: the radius bound needs"),
-        ("0", ["check-poly", "--poly", "POLY"], "input error: f = 0: the radius"),
-        (
-            "9" * 5000 + "*x + y^2",
-            ["coeffs"],
-            "input error: field 'f' (line 1): line 1, column 1: literal has 5000 digits",
-        ),
-    ],
-)
-def test_input_faults_found_late_stay_input_errors(tmp_path, capsys, f, argv, message):
+def run_on_flow(tmp_path, f: str, argv: list[str]) -> int:
     path = tmp_path / "flow.prob"
     path.write_text(f'f = "{f}"\nx0 = "0"\ny0 = "1"\ndegree = 3\nx1 = "1/5"\n')
     poly = tmp_path / "p.poly"
     poly.write_text("1 + x")
     argv = [str(poly) if a == "POLY" else a for a in argv]
-    assert run([argv[0], str(path), *argv[1:]]) == 1
+    return run([argv[0], str(path), *argv[1:]])
+
+
+def test_input_faults_found_late_stay_input_errors(tmp_path, capsys):
+    assert run_on_flow(tmp_path, "9" * 5000 + "*x + y^2", ["coeffs"]) == 1
+    message = "input error: field 'f' (line 1): line 1, column 1: literal has 5000 digits"
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["range"], ["bounds"], ["certify"], ["check-poly", "--poly", "POLY"]],
+    ids=lambda argv: argv[0],
+)
+def test_zero_flow_is_refused_by_the_comparison_stage(tmp_path, capsys, argv):
+    # y' = 0 is a valid problem; its frozen form has alpha = 0, which the
+    # comparison bound needs positive.  The radius takes M = 0.
+    assert run_on_flow(tmp_path, "0", argv) == 2
+    assert capsys.readouterr().err == (
+        "certification failed: [comparison] constant term alpha = 0 is not positive\n"
+    )
+
+
+def test_zero_flow_has_a_radius(tmp_path, capsys):
+    assert run_on_flow(tmp_path, "0", ["radius"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("r >= 0.99 (enclosure [0.99999999999999999")
+    assert "|f| <= M = 0\n" in out
 
 
 @pytest.mark.parametrize("places", [1001, 20000, 200000])
@@ -880,3 +920,25 @@ def test_width_override(problem_file):
     args = argparse.Namespace(rounding=None, width="1/1000000")
     spec = _load_problem(str(problem_file), args)
     assert spec.enclosure_width == F(1, 10**6)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_as_sigpipe(tmp_path):
+    # `taylorcert coeffs P | head -1` once exited 3 with "internal error:
+    # BrokenPipeError".  The report at degree 400 is far larger than a pipe's
+    # buffer, so the child is still writing when its reader goes away.
+    prob = tmp_path / "deep.prob"
+    text = (PROBLEMS / "riccati.prob").read_text()
+    prob.write_text(text.replace("degree = 9", "degree = 400"))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "taylorcert.cli", "coeffs", str(prob)],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline().startswith(b"Taylor coefficients of y' = ")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

@@ -29,7 +29,7 @@ def test_readme_library_surface_runs():
 
 def test_readme_flowexpr_operations_exist():
     text = " ".join(README.read_text().split())
-    listed = re.search(r"`y\^\(j\)`\. (.*?) run on ints", text).group(1)
+    listed = re.search(r"is `y\^2`\. (.*?) run on `Fraction`s", text).group(1)
     names = re.findall(r"`([^`]+)`", listed)
     assert "flow_derivative" in names
     dunder = {"+": "__add__", "-": "__sub__", "*": "__mul__"}

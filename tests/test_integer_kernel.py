@@ -337,19 +337,6 @@ def test_bounds_reduce_once_per_order(gcd_calls):
     assert 0 < len(gcd_calls) <= 2 * len(bounds)
 
 
-def test_chain_does_no_fraction_arithmetic(fraction_arithmetic):
-    # D_k = P_k / c: the flow derivative multiplies integer numerators by
-    # integer exponents over the fixed denominator c of f.
-    f = riccati_flow()
-    fraction_arithmetic.clear()
-    chain = derivative_chain(f, 40)
-    assert len(chain) == 41 and len(chain[40].monomials) > 0
-    assert fraction_arithmetic == []
-    # The counter sees Fraction arithmetic when there is some.
-    assert F(1, 2) * 3 + F(1, 3) == F(11, 6)
-    assert len(fraction_arithmetic) == 2
-
-
 # -- work counters: one lift per vector, rounding on integers -----------------
 
 

@@ -144,3 +144,16 @@ def test_cli_refuses_wide_digits_in_every_flag(problem_path, command_flag, liter
     if flag == "--tol":
         argv += ["--at", "1/10"]
     assert cli(argv) == (1, f"input error: {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("literal", ["1 / 2", "1 /2", "1/ 2", "1\t/2", "- 1", "1. 5"])
+def test_as_rational_refuses_inner_whitespace(literal):
+    # Fraction reads "1 / 2" as 1/2 from Python 3.12 on and refuses it before,
+    # so the literal grammar would depend on the interpreter.
+    with pytest.raises(ValueError) as info:
+        as_rational(literal)
+    assert str(info.value) == MESSAGE.format(literal)
+
+
+def test_as_rational_strips_outer_whitespace():
+    assert as_rational(" 1/2 ") == as_rational("\t1/2\n") == as_rational("1/2")

@@ -19,20 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_sparse, sparse_view
 from taylorcert.cli import InputError, _parsed, parse_poly_file
 from taylorcert.comparison import (
     ComparisonFormError,
     QuadraticComparison,
     extract_comparison,
 )
-from taylorcert.odexpr import (
-    ExprError,
-    FlowExpr,
-    SparseKey,
-    _normalised,
-    _require_xy,
-    parse_flow_expr,
-)
+from taylorcert.odexpr import ExprError, FlowExpr, _require_xy, parse_flow_expr
 from taylorcert.ratcore import RationalLike, as_rational
 
 F = Fraction
@@ -45,13 +39,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "taylorcert"
 def reference_subs_x(self, value: RationalLike) -> "FlowExpr":
     """Substitute x := value exactly, leaving derivative symbols symbolic."""
     v = as_rational(value)
-    x_exps = [dict(key).get(0, 0) for key in self._num]
+    terms = sparse_view(self)
+    x_exps = [dict(key).get(0, 0) for key in terms]
     top = max(x_exps, default=0)
-    num: dict[SparseKey, int] = {}
-    for (key, n), e in zip(self._num.items(), x_exps):
+    num = {}
+    for (key, n), e in zip(terms.items(), x_exps):
         key = key[1:] if e else key
         num[key] = num.get(key, 0) + n * v.numerator**e * v.denominator ** (top - e)
-    return _normalised(num, self._den * v.denominator**top)
+    return from_sparse({key: n / v.denominator**top for key, n in num.items()})
 
 
 def reference_extract_comparison(
@@ -239,7 +234,7 @@ def test_xy_terms_refuse_derivative_symbols():
 
 # -- one reader of the storage ---------------------------------------------------
 
-STORAGE = {"_num", "_den", "_dense", "_sparse", "monomials"}
+STORAGE = {"_monomials", "_summed", "_trimmed", "monomials"}
 
 
 def names_used(tree: ast.AST) -> set[str]:
