@@ -24,10 +24,11 @@ value equals the monomial-wise Fraction evaluation exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, factorial, lcm, perm, prod
+from math import comb, factorial, lcm, perm
 import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -291,12 +292,14 @@ class _Kernel:
     few groups; its own base then goes unused.  In exact mode the y box, and
     in both modes the x box, keep their own bases, where the numerators of
     their powers stay small (over 10**P, those of x^e would grow by
-    10**(P e)).  The power of each vector is cached for the life of the
-    kernel.  No step needs a gcd or a division: only `bind` and `interval`
-    reduce, and `outward` rounds; `groups` and `total` say how sums are
-    formed.  Stored bounds have at most MAX_BOUND_BITS bits per numerator
-    and denominator (`bind`), and `capped` lists the orders of the exact
-    bounds that were rounded.
+    10**(P e)).  For the life of the kernel, `power` caches each base's
+    powers and each vector's power, a product of those.  No step needs a gcd
+    or a division: only `bind` and `interval` reduce, and `outward` rounds;
+    `groups` and `total` say how sums are formed, and `total` folds a sum's
+    groups in ascending vector order, lifting at each step only as far as
+    the next group needs.  Stored bounds have at most MAX_BOUND_BITS bits per
+    numerator and denominator (`bind`), and `capped` lists the orders of the
+    exact bounds that were rounded.
     """
 
     def __init__(
@@ -312,9 +315,12 @@ class _Kernel:
         # A rounded bound's numerators are over grid**exp, on this vector.
         self._grid_den, self._grid_vec = grid**exp, exp * self._unit(len(self.bases) - 1)
         self.capped: list[int] = []
-        # The bits of each field, (2**64 - 1) << 64 i: a componentwise max is
-        # the bitwise or of each field's largest masked value.
+        # The bits of each field, (2**64 - 1) << 64 i, and the top bit of
+        # each: exponents stay below 2**63, so (b | high) - a borrows across
+        # no field and keeps a field's top bit where b's exponent is at least
+        # a's.
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
+        self._high = sum(1 << 64 * i + 63 for i in range(len(self.bases)))
         self._powers: dict[int, int] = {}
         # Each box binds over bases[index], which its denominators divide.
         self.slots = {}
@@ -330,11 +336,20 @@ class _Kernel:
         return 1 << 64 * index
 
     def power(self, vec: int) -> int:
-        """prod(bases[i] ** e_i) of a packed vector, cached."""
+        """prod(bases[i] ** e_i) of a packed vector, cached, as the product of
+        the cached powers of its one-field parts e_i << 64 i: each base is
+        raised to each exponent once."""
         value = self._powers.get(vec)
         if value is None:
-            exps = ((vec >> 64 * i) & ((1 << 64) - 1) for i in range(len(self.bases)))
-            value = self._powers[vec] = prod(map(pow, self.bases, exps))
+            value = 1
+            for i, field in enumerate(self._fields):
+                part = vec & field
+                if part:
+                    base_power = self._powers.get(part)
+                    if base_power is None:
+                        base_power = self._powers[part] = self.bases[i] ** (part >> 64 * i)
+                    value *= base_power
+            self._powers[vec] = value
         return value
 
     def groups(self, expr: FlowExpr) -> dict[int, list[int]]:
@@ -363,24 +378,30 @@ class _Kernel:
     def total(self, groups: Mapping[int, list[int]]) -> tuple[int, int, int]:
         """Binding of the sum of groups, each a vector's [lo, hi].
 
-        With two or more vectors, each group sum is lifted once to their
-        componentwise maximum.  Integer sums are exact, so lifting a sum
-        equals summing the lifted terms.  No groups sum to (0, 0, 0).
+        The groups are folded in ascending order of their packed vectors: the
+        running sum and the next group are each lifted to the componentwise
+        maximum of their two vectors, which is the next group's own where the
+        vectors form a chain, so only the sum is lifted, and by a small power.
+        As power(a) * power(b) = power(a + b) and integer sums are exact, the
+        result is that of lifting every group straight to the componentwise
+        maximum of all.  No groups sum to (0, 0, 0).
         """
-        if len(groups) == 1:
-            [(vec, (lo, hi))] = groups.items()
-            return lo, hi, vec
-        top = 0
-        for field in self._fields:
-            top |= max(map(field.__and__, groups), default=0)
-        total_lo = total_hi = 0
-        for vec, (lo, hi) in groups.items():
-            if vec != top:
+        if not groups:
+            return 0, 0, 0
+        (vec, (lo, hi)), *rest = sorted(groups.items())
+        high = self._high
+        for g_vec, (g_lo, g_hi) in rest:
+            top = g_vec
+            if ((g_vec | high) - vec) & high != high:  # vec passes g_vec in a field
+                top = sum(max(vec & field, g_vec & field) for field in self._fields)
+            if top != vec:
                 lift = self.power(top - vec)
                 lo, hi = lo * lift, hi * lift
-            total_lo += lo
-            total_hi += hi
-        return total_lo, total_hi, top
+            if top != g_vec:
+                lift = self.power(top - g_vec)
+                g_lo, g_hi = g_lo * lift, g_hi * lift
+            lo, hi, vec = lo + g_lo, hi + g_hi, top
+        return lo, hi, vec
 
     def bind(self, slot: int, groups: Mapping[int, list[int]]) -> RatInterval:
         """Bind the rounded total of groups to slot, as a derivative bound,
@@ -516,7 +537,7 @@ def derivative_bounds(
 ) -> list[RatInterval]:
     """Sequential interval bounds for y^(1) ... y^(n+1) over a box, from the
     interval Taylor recurrence (Moore, *Interval Analysis*, 1966; Lohner,
-    1987) on the chain's kernel.
+    1987) on the integer kernel (`_Kernel`).
 
     Write f = sum_j c_j(x) y^j.  By the Leibniz rule D_{k+1} = sum_j sum_r
     C(k, r) c_j^(r)(x) (y^j)^(k-r), so with Y_0 = yrange and P_1 = Y,
@@ -792,18 +813,24 @@ def _tokens(text: str) -> list[tuple[str, int]]:
 
 
 def parse_flow_expr(text: str) -> FlowExpr:
-    """Parse the restricted text form (terms c * x^i * y^j over + and -)."""
+    """Parse the restricted text form (terms c * x^i * y^j over + and -).
+
+    One pass: each term's coefficient is added into one table of monomials,
+    and the common denominator is kept as the lcm of the distinct
+    denominators in it, counted so that it is formed afresh only when a
+    coefficient's denominator leaves the table.
+    """
     toks = _tokens(text)
     tok, pos = toks[0]
     if not tok:
         raise _error(text, "empty expression", pos)
     i, negative = (1 if tok in ("+", "-") else 0), tok == "-"
-    expr, term, sums, constant = FlowExpr.zero(), None, {}, None
+    coeffs: dict[MonomialKey, Fraction] = {}
+    dens, common = Counter(), 1  # the denominators in coeffs, and their lcm
+    sums, constant, term_pos = {}, None, toks[i][1]
     while True:
         (tok, pos), (op, op_pos), (arg, arg_pos) = toks[i : i + 3]
         i += 1
-        if term is None:
-            term_pos = pos
         if tok[:1].isdigit():
             if op != "/":
                 value = _literal(text, tok, pos)
@@ -818,7 +845,6 @@ def parse_flow_expr(text: str) -> FlowExpr:
             else:
                 constant *= value
                 _check_coefficient(text, constant, pos)
-            factor = FlowExpr.constant(value)
         elif tok in ("x", "y"):
             exp = 1
             if op == "^":
@@ -829,7 +855,6 @@ def parse_flow_expr(text: str) -> FlowExpr:
             total = sums[tok] = sums.get(tok, 0) + exp
             if total > _MAX_EXPONENT:
                 raise _error(text, f"exponent {total} exceeds limit {_MAX_EXPONENT}", pos)
-            factor = FlowExpr({(exp,) if tok == "x" else (0, exp): 1})
         elif tok[:1].isalpha():
             raise _error(
                 text,
@@ -839,22 +864,34 @@ def parse_flow_expr(text: str) -> FlowExpr:
             )
         else:
             raise _error(text, f"expected a factor, found {tok!r}", pos)
-        term = factor if term is None else term * factor
         tok, pos = toks[i]
         i += 1
         if tok == "*":
             continue
-        key = next(iter(term._monomials), None)
-        known = key in expr._monomials
-        expr = expr + (-term if negative else term)
-        coeffs = expr._monomials
-        if _too_long(lcm(*(q.denominator for q in coeffs.values()))):
-            message = f"common denominator has over {MAX_LITERAL_DIGITS} digits"
-            raise _error(text, message, term_pos)
-        if known and key in coeffs:
-            _check_coefficient(text, coeffs[key], term_pos)
+        coeff = Fraction(1) if constant is None else constant
+        if coeff:
+            key = _trimmed((sums.get("x", 0), sums.get("y", 0)))
+            old = coeffs.get(key)
+            coeff = (old or 0) + (-coeff if negative else coeff)
+            if old is not None:
+                dens[old.denominator] -= 1
+            if coeff:
+                coeffs[key] = coeff
+                dens[coeff.denominator] += 1
+            else:
+                del coeffs[key]
+            if old is not None and not dens[old.denominator]:
+                del dens[old.denominator]
+                common = lcm(*dens)
+            elif coeff:
+                common = lcm(common, coeff.denominator)
+            if _too_long(common):
+                message = f"common denominator has over {MAX_LITERAL_DIGITS} digits"
+                raise _error(text, message, term_pos)
+            if old is not None and coeff:
+                _check_coefficient(text, coeff, term_pos)
         if not tok:
-            return expr
+            return _summed(coeffs.items())
         if tok not in ("+", "-"):
             raise _error(text, f"expected '+' or '-' before {tok!r}", pos)
-        negative, term, sums, constant = tok == "-", None, {}, None
+        negative, sums, constant, term_pos = tok == "-", {}, None, toks[i][1]

@@ -21,7 +21,7 @@ interval as the min and max over all four corner products.  Division
 multiplies by the reciprocal [1/d, 1/c] of a zero-free divisor.  This case
 analysis lives once, in `mul_endpoints` and `pow_endpoints`, which work on
 endpoint pairs of ints or Fractions alike: `RatInterval` calls them on its
-Fraction endpoints, and the derivative chain's kernel in `odexpr` on integer
+Fraction endpoints, and the interval kernel in `odexpr` on integer
 numerators over a shared positive denominator, whose signs are those of the
 rationals they stand for.
 """
@@ -199,8 +199,8 @@ def mul_endpoints(a, b, c, d):
 
     Picks the two endpoint products it needs from the factors' signs and forms
     four, comparing them, only when both factors straddle zero.  The values
-    may be ints (numerators over positive denominators, as in the derivative
-    chain's kernel) or Fractions.
+    may be ints (numerators over positive denominators, as in the interval
+    kernel in odexpr) or Fractions.
     """
     if a >= 0:  # [a, b] >= 0
         if c >= 0:

@@ -5,13 +5,16 @@ rational) and `DerivativeChain.bounds` (with its point case `chain_values`,
 the reference for the Taylor-mode recurrence) evaluate on integer numerators
 over a common denominator and reduce once per result.  The references below are the monomial-wise
 `Fraction` loops they replaced, kept verbatim; every result must equal them
-exactly, with equal hashes and `Fraction` endpoints.
+exactly, with equal hashes and `Fraction` endpoints.  `_LiftToTopKernel`
+keeps the kernel's previous `total` and `power`, whose integers the current
+ones must equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
+from math import prod
 
 from mpmath import iv, libmp
 import pytest
@@ -308,6 +311,98 @@ def test_empty_chain_bounds():
     chain = DerivativeChain(())
     assert chain.bounds(RatInterval.point(0), RatInterval.point(1)) == []
     assert chain_values(chain, 0, 1, 0) == []
+
+
+# -- _Kernel.total and _Kernel.power against the methods they replaced --------
+
+
+class _LiftToTopKernel(_Kernel):
+    """The kernel with the `total` and `power` it had before the fold and the
+    per-base cache, kept verbatim: each group lifted straight to the top, and
+    each vector's power raised afresh."""
+
+    def power(self, vec: int) -> int:
+        """prod(bases[i] ** e_i) of a packed vector, cached."""
+        value = self._powers.get(vec)
+        if value is None:
+            exps = ((vec >> 64 * i) & ((1 << 64) - 1) for i in range(len(self.bases)))
+            value = self._powers[vec] = prod(map(pow, self.bases, exps))
+        return value
+
+    def total(self, groups):
+        """Binding of the sum of groups, each a vector's [lo, hi].
+
+        With two or more vectors, each group sum is lifted once to their
+        componentwise maximum.  Integer sums are exact, so lifting a sum
+        equals summing the lifted terms.  No groups sum to (0, 0, 0).
+        """
+        if len(groups) == 1:
+            [(vec, (lo, hi))] = groups.items()
+            return lo, hi, vec
+        top = 0
+        for field in self._fields:
+            top |= max(map(field.__and__, groups), default=0)
+        total_lo = total_hi = 0
+        for vec, (lo, hi) in groups.items():
+            if vec != top:
+                lift = self.power(top - vec)
+                lo, hi = lo * lift, hi * lift
+            total_lo += lo
+            total_hi += hi
+        return total_lo, total_hi, top
+
+
+@st.composite
+def kernel_args(draw):
+    """(exprs, boxes, rounding) of a kernel over 2 to 4 bases: the
+    coefficient lcm, the denominators of 0 to 2 boxes, and the grid base."""
+    dens = st.integers(1, 40)
+    exprs = [FlowExpr.constant(F(1, draw(dens)))]
+    boxes = {
+        slot: RatInterval(F(-1, draw(dens)), F(1, draw(dens)))
+        for slot in range(draw(st.integers(0, 2)))
+    }
+    return exprs, boxes, draw(roundings)
+
+
+@st.composite
+def kernel_groups(draw, n_bases):
+    """Group dicts of 1 to 6 vectors over n_bases fields, each exponent
+    below 6: a chain of componentwise increasing vectors, or vectors drawn
+    independently, which rarely form one.  Endpoints are zero-width,
+    negative and straddling alike."""
+    fields = st.lists(st.integers(0, 5), min_size=n_bases, max_size=n_bases)
+    size = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        exps, rows = [0] * n_bases, []
+        for _ in range(size):
+            exps = [e + step for e, step in zip(exps, draw(fields))]
+            rows.append(exps)
+    else:
+        rows = [draw(fields) for _ in range(size)]
+    ends = st.integers(-(10**30), 10**30)
+    groups = {}
+    for row in rows:
+        lo = draw(ends)
+        hi = draw(st.one_of(st.just(lo), ends.map(lambda d: lo + abs(d))))
+        groups[sum(e << 64 * i for i, e in enumerate(row))] = [lo, hi]
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_args(), st.data())
+def test_total_and_power_equal_lift_to_top(args, data):
+    # The fold returns the same unreduced triple, integers and vector alike,
+    # and each power is the same int, whatever order the powers are asked in.
+    kernel, reference = _Kernel(*args), _LiftToTopKernel(*args)
+    assert 2 <= len(kernel.bases) <= 4
+    for _ in range(3):
+        groups = data.draw(kernel_groups(len(kernel.bases)))
+        got, want = kernel.total(groups), reference.total(groups)
+        assert got == want and all(type(n) is int for n in got)
+        for vec in (*groups, got[2]):
+            assert kernel.power(vec) == reference.power(vec)
+    assert kernel.total({}) == (0, 0, 0) == reference.total({})
 
 
 # -- work counter: no gcd per monomial ----------------------------------------

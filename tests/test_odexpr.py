@@ -1,6 +1,7 @@
 """Flow expressions, the derivative chain, and exact Taylor coefficients."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -435,6 +436,33 @@ def test_parse_digit_budget():
     # Counted before the zero test, which would convert the 5,000 digits.
     with pytest.raises(ExprParseError, match="column 1: literal has 5001 digits"):
         parse_flow_expr("1" * 5000 + "/0")
+
+
+def test_parse_work_grows_linearly(monkeypatch):
+    # Every c*x^i*y^j with i, j <= 64: 4,225 terms, the most distinct
+    # monomials the exponent caps allow.  Each term joins its denominator to
+    # the running lcm, and the FlowExpr is built once.  Rebuilding the sum and
+    # the lcm of every coefficient at each term passed 8,927,425 denominators
+    # to lcm, and took seconds.
+    lcm_args, built, summed = [], [], odexpr._summed
+
+    def counted_lcm(*values):
+        lcm_args.append(len(values))
+        return math.lcm(*values)
+
+    def counted_summed(terms):
+        built.append(1)
+        return summed(terms)
+
+    monkeypatch.setattr(odexpr, "lcm", counted_lcm)
+    monkeypatch.setattr(odexpr, "_summed", counted_summed)
+    terms = [f"{i % 7 + 1}/{j % 9 + 1}*x^{i}*y^{j}" for i in range(65) for j in range(65)]
+    for n in (1000, 2000, 4225):
+        lcm_args.clear()
+        built.clear()
+        f = parse_flow_expr(" + ".join(terms[:n]))
+        assert len(f.monomials) == n
+        assert sum(lcm_args) == 2 * n and len(built) == 1
 
 
 def test_parse_rejects_unknown_operators():
