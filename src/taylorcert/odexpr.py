@@ -24,7 +24,6 @@ value equals the monomial-wise Fraction evaluation exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -315,12 +314,8 @@ class _Kernel:
         # A rounded bound's numerators are over grid**exp, on this vector.
         self._grid_den, self._grid_vec = grid**exp, exp * self._unit(len(self.bases) - 1)
         self.capped: list[int] = []
-        # The bits of each field, (2**64 - 1) << 64 i, and the top bit of
-        # each: exponents stay below 2**63, so (b | high) - a borrows across
-        # no field and keeps a field's top bit where b's exponent is at least
-        # a's.
+        # The bits of each field, (2**64 - 1) << 64 i.
         self._fields = [((1 << 64) - 1) << 64 * i for i in range(len(self.bases))]
-        self._high = sum(1 << 64 * i + 63 for i in range(len(self.bases)))
         self._powers: dict[int, int] = {}
         # Each box binds over bases[index], which its denominators divide.
         self.slots = {}
@@ -389,11 +384,8 @@ class _Kernel:
         if not groups:
             return 0, 0, 0
         (vec, (lo, hi)), *rest = sorted(groups.items())
-        high = self._high
         for g_vec, (g_lo, g_hi) in rest:
-            top = g_vec
-            if ((g_vec | high) - vec) & high != high:  # vec passes g_vec in a field
-                top = sum(max(vec & field, g_vec & field) for field in self._fields)
+            top = sum(max(vec & field, g_vec & field) for field in self._fields)
             if top != vec:
                 lift = self.power(top - vec)
                 lo, hi = lo * lift, hi * lift
@@ -816,9 +808,9 @@ def parse_flow_expr(text: str) -> FlowExpr:
     """Parse the restricted text form (terms c * x^i * y^j over + and -).
 
     One pass: each term's coefficient is added into one table of monomials,
-    and the common denominator is kept as the lcm of the distinct
-    denominators in it, counted so that it is formed afresh only when a
-    coefficient's denominator leaves the table.
+    and the common denominator grows as a running lcm.  A cancelled
+    coefficient can leave that lcm too large, so it is formed afresh from the
+    table before it is refused.
     """
     toks = _tokens(text)
     tok, pos = toks[0]
@@ -826,7 +818,7 @@ def parse_flow_expr(text: str) -> FlowExpr:
         raise _error(text, "empty expression", pos)
     i, negative = (1 if tok in ("+", "-") else 0), tok == "-"
     coeffs: dict[MonomialKey, Fraction] = {}
-    dens, common = Counter(), 1  # the denominators in coeffs, and their lcm
+    common = 1  # a multiple of the lcm of the denominators in coeffs
     sums, constant, term_pos = {}, None, toks[i][1]
     while True:
         (tok, pos), (op, op_pos), (arg, arg_pos) = toks[i : i + 3]
@@ -873,21 +865,16 @@ def parse_flow_expr(text: str) -> FlowExpr:
             key = _trimmed((sums.get("x", 0), sums.get("y", 0)))
             old = coeffs.get(key)
             coeff = (old or 0) + (-coeff if negative else coeff)
-            if old is not None:
-                dens[old.denominator] -= 1
             if coeff:
                 coeffs[key] = coeff
-                dens[coeff.denominator] += 1
             else:
                 del coeffs[key]
-            if old is not None and not dens[old.denominator]:
-                del dens[old.denominator]
-                common = lcm(*dens)
-            elif coeff:
-                common = lcm(common, coeff.denominator)
+            common = lcm(common, coeff.denominator)
             if _too_long(common):
-                message = f"common denominator has over {MAX_LITERAL_DIGITS} digits"
-                raise _error(text, message, term_pos)
+                common = lcm(*(q.denominator for q in coeffs.values()))
+                if _too_long(common):
+                    message = f"common denominator has over {MAX_LITERAL_DIGITS} digits"
+                    raise _error(text, message, term_pos)
             if old is not None and coeff:
                 _check_coefficient(text, coeff, term_pos)
         if not tok:
