@@ -417,13 +417,9 @@ def _cmd_range(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_certificate(args: argparse.Namespace) -> tuple[ProblemSpec, Certificate]:
-    p = _load_problem(args.problem, args)
-    return p, certify_partial_sum(p)
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    p, cert = _run_certificate(args)
+    p = _load_problem(args.problem, args)
+    cert = certify_partial_sum(p)
     print(f"derivative bounds over [{p.x0}, {p.x1}] (rounding {p.rounding}):")
     for k, bound in enumerate(cert.derivative_bounds, start=1):
         print(f"  y^({k}): [{_fmt(bound.lo)}, {_fmt(bound.hi)}]")
@@ -432,7 +428,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    p, cert = _run_certificate(args)
+    cert = certify_partial_sum(_load_problem(args.problem, args))
     sanity = None if args.no_sanity else _sanity_section(cert)
     sys.stdout.write(render_report(cert, sanity))
     _write_json(args, lambda: build_report(cert, sanity))

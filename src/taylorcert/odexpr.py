@@ -161,7 +161,8 @@ class FlowExpr:
     def xy_terms(self) -> list[tuple[int, int, Fraction]]:
         """(i, j, c) for each monomial c * x^i * y^j, in `.monomials` order.
 
-        The one view of the terms outside this module; a derivative symbol
+        The one view of a right-hand side's terms, in this module too
+        (`derivative_bounds`, `taylor_coefficients`); a derivative symbol
         raises ExprError.
         """
         _require_xy(self)
@@ -228,12 +229,6 @@ class FlowExpr:
 
     # -- evaluation ------------------------------------------------------
 
-    def _symbol_value(self, env: Mapping[str, object], slot: int):
-        name = "x" if slot == 0 else symbol_name(slot - 1)
-        if name not in env:
-            raise ExprError(f"unbound symbol {name!r} in evaluation environment")
-        return env[name]
-
     def eval_interval(self, env: Mapping[str, object]) -> RatInterval:
         """Monomial-wise interval evaluation under symbol->interval bindings.
 
@@ -247,7 +242,10 @@ class FlowExpr:
         """
         boxes = {}
         for slot in sorted({s for key in self._monomials for s, e in enumerate(key) if e}):
-            b = self._symbol_value(env, slot)
+            name = "x" if slot == 0 else symbol_name(slot - 1)
+            if name not in env:
+                raise ExprError(f"unbound symbol {name!r} in evaluation environment")
+            b = env[name]
             boxes[slot] = b if isinstance(b, RatInterval) else RatInterval.point(b)
         kernel = _Kernel([self], boxes)
         return kernel.interval(*kernel.total(kernel.groups(self)))
@@ -429,9 +427,9 @@ class _Kernel:
         have at most EXACT_BOUND_BITS bits.  lo and hi are floored and ceiled
         straight to numerators over 10**P under outward:P (as
         `DecimalRounding.scaled_floor`) and over 2**1024 in exact mode."""
-        bits = max(lo.bit_length(), hi.bit_length(), den.bit_length())
-        if self.rounding.is_exact and bits <= EXACT_BOUND_BITS:
-            return None
+        if self.rounding.is_exact:
+            if max(lo.bit_length(), hi.bit_length(), den.bit_length()) <= EXACT_BOUND_BITS:
+                return None
         grid = self._grid_den
         return lo * grid // den, -(-hi * grid // den), self._grid_vec
 
@@ -536,12 +534,16 @@ def derivative_bounds(
     Y_{k+1} = sum_j sum_r C(k, r) c_j^(r)(X) P_j^(k-r), with c_j^(r)(X)
     enclosed monomial by monomial over xrange, and P_j^(m) enclosing
     (y^j)^(m) for each power f mentions and each power those are formed from
-    (`_powers`).  P_j^(0) is the power of yrange itself; past order 0, y^(2m)
-    is the Leibniz sum of y^m times itself, symmetric (`_leibniz`), and
-    y^(2m+1) that of y^m times y^(m+1).  Each bound is rounded by
-    `_Kernel.bind` before the next order uses it.  In exact mode only a
-    bound past EXACT_BOUND_BITS bits is rounded, outward onto multiples of
-    2**-1024, and its order is appended to `capped` when that is a list.
+    (`_powers`).  f's terms are read through `FlowExpr.xy_terms`, which
+    refuses a derivative symbol.  Every c_j^(r)(X), a constant's too,
+    multiplies P_j^(k-r) through `mul_endpoints`, which alone orders the
+    endpoints, and C(k, r) then scales the product.  P_j^(0) is the power
+    of yrange itself; past order 0, y^(2m) is the Leibniz sum of y^m times
+    itself, symmetric (`_leibniz`), and y^(2m+1) that of y^m times y^(m+1).
+    Each bound is rounded by `_Kernel.bind` before the next order uses it.
+    In exact mode only a bound past EXACT_BOUND_BITS bits is rounded, outward
+    onto multiples of 2**-1024, and its order is appended to `capped` when
+    that is a list.
     Each P_j above the square is rounded by the same rule (`_Kernel.outward`),
     which under outward:P more than halves the work on the y^64 file at
     degree 400 and in exact mode keeps it bounded; the square stays exact.
@@ -554,18 +556,15 @@ def derivative_bounds(
     chain's (subdistributivity).  From y^3 on, a product of two enclosures of
     one straddling factor can be wider than the chain's power of it.
     """
-    _require_xy(f)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     kernel = _Kernel([f], {0: xrange, 1: yrange}, rounding)
     # (j, r, lo, hi, vec): the binding of the r-th x-derivative of the
     # monomial c*x^i of c_j(x), for each monomial c*x^i*y^j of f and r <= i
     factors = []
-    for key, q in f._monomials.items():
-        i, j = (*key, 0, 0)[:2]
+    for i, j, q in f.xy_terms():
         for r in range(i + 1):
-            c = _summed([((i - r,) if i > r else (), q * perm(i, r))])
-            [(vec, (lo, hi))] = kernel.groups(c).items()
+            [(vec, (lo, hi))] = kernel.groups(FlowExpr({(i - r,): q * perm(i, r)})).items()
             factors.append((j, r, lo, hi, vec))
     # powers[j]: the bindings of P_j^(0) ... P_j^(k); P_0^(m) is 0 for m > 0
     plan, (y_lo, y_hi, y_vec) = _powers(factor[0] for factor in factors), kernel.slots[1]
@@ -583,9 +582,8 @@ def derivative_bounds(
         for j, r, c_lo, c_hi, c_vec in factors:
             if r == k or j and r < k:
                 lo, hi, vec = powers[j][k - r]
-                if c_lo != c_hi:  # else a constant, which scales
-                    lo, hi, c_lo = *mul(c_lo, c_hi, lo, hi), 1
-                _add_scaled(groups, c_vec + vec, row[r] * c_lo, lo, hi)
+                lo, hi = mul(c_lo, c_hi, lo, hi)
+                _add_scaled(groups, c_vec + vec, row[r], lo, hi)
         bounds.append(kernel.bind(k + 2, groups))
         powers[1].append(kernel.slots[k + 2])
         row = [1, *map(operator.add, row, row[1:]), 1]
@@ -635,14 +633,15 @@ def _leibniz(kernel: _Kernel, row: list[int], u: list, v: list) -> tuple[int, in
 def _add_scaled(
     groups: dict[int, list[int]], vec: int, scale: int, lo: int, hi: int
 ) -> None:
-    """Add scale * [lo, hi], scale nonzero, to the group of vec."""
-    lo, hi = (scale * lo, scale * hi) if scale > 0 else (scale * hi, scale * lo)
+    """Add scale * [lo, hi], scale positive, to the group of vec.  A scale is
+    1 or a binomial, so the endpoints keep their order; `mul_endpoints` and
+    `pow_endpoints` alone decide the signs of the products it scales."""
     group = groups.get(vec)
     if group is None:
-        groups[vec] = [lo, hi]
+        groups[vec] = [scale * lo, scale * hi]
     else:
-        group[0] += lo
-        group[1] += hi
+        group[0] += scale * lo
+        group[1] += scale * hi
 
 
 def taylor_coefficients(
@@ -665,13 +664,11 @@ def taylor_coefficients(
     reduced once: c_k = w^(k)(0) / (d h^k k!).  Past MAX_COEFF_BITS bits in
     w^(k)(0) or in d h^k k!, ExprError names the order.
     """
-    _require_xy(f)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     x0, y0 = as_rational(x0), as_rational(y0)
     shifted: dict[tuple[int, int], Fraction] = {}
-    for key, a in f._monomials.items():
-        e_x, e_y = (*key, 0, 0)[:2]
+    for e_x, e_y, a in f.xy_terms():
         for i in range(e_x + 1):
             term = a * comb(e_x, i) * x0 ** (e_x - i)
             shifted[i, e_y] = shifted.get((i, e_y), 0) + term

@@ -162,6 +162,45 @@ def test_recurrence_equals_fraction_loop(case, rounding):
         assert_same_interval(got, w)
 
 
+def recorded_scales(*args, **kwargs) -> tuple[list[RatInterval], list[int]]:
+    """derivative_bounds(*args, **kwargs), and each scale it hands to
+    `odexpr._add_scaled`, in order."""
+    scales, add = [], odexpr._add_scaled
+
+    def record(groups, vec, scale, lo, hi):
+        scales.append(scale)
+        add(groups, vec, scale, lo, hi)
+
+    with patch.object(odexpr, "_add_scaled", record):
+        return derivative_bounds(*args, **kwargs), scales
+
+
+# Endpoint signs are decided by ratcore.mul_endpoints and pow_endpoints
+# alone: a negative constant factor goes through mul_endpoints like any
+# other, so every scale is 1 or a positive binomial.
+@settings(max_examples=100, deadline=None)
+@given(reference_boxes(), st.sampled_from(["exact", "outward:0", "outward:30"]))
+def test_add_scaled_takes_positive_scales(case, rounding):
+    f, n, xrange, yrange = case
+    rounding = DecimalRounding.parse(rounding)
+    bounds, scales = recorded_scales(f, n, xrange, yrange, rounding)
+    assert all(scale > 0 for scale in scales)
+    assert bounds == derivative_chain(f, n).bounds(xrange, yrange, rounding)
+
+
+@pytest.mark.parametrize(
+    "flow, y0, x1, n, rounding",
+    CERTIFICATES,
+    ids=[f"{flow.__name__}-{n}-{rounding}" for flow, _, _, n, rounding in CERTIFICATES],
+)
+def test_certificates_add_positive_scales(flow, y0, x1, n, rounding):
+    f = flow()
+    qc = comparison.extract_comparison(f, F(0), x1, y0)
+    yrange = comparison.solution_range(qc, F(1, 10**12), rounding, f).range
+    _, scales = recorded_scales(f, n, RatInterval(F(0), x1), yrange, rounding)
+    assert scales and all(scale > 0 for scale in scales)
+
+
 GRID = 2**1024
 
 

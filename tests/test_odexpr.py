@@ -209,6 +209,7 @@ def test_every_entry_point_rejects_derivative_symbols_alike():
         lambda: oracle.reference_grid(f, 0, 0, [F(1, 2), F(1)]),
         lambda: derivative_chain(f, 1),
         lambda: taylor_coefficients(f, 0, 0, 1),
+        lambda: odexpr.derivative_bounds(f, 1, RatInterval(0, 1), RatInterval(0, 1)),
     ]
     for call in calls:
         with pytest.raises(ExprError) as info:
