@@ -94,16 +94,18 @@ def convergence_radius(
     r1 * exp(-cap) < width.  For q > cap the enclosure brackets
     r1 * (1 - exp(-cap)), a valid lower bound within width of the unclamped
     one, and the exp series needs about cap terms however large q is.  M = 0
-    takes q = cap.
+    takes q = cap.  The enclosure r1 (1 - exp(-q)) is formed from the
+    integers of r1 and of the exp enclosure's ends, one Fraction per end.
     """
     r1, r2, M = as_rational(r1), as_rational(r2), as_rational(M)
     if r1 <= 0 or r2 <= 0 or M < 0:
         raise ValueError("r1 and r2 must be positive and M nonnegative")
     w = as_rational(width) / r1
     cap = max(1, w.denominator.bit_length() - w.numerator.bit_length() + 1)
-    exp_enclosure = enclose_exp_neg(min(r2 / (2 * M * r1), cap) if M else cap, w)
-    one = RatInterval.point(1)
-    r_enclosure = (one - exp_enclosure).scale(r1)
+    e = enclose_exp_neg(min(r2 / (2 * M * r1), cap) if M else cap, w)
+    # r1 (1 - exp(-q)) for exp(-q) in [a/b, c/d], r1 = n/m > 0.
+    (a, b), (c, d), (n, m) = (v.as_integer_ratio() for v in (e.lo, e.hi, r1))
+    r_enclosure = RatInterval(Fraction(n * (d - c), m * d), Fraction(n * (b - a), m * b))
     return RadiusCertificate(
         r1=r1,
         r2=r2,

@@ -24,6 +24,7 @@ from .ratcore import (
     DecimalRounding,
     RatInterval,
     RationalLike,
+    _ordered,
     as_rational,
 )
 
@@ -122,13 +123,17 @@ def lagrange_remainder(
     bound_top must enclose y^(n+1) over [x0, x0+dx]; then at each x the
     remainder lies in bound_top * (x-x0)^(n+1) / (n+1)!.  The returned signed
     range is that envelope at the full step dx, and the magnitude bound
-    max(|lo|, |hi|) covers every x in the interval since |x-x0| <= dx.
+    max(|lo|, |hi|) covers every x in the interval since |x-x0| <= dx.  The
+    scale is the integer dx.numerator**(n+1) over dx.denominator**(n+1) *
+    (n+1)!, each formed once; it is nonnegative, so each end of bound_top
+    [a/b, c/d] becomes one Fraction, a num / (b den) and c num / (d den).
     """
     dx = as_rational(dx)
     if dx < 0:
         raise ValueError("dx must be nonnegative")
-    scale = dx ** (n + 1) / factorial(n + 1)
-    signed = bound_top.scale(scale)
+    num, den = dx.numerator ** (n + 1), dx.denominator ** (n + 1) * factorial(n + 1)
+    (a, b), (c, d) = bound_top.lo.as_integer_ratio(), bound_top.hi.as_integer_ratio()
+    signed = _ordered(Fraction(a * num, b * den), Fraction(c * num, d * den))
     return signed.mag, signed
 
 
@@ -136,10 +141,13 @@ def centralize(bound_top: RatInterval, n: int) -> tuple[Fraction, Fraction]:
     """Midpoint coefficient and halfwidth scale for error centralization.
 
     Adding midpoint(bound_top)/(n+1)! * (x-x0)^(n+1) to the partial sum leaves
-    a worst-case error of radius(bound_top)/(n+1)! * dx^(n+1).
+    a worst-case error of radius(bound_top)/(n+1)! * dx^(n+1).  With
+    bound_top = [a/b, c/d] they are (a d + c b) and (c b - a d) over
+    2 b d (n+1)!, each one Fraction.
     """
-    fact = factorial(n + 1)
-    return bound_top.midpoint / fact, bound_top.radius / fact
+    (a, b), (c, d) = bound_top.lo.as_integer_ratio(), bound_top.hi.as_integer_ratio()
+    den = 2 * b * d * factorial(n + 1)
+    return Fraction(a * d + c * b, den), Fraction(c * b - a * d, den)
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: RationalLike) -> Fraction:

@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 input error, 2 certification failure, 3 internal error.
 
 Only the sanity section of `certify` and the `oracle` subcommand import the
 non-rigorous oracle and mpmath; the other subcommands start without them.
+Likewise only a JSON report (--json, or `report_to_json`) imports `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import replace
@@ -252,6 +252,8 @@ def build_report(cert: Certificate, sanity: dict | None = None) -> dict:
 
 
 def report_to_json(doc: dict) -> str:
+    import json  # only here: a run without --json starts without it
+
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -20,7 +20,12 @@ from .ratcore import (
     HALF_PI_LOWER,
     RatInterval,
     RationalLike,
+    _add3,
     _check_width,
+    _interval3,
+    _inv3,
+    _mul3,
+    _triple,
     as_rational,
     enclose_sqrt,
     enclose_tan,
@@ -171,9 +176,15 @@ def solution_range(
     stay short however long the exact endpoints are.
 
     The reported upper endpoint is widened per `rounding`; the tight enclosure
-    is always retained alongside.
+    is always retained alongside.  Between the enclosures of s and t and
+    the returned values every interval is an integer triple (`ratcore._mul3`
+    and its neighbours): each endpoint of the tight enclosure becomes one
+    Fraction, and the denominator becomes a RatInterval only for the
+    diagnostic that prints it.
     """
     width = _check_width(width)
+    (wn, wd), (yn, yd) = width.as_integer_ratio(), qc.y0.as_integer_ratio()
+    y = yn, yn, yd
     dx = qc.x1 - qc.x0
     component_width = width / 8
     for _ in range(60):
@@ -187,17 +198,20 @@ def solution_range(
                 f"no tangent-form bound exists on [{qc.x0}, {qc.x1}]",
             )
         t_enc = enclose_tan(theta, component_width)
-        if s_enc.lo > 0:
-            denominator = RatInterval.point(1) - t_enc * RatInterval.point(qc.y0) / s_enc
-            if denominator.lo > 0:
-                upper = (s_enc * t_enc + RatInterval.point(qc.y0)) / denominator
-                if upper.width <= width:
+        s, t = _triple(s_enc), _triple(t_enc)
+        if s[0] > 0:
+            q_lo, q_hi, q_den = _mul3(_mul3(t, y), _inv3(s))  # t*y0/s
+            denominator = q_den - q_hi, q_den - q_lo, q_den
+            if denominator[0] > 0:
+                u_lo, u_hi, u_den = _mul3(_add3(_mul3(s, t), y), _inv3(denominator))
+                if (u_hi - u_lo) * wd <= wn * u_den:
                     break
-            elif denominator.hi <= 0 or component_width <= width / 2**40:
+            elif denominator[1] <= 0 or component_width <= width / 2**40:
                 return _invalid(
                     qc.y0,
-                    f"denominator 1 - t*y0/s = {denominator} not certifiably "
-                    f"positive: comparison solution escapes before x1 = {qc.x1}",
+                    f"denominator 1 - t*y0/s = {_interval3(denominator)} not "
+                    f"certifiably positive: comparison solution escapes before "
+                    f"x1 = {qc.x1}",
                 )
         component_width /= 16
     else:
@@ -205,7 +219,7 @@ def solution_range(
 
     # t >= 0 and denominator > 0 keep the bound at or above y0; clip the
     # enclosure so the reported range never dips below the exact lower end.
-    upper = RatInterval(max(upper.lo, qc.y0), max(upper.hi, qc.y0))
+    upper = RatInterval(max(Fraction(u_lo, u_den), qc.y0), max(Fraction(u_hi, u_den), qc.y0))
     reported = RatInterval(qc.y0, rounding.round_up(upper.hi))
 
     try:

@@ -10,8 +10,8 @@ mathematical guarantee, not a numerical estimate.
 The public `RatInterval(lo, hi)` and `RatInterval.point` take outside
 input: they convert endpoints to `Fraction` and reject `lo > hi`.  Internal
 results whose endpoints are `Fraction`s in order by construction (`+`, `-`,
-negation, `scale`, `*`, `/`, the exp, sine, cosine and square-root
-enclosures) go through the trusted helper `_ordered`, which skips both
+negation, `scale`, `*`, `/`, the exp, tangent and square-root enclosures,
+`_interval3`) go through the trusted helper `_ordered`, which skips both
 checks.  Products and powers pick their endpoints by the signs of the
 factors' endpoints (Moore, Kearfott & Cloud, *Introduction to Interval
 Analysis*, 2009, sec. 2.3): a product forms the two endpoint products it
@@ -24,13 +24,28 @@ endpoint pairs of ints or Fractions alike: `RatInterval` calls them on its
 Fraction endpoints, and the interval kernel in `odexpr` on integer
 numerators over a shared positive denominator, whose signs are those of the
 rationals they stand for.
+
+The enclosures, and the comparison, radius and remainder stages that run
+once per certificate, compute in the same way, on integers in closed form:
+a triple (lo, hi, den) is a pair of integer endpoint numerators over a
+positive integer denominator.  `_mul3` takes a product's endpoints from
+`mul_endpoints`, `_add3` adds over the product of the denominators, and
+`_inv3` takes reciprocals as pairs: that of a zero-free [lo, hi] / den is
+(den lo, den hi) over lo hi, a positive denominator that keeps the pair in
+order whatever its sign, so a quotient is one reciprocal and one
+`mul_endpoints`.  The exp series keeps its sum and last term over k! b^k,
+the sine and cosine series theirs over m! b^m (`_trig_series`, which
+returns a triple), the tangent at a point is the sine triple times the
+reciprocal of the cosine triple, and the square root finds its bisection
+cell by integer division and `isqrt`.  Only the values a stage returns
+become Fractions (`_interval3`), each reduced once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt
 from typing import Union
 
 RationalLike = Union[Fraction, int, str]
@@ -235,6 +250,37 @@ def pow_endpoints(lo, hi, exponent: int):
     return 0, max(-lo, hi) ** exponent
 
 
+def _triple(interval: RatInterval) -> tuple[int, int, int]:
+    """The triple (lo, hi, den) of an interval: its endpoints' numerators
+    over the product of their denominators."""
+    (a, b), (c, d) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    return a * d, c * b, b * d
+
+
+def _mul3(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Product of two triples: the endpoints by `mul_endpoints`, over the
+    product of the denominators."""
+    lo, hi = mul_endpoints(u[0], u[1], v[0], v[1])
+    return lo, hi, u[2] * v[2]
+
+
+def _add3(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Sum of two triples, over the product of the denominators."""
+    return u[0] * v[2] + v[0] * u[2], u[1] * v[2] + v[1] * u[2], u[2] * v[2]
+
+
+def _inv3(u: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Reciprocal [den/hi, den/lo] of a triple (lo, hi, den) that excludes
+    zero, as the pair (den lo, den hi) over lo hi, which is positive and
+    keeps the pair in order whatever the sign of [lo, hi]."""
+    return u[2] * u[0], u[2] * u[1], u[0] * u[1]
+
+
+def _interval3(u: tuple[int, int, int]) -> RatInterval:
+    """The RatInterval of a triple: one Fraction per endpoint."""
+    return _ordered(Fraction(u[0], u[2]), Fraction(u[1], u[2]))
+
+
 def _ordered(lo: Fraction, hi: Fraction) -> RatInterval:
     """RatInterval from two Fractions already known to satisfy lo <= hi.
 
@@ -353,8 +399,9 @@ def enclose_exp_neg(
                 return _ordered(Fraction(den * excess, upper), Fraction(den, partial))
 
 
-def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
-    """Enclosure of sin(t) (power 1) or cos(t) (power 0) for any t >= 0.
+def _trig_series(t: Fraction, power: int, width: Fraction) -> tuple[int, int, int]:
+    """Enclosure (lo, hi, den) of sin(t) (power 1) or cos(t) (power 0) for
+    any t >= 0, a triple as in `_mul3`.
 
     Sums the alternating series of terms (-1)^k t^(2k+power) / (2k+power)!.
     The truncation error is bounded by the first omitted term (Lagrange bound
@@ -371,18 +418,19 @@ def _trig_series(t: Fraction, power: int, width: Fraction) -> RatInterval:
         power += 2
         err = abs(term)
         if 2 * err * wd <= wn * den:
-            return _ordered(Fraction(partial - err, den), Fraction(partial + err, den))
+            return partial - err, partial + err, den
 
 
-def _tan_point_enclosure(t: Fraction, width: Fraction) -> RatInterval:
-    """sin(t) / cos(t) for 0 <= t < HALF_PI_LOWER, from series of the given
-    width; the cosine series is refined by 16 until its lower end is
-    positive, which ends because cos t > 0 below pi/2."""
+def _tan_point_enclosure(t: Fraction, width: Fraction) -> tuple[int, int, int]:
+    """Enclosure (lo, hi, den) of sin(t) / cos(t) for 0 <= t < HALF_PI_LOWER,
+    the sine triple times the reciprocal of the cosine triple, from series of
+    the given width; the cosine series is refined by 16 until its lower end
+    is positive, which ends because cos t > 0 below pi/2."""
     cos_enc = _trig_series(t, 0, width)
-    while cos_enc.lo <= 0:
+    while cos_enc[0] <= 0:
         width /= 16
         cos_enc = _trig_series(t, 0, width)
-    return _trig_series(t, 1, width) / cos_enc
+    return _mul3(_trig_series(t, 1, width), _inv3(cos_enc))
 
 
 def enclose_tan(
@@ -404,17 +452,20 @@ def enclose_tan(
     # The excess of the result width over tan(hi) - tan(lo) is bounded by the
     # two endpoint enclosure widths; shrink the series width until that excess
     # fits the budget.  Near the domain edge the quotient amplifies the series
-    # width, hence the loop.
+    # width, hence the loop.  The test is on integers: the widths (hi - lo) /
+    # den of the two triples against width = wn / wd.
     point_width = width / 4
+    wn, wd = width.as_integer_ratio()
     while True:
-        lo_enc = _tan_point_enclosure(theta.lo, point_width)
-        hi_enc = (
+        lo_lo, lo_hi, lo_den = lo_enc = _tan_point_enclosure(theta.lo, point_width)
+        hi_lo, hi_hi, hi_den = (
             lo_enc
             if theta.hi == theta.lo
             else _tan_point_enclosure(theta.hi, point_width)
         )
-        if lo_enc.width + hi_enc.width <= width:
-            return RatInterval(lo_enc.lo, hi_enc.hi)
+        excess = (lo_hi - lo_lo) * hi_den + (hi_hi - hi_lo) * lo_den
+        if excess * wd <= wn * lo_den * hi_den:
+            return _ordered(Fraction(lo_lo, lo_den), Fraction(hi_hi, hi_den))
         point_width /= 16
 
 
@@ -428,6 +479,9 @@ def enclose_sqrt(
     max(1, q), stops once the width is at most `width`: after k halvings, with
     2^k >= top / width for the least such k, on the grid cell [m, m + 1] * h,
     h = top / 2^k, whose lower end m is the largest integer with (m h)^2 <= q.
+    On integers: with q = a/b and top = t/d, k is the bit length of
+    ceil(t w_d / (d w_n)) - 1 for width = w_n / w_d, h = t / (d 2^k), and m
+    is the integer square root of floor(a d^2 4^k / (b t^2)).
     """
     q = as_rational(q)
     width = _check_width(width)
@@ -436,13 +490,12 @@ def enclose_sqrt(
     if q == 0:
         return RatInterval.point(0)
 
-    num_root = isqrt(q.numerator)
-    den_root = isqrt(q.denominator)
-    if num_root * num_root == q.numerator and den_root * den_root == q.denominator:
+    (a, b), (wn, wd) = q.as_integer_ratio(), width.as_integer_ratio()
+    num_root, den_root = isqrt(a), isqrt(b)
+    if num_root * num_root == a and den_root * den_root == b:
         return RatInterval.point(Fraction(num_root, den_root))
 
-    top = max(Fraction(1), q)
-    halvings = (ceil(top / width) - 1).bit_length()
-    step = top / 2**halvings
-    m = isqrt(floor(q / (step * step)))
-    return _ordered(m * step, (m + 1) * step)
+    t, d = (a, b) if a > b else (1, 1)
+    halvings = (-(-t * wd // (d * wn)) - 1).bit_length()
+    m, den = isqrt((a * d * d << 2 * halvings) // (b * t * t)), d << halvings
+    return _ordered(Fraction(m * t, den), Fraction((m + 1) * t, den))

@@ -387,6 +387,34 @@ print(loaded)
     assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"
 
 
+def test_runs_without_json_report_do_not_import_json(problem_file, tmp_path):
+    # A fresh interpreter, as above.  The last run writes a JSON report, so it
+    # shows that the probe sees the import.
+    out = tmp_path / "out.json"
+    script = f"""
+import sys
+import taylorcert.cli as cli
+modules = ("json", "json.decoder", "json.scanner", "json.encoder", "_json")
+loaded = [any(m in sys.modules for m in modules)]
+for argv in (["coeffs"], ["bounds"], ["certify", "--no-sanity"],
+             ["certify", "--no-sanity", "--json", {str(out)!r}]):
+    assert cli.run([argv[0], {str(problem_file)!r}, *argv[1:]]) == 0
+    loaded.append(any(m in sys.modules for m in modules))
+print(loaded)
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"
+    assert json.loads(out.read_text())["certificate"]
+
+
 @pytest.mark.parametrize(
     "f, x0, x1, message",
     [

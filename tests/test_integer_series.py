@@ -3,9 +3,10 @@ and the elementary enclosures against mpmath's interval arithmetic.
 
 `enclose_exp_neg` and `_trig_series` keep their partial sums and terms as
 integer numerators over one running denominator, in the fraction-free manner
-of Bareiss, and build Fractions of the two endpoints only.  The references
-below are the `Fraction` loops they replaced, kept verbatim: the stopping
-index and the reduced endpoints must be the same.
+of Bareiss.  `enclose_exp_neg` builds Fractions of the two endpoints only;
+`_trig_series` returns its integer triple, which `_interval3` reduces here.
+The references below are the `Fraction` loops they replaced, kept verbatim:
+the stopping index and the reduced endpoints must be the same.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from taylorcert.ratcore import (
     HALF_PI_LOWER,
     RatInterval,
+    _interval3,
     _trig_series,
     as_rational,
     enclose_exp_neg,
@@ -114,7 +116,8 @@ def test_exp_neg_equals_fraction_loop_at_fixed_points(q, width):
 @settings(max_examples=200, deadline=None)
 @given(trig_arguments, st.sampled_from([0, 1]), widths)
 def test_trig_series_equals_fraction_loop(t, power, width):
-    assert_same_interval(_trig_series(t, power, width), reference_trig_series(t, power, width))
+    got = _interval3(_trig_series(t, power, width))
+    assert_same_interval(got, reference_trig_series(t, power, width))
 
 
 # -- work counter: no Fraction arithmetic in the series ------------------------
@@ -233,7 +236,7 @@ fine_widths = st.builds(lambda m, e: F(m, 10**e), st.integers(1, 9), st.integers
 @settings(max_examples=200, deadline=None)
 @given(series_arguments, st.sampled_from([0, 1]), fine_widths)
 def test_trig_series_contain_mpmath_values(t, power, width):
-    ours = _trig_series(t, power, width)
+    ours = _interval3(_trig_series(t, power, width))
     assert ours.hi - ours.lo <= width
     with iv_digits(60):
         assert_contains(ours, (iv.sin if power else iv.cos)(_iv(t)))

@@ -12,9 +12,9 @@ that goes first alternates from round to round, so that both sides see the
 same drift of the host's speed.  Prints the median pass time of each side,
 their ratio (this tree over BASE; below 1 is faster), the median of the
 rounds' own ratios, which a drift between rounds does not move, and the
-number of rounds in which this tree's pass was the faster.  An operation
-that raises counts with the time it took, as in perfbench, and its error is
-printed.
+number of rounds in which this tree's pass was the faster, and then each
+operation's median ratio over the rounds.  An operation that raises counts
+with the time it took, as in perfbench, and its error is printed.
 """
 
 import argparse
@@ -42,8 +42,9 @@ def export_base(rev, into):
 
 
 def pass_of(package, ops, errors):
-    """A function that runs each operation once, given the package's name;
-    the error of an operation that raises goes into errors."""
+    """A function that runs each operation once and returns their times,
+    given the package's name; the error of an operation that raises goes
+    into errors."""
     cli = importlib.import_module(f"{package}.cli")
     certify = importlib.import_module(f"{package}.certify")
     odexpr = importlib.import_module(f"{package}.odexpr")
@@ -57,18 +58,16 @@ def pass_of(package, ops, errors):
             cli.report_to_json(cli.build_report(cert))
 
     def run():
+        times = []
         for op, spec in zip(ops, specs):
+            start = time.perf_counter()
             try:
                 execute(op, spec)
             except Exception as exc:  # a failed operation is timed, not fatal
                 errors[package, op.name] = f"{type(exc).__name__}: {str(exc)[:160]}"
+            times.append(time.perf_counter() - start)
+        return times
     return run
-
-
-def timed(run):
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
 
 
 def main(argv=None):
@@ -96,15 +95,18 @@ def main(argv=None):
         for round_no in range(args.rounds):
             order = ["base", "tree"] if round_no % 2 == 0 else ["tree", "base"]
             for name in order:
-                times[name].append(timed(sides[name]))
-    base, tree = (statistics.median(times[name]) for name in ("base", "tree"))
-    ratios = [t / b for t, b in zip(times["tree"], times["base"])]
+                times[name].append(sides[name]())
+    base, tree = (statistics.median(map(sum, times[name])) for name in ("base", "tree"))
+    ratios = [sum(t) / sum(b) for t, b in zip(times["tree"], times["base"])]
     wins = sum(r < 1 for r in ratios)
     print(f"{args.workload}, {args.rounds} rounds, BASE {args.base}")
     print(f"  median pass  base {base * 1e3:.3f} ms, tree {tree * 1e3:.3f} ms")
     print(f"  ratio        {tree / base:.4f} (tree / base; below 1 is faster)")
     print(f"  round ratio  {statistics.median(ratios):.4f} (median over rounds)")
     print(f"  tree faster  in {wins} of {args.rounds} rounds")
+    for i, op in enumerate(ops):
+        op_ratios = [t[i] / b[i] for t, b in zip(times["tree"], times["base"])]
+        print(f"  op ratio     {statistics.median(op_ratios):.4f} {op.name}")
     for (package, name), error in errors.items():
         print(f"  failed       {package} {name}: {error}")
     return 0
